@@ -21,6 +21,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -60,46 +61,69 @@ def _dump_json(path: Path, payload):
 
 def _load_config(path):
     try:
-        return json.loads(Path(path).read_text())
+        cfg = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ValidationError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"config {path} is not a JSON object")
+    return cfg
+
+
+@contextmanager
+def _reading(what):
+    """Report a config value of the wrong type or form as invalid input."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
+def _parse_seed(cfg, override=None) -> int:
+    seed = override if override is not None else cfg.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    return seed
 
 
 def _parse_idx(cfg) -> FractionalIndex:
-    return FractionalIndex(cfg["alpha"], cfg.get("delta"))
+    with _reading("alpha/delta"):
+        return FractionalIndex(cfg["alpha"], cfg.get("delta"))
 
 
 def _parse_grid(cfg, d) -> Grid:
-    g = cfg["grid"]
-    return Grid(d, int(g["n_per_dim"]), float(g["box_length"]))
+    with _reading("grid"):
+        g = cfg["grid"]
+        return Grid(d, int(g["n_per_dim"]), float(g["box_length"]))
 
 
 def _parse_measure(cfg, d) -> SpectralMeasure:
-    spec = dict(cfg["measure"])
-    kind = spec.pop("kind")
-    makers = {
-        "white": lambda: SpectralMeasure.white(d),
-        "riesz": lambda: SpectralMeasure.riesz(spec["gamma"], d),
-        "bessel": lambda: SpectralMeasure.bessel(spec["beta"], d),
-        "free_field": lambda: SpectralMeasure.free_field(spec["mass"], d),
-        "tabulated": lambda: SpectralMeasure.tabulated(
-            spec["radii"], spec["values"], d
-        ),
-    }
-    if kind not in makers:
-        raise ValidationError(f"unknown measure kind {kind!r}")
-    return makers[kind]()
+    with _reading("measure"):
+        spec = dict(cfg["measure"])
+        kind = spec.pop("kind")
+        makers = {
+            "white": lambda: SpectralMeasure.white(d),
+            "riesz": lambda: SpectralMeasure.riesz(spec["gamma"], d),
+            "bessel": lambda: SpectralMeasure.bessel(spec["beta"], d),
+            "free_field": lambda: SpectralMeasure.free_field(spec["mass"], d),
+            "tabulated": lambda: SpectralMeasure.tabulated(
+                spec["radii"], spec["values"], d
+            ),
+        }
+        if kind not in makers:
+            raise ValidationError(f"unknown measure kind {kind!r}")
+        return makers[kind]()
 
 
+# presets read their parameters when called, so at parse time
 _U0_PRESETS = {
     "zero": lambda p: 0.0,
     "constant": lambda p: float(p.get("value", 1.0)),
     "cosine": lambda p: (
-        lambda *xs: np.cos(float(p.get("frequency", 1.0)) * xs[0])
+        lambda *xs, w=float(p.get("frequency", 1.0)): np.cos(w * xs[0])
     ),
     "gaussian_bump": lambda p: (
-        lambda *xs: np.exp(-sum(x**2 for x in xs)
-                           / (2 * float(p.get("width", 1.0)) ** 2))
+        lambda *xs, h=float(p.get("width", 1.0)): np.exp(
+            -sum(x**2 for x in xs) / (2 * h ** 2))
     ),
 }
 
@@ -114,25 +138,24 @@ def _parse_u0(cfg):
 
 def _parse_solver_config(cfg, seed_override=None) -> SolverConfig:
     idx = _parse_idx(cfg)
-    grid = _parse_grid(cfg, idx.d)
-    seed = seed_override if seed_override is not None else cfg.get("seed", 0)
-    return SolverConfig(
-        idx=idx,
-        measure=_parse_measure(cfg, idx.d),
-        grid=grid,
-        b=Coefficient.from_spec(cfg.get("b", {"preset": "constant",
-                                              "value": 0.0})),
-        sigma=Coefficient.from_spec(cfg.get("sigma", {"preset": "constant",
-                                                      "value": 1.0})),
-        u0=_parse_u0(cfg),
-        dt=float(cfg["dt"]),
-        T=float(cfg["T"]),
-        scheme=cfg.get("scheme", "exp_euler"),
-        picard_max_iter=int(cfg.get("picard_max_iter", 200)),
-        picard_tol=float(cfg.get("picard_tol", 1e-12)),
-        master_seed=int(seed),
-        frame_stride=int(cfg.get("frame_stride", 1)),
-    )
+    with _reading("solver config"):
+        fields = dict(
+            measure=_parse_measure(cfg, idx.d),
+            grid=_parse_grid(cfg, idx.d),
+            b=Coefficient.from_spec(cfg.get("b", {"preset": "constant",
+                                                  "value": 0.0})),
+            sigma=Coefficient.from_spec(cfg.get("sigma", {"preset": "constant",
+                                                          "value": 1.0})),
+            u0=_parse_u0(cfg),
+            dt=float(cfg["dt"]),
+            T=float(cfg["T"]),
+            scheme=cfg.get("scheme", "exp_euler"),
+            picard_max_iter=int(cfg.get("picard_max_iter", 200)),
+            picard_tol=float(cfg.get("picard_tol", 1e-12)),
+            master_seed=_parse_seed(cfg, seed_override),
+            frame_stride=int(cfg.get("frame_stride", 1)),
+        )
+    return SolverConfig(idx=idx, **fields)
 
 
 def _write_manifest(outdir: Path, command, cfg, seed):
@@ -184,9 +207,18 @@ def _run_measure(cfg, outdir: Path, args):
     return 0
 
 
+def _per_replicate(fn, n_rep, threads):
+    """``[fn(rep) for rep in range(n_rep)]``, on ``threads`` threads."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, range(n_rep)))
+    return [fn(rep) for rep in range(n_rep)]
+
+
 def _run_simulate(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
-    n_rep = int(cfg.get("replicates", 1))
+    with _reading("replicates"):
+        n_rep = int(cfg.get("replicates", 1))
     runner = solve_picard if config.scheme == "picard" else solve
 
     def one(rep):
@@ -197,40 +229,30 @@ def _run_simulate(cfg, outdir: Path, args):
                 "times": list(path.times),
                 "final_sup": float(np.abs(path.frames[-1].values).max())}
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            entries = list(pool.map(one, range(n_rep)))
-    else:
-        entries = [one(rep) for rep in range(n_rep)]
+    entries = _per_replicate(one, n_rep, args.threads)
     _dump_json(outdir / "frames_index.json", {"replicates": entries})
     return 0
 
 
 def _run_holder(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
-    n_rep = int(cfg.get("replicates", 200))
-
-    def one(rep):
-        return solve(config, rep)
-
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            paths = list(pool.map(one, range(n_rep)))
-    else:
-        paths = [one(rep) for rep in range(n_rep)]
+    with _reading("holder settings"):
+        n_rep = int(cfg.get("replicates", 200))
+        t_probe = float(cfg.get("t_probe", config.T))
+        min_rep = int(cfg.get("min_replicates", min(n_rep, 200)))
+        min_lag_steps = int(cfg.get("min_lag_steps", 2))
+        min_lag_cells = int(cfg.get("min_lag_cells", 1))
+        rho = float(cfg.get("rho", 0.99))
+    paths = _per_replicate(lambda rep: solve(config, rep), n_rep,
+                           args.threads)
     x_probe = cfg.get("x_probe", config.grid.n_per_dim // 2)
-    t_probe = float(cfg.get("t_probe", config.T))
-    min_rep = int(cfg.get("min_replicates", min(n_rep, 200)))
     temporal = estimate_temporal(
-        paths, x_probe, min_replicates=min_rep,
-        min_lag_steps=int(cfg.get("min_lag_steps", 2)),
+        paths, x_probe, min_replicates=min_rep, min_lag_steps=min_lag_steps,
     )
     spatial = estimate_spatial(
-        paths, t_probe, min_replicates=min_rep,
-        min_lag_cells=int(cfg.get("min_lag_cells", 1)),
+        paths, t_probe, min_replicates=min_rep, min_lag_cells=min_lag_cells,
     )
     eta = float(cfg.get("eta", critical_eta(config.measure, config.idx)))
-    rho = float(cfg.get("rho", 0.99))
     report = build_report(temporal, spatial, config.idx, rho, eta)
     _dump_json(outdir / "holder_report.json", report.to_dict())
     if args.format == "csv":
@@ -244,8 +266,9 @@ def _run_holder(cfg, outdir: Path, args):
 
 def _run_density(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
-    n = int(cfg.get("n_samples", 2000))
-    t = float(cfg.get("t", config.T))
+    with _reading("density settings"):
+        n = int(cfg.get("n_samples", 2000))
+        t = float(cfg.get("t", config.T))
     x = cfg.get("x", config.grid.n_per_dim // 2)
     samples = sample_law(config, t, x, n)
     estimate = kde(samples)
@@ -301,31 +324,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(name, exc, code) -> int:
+    print(json.dumps({"error": name, "message": str(exc)}), file=sys.stderr)
+    return code
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load_config(args.config)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0)
+        seed = _parse_seed(cfg, args.seed)
         _write_manifest(outdir, args.command, cfg, seed)
         return _COMMANDS[args.command](cfg, outdir, args)
-    except ValidationError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_VALIDATION
-    except NumericalError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_NUMERICAL
-    except FracspdeError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_VALIDATION
     except KeyError as exc:
-        print(json.dumps({"error": "MissingConfigKey", "message": str(exc)}),
-              file=sys.stderr)
-        return EXIT_VALIDATION
+        return _fail("MissingConfigKey", exc, EXIT_VALIDATION)
+    except FracspdeError as exc:
+        numerical = isinstance(exc, NumericalError)
+        return _fail(type(exc).__name__, exc,
+                     EXIT_NUMERICAL if numerical else EXIT_VALIDATION)
 
 
 if __name__ == "__main__":

@@ -75,24 +75,18 @@ def sample_law(config: SolverConfig, t: float, x, n: int,
                *, replicate_offset: int = 0) -> np.ndarray:
     """n independent replicate values of the solution at (t, x).
 
-    ``x`` is a grid index (int for d=1, tuple otherwise).  The diffusion
-    coefficient must be elliptic: strictly positive on a probe range.
-    Deterministic given the config's master seed.
+    ``x`` is a grid index (int for d=1, tuple otherwise) and ``t`` a stored
+    frame time.  The diffusion coefficient must be elliptic: strictly
+    positive on a probe range.  Deterministic given the config's master seed.
     """
     _check_ellipticity(config.sigma)
     if not 0 < t <= config.T + 1e-12:
         raise ConfigurationError(f"sample time {t} outside (0, T]")
-    k = int(round(t / config.dt))
-    if abs(k * config.dt - t) > 1e-9 * max(t, config.dt):
-        raise ConfigurationError(
-            f"sample time {t} is not a multiple of dt={config.dt}"
-        )
     probe = (x,) if np.isscalar(x) else tuple(x)
     out = np.empty(n)
     for i in range(n):
         path = solve(config, replicate_offset + i)
-        j = int(np.argmin(np.abs(np.asarray(path.times) - t)))
-        out[i] = path.frames[j].values[probe]
+        out[i] = path.frame_at(t).values[probe]
     return out
 
 

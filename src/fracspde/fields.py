@@ -185,14 +185,6 @@ class Field:
                 f"dtype={self.values.dtype})")
 
     @classmethod
-    def physical(cls, grid, values):
-        return cls(grid, values, PHYSICAL)
-
-    @classmethod
-    def frequency(cls, grid, values):
-        return cls(grid, values, FREQUENCY)
-
-    @classmethod
     def constant(cls, grid, value):
         return cls(grid, np.full(grid.shape, float(value)), PHYSICAL,
                    _skip_copy=True)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NoiseSynthesisError
-from .fields import Field, Grid, write_field_binary
+from .fields import Field, Grid
 from .spectral_measure import SpectralMeasure
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "sample_increment",
     "band_limited_covariance",
     "empirical_covariance",
-    "write_increment_binary",
 ]
 
 
@@ -68,13 +67,30 @@ class NoiseIncrement:
     imag_residue: float = 0.0
 
 
-def _sqrt_density(grid: Grid, measure: SpectralMeasure) -> np.ndarray:
-    dens = measure.density_on_lattice(grid)
-    if not np.all(np.isfinite(dens)) or np.any(dens < 0):
-        raise NoiseSynthesisError(
-            "spectral density is negative or undefined on the grid band"
-        )
-    return np.sqrt(dens)
+class _Synthesizer:
+    """The increment synthesis, precomputed for one (grid, measure, dt).
+    Increments come out in the solver's FFT (wrap-around) index layout."""
+
+    def __init__(self, grid: Grid, measure: SpectralMeasure, dt: float):
+        if not dt > 0:
+            raise ConfigurationError(f"dt must be > 0, got {dt}")
+        dens = measure.density_on_lattice(grid)
+        if not np.all(np.isfinite(dens)) or np.any(dens < 0):
+            raise NoiseSynthesisError(
+                "spectral density is negative or undefined on the grid band"
+            )
+        self.sqrt_m = np.sqrt(dens)
+        self.mode_norm = grid.n_per_dim ** (grid.d / 2)
+        self.scale = np.sqrt(dt) * (2 * np.pi / grid.box_length) ** (grid.d / 2)
+
+    def modes(self, rng_stream: RngStream) -> np.ndarray:
+        """Unscaled synthesis, complex but real to round-off."""
+        white = rng_stream.generator().standard_normal(self.sqrt_m.shape)
+        return np.fft.fftn(self.sqrt_m * (np.fft.fftn(white) / self.mode_norm))
+
+    def draw(self, rng_stream: RngStream) -> np.ndarray:
+        """One real increment in wrap-around layout."""
+        return self.scale * np.real(self.modes(rng_stream))
 
 
 def sample_increment(grid: Grid, measure: SpectralMeasure, dt: float,
@@ -82,7 +98,8 @@ def sample_increment(grid: Grid, measure: SpectralMeasure, dt: float,
     """Draw one noise increment on ``grid`` over a step of length ``dt``.
 
     Deterministic in ``rng_stream``; increments with distinct stream ids
-    are independent.
+    are independent.  The solver draws its increments through the same
+    synthesis, so a trajectory's noise is exactly what this returns.
 
     Parameters
     ----------
@@ -90,18 +107,13 @@ def sample_increment(grid: Grid, measure: SpectralMeasure, dt: float,
     dt : time-step length, > 0.
     rng_stream : stream identity (master seed, replicate, step).
     """
-    if not dt > 0:
-        raise ConfigurationError(f"dt must be > 0, got {dt}")
-    sqrt_m = _sqrt_density(grid, measure)
-    rng = rng_stream.generator()
-    white = rng.standard_normal(grid.shape)
-    modes = np.fft.fftn(white) / grid.n_per_dim ** (grid.d / 2)
-    scale = np.sqrt(dt) * (2 * np.pi / grid.box_length) ** (grid.d / 2)
-    synth = scale * np.fft.fftshift(np.fft.fftn(sqrt_m * modes))
-    norm = float(np.abs(synth).max())
-    residue = float(np.abs(synth.imag).max() / norm) if norm > 0 else 0.0
-    field = Field(grid, np.ascontiguousarray(synth.real), _skip_copy=True)
-    return NoiseIncrement(field, dt, rng_stream, residue)
+    synth = _Synthesizer(grid, measure, dt)
+    modes = synth.modes(rng_stream)
+    norm = float(np.abs(modes).max())
+    residue = float(np.abs(modes.imag).max() / norm) if norm > 0 else 0.0
+    values = np.fft.fftshift(synth.scale * np.real(modes))
+    return NoiseIncrement(Field(grid, values, _skip_copy=True), dt,
+                          rng_stream, residue)
 
 
 def band_limited_covariance(grid: Grid, measure: SpectralMeasure) -> np.ndarray:
@@ -150,8 +162,3 @@ def empirical_covariance(ensemble, lags):
         out[lag] = (float(per_rep.mean()),
                     float(per_rep.std(ddof=1) / np.sqrt(n_rep)))
     return out
-
-
-def write_increment_binary(path, increment: NoiseIncrement):
-    """Binary dump of one increment (shape header + little-endian f64)."""
-    write_field_binary(path, increment.field)

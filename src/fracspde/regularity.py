@@ -161,7 +161,7 @@ def estimate_spatial(paths, t_probe, *, n_boot=200, boot_seed=0,
     """Spatial Hölder exponent at one time, averaged over the grid.
 
     Uses dyadic lags starting at min_lag_cells grid cells (per the first
-    axis) with periodic wrap-around.
+    axis) with periodic wrap-around.  ``t_probe`` must be a stored time.
     """
     if len(paths) < min_replicates:
         raise ConstraintViolationError(
@@ -177,7 +177,7 @@ def estimate_spatial(paths, t_probe, *, n_boot=200, boot_seed=0,
             f"{min_lag_cells} cells"
         )
     lags = [grid.spacing * o for o in offsets]
-    fields = np.stack([p.frame_near(t_probe).values for p in paths])
+    fields = np.stack([p.frame_at(t_probe).values for p in paths])
     sq = np.empty((len(paths), len(lags)))
     for j, o in enumerate(offsets):
         inc = np.roll(fields, -o, axis=1) - fields

@@ -25,11 +25,10 @@ from .errors import (
     BlowUpError,
     ConfigurationError,
     ConstraintViolationError,
-    NoiseSynthesisError,
     PicardConvergenceError,
 )
 from .fields import Field, FractionalIndex, Grid
-from .noise import RngStream
+from .noise import RngStream, _Synthesizer
 from .spectral_measure import SpectralMeasure, require_admissible
 from .stable_kernel import _symbol_lattice, apply_semigroup
 
@@ -45,6 +44,7 @@ __all__ = [
 ]
 
 BLOWUP_FACTOR = 1e6
+TIME_RTOL = 1e-9  # relative tolerance for matching step and frame times
 
 
 @dataclass(frozen=True)
@@ -133,9 +133,10 @@ def _as_initial_field(u0, grid: Grid) -> Field:
 class SolverConfig:
     """Full problem statement for one simulation.
 
-    Checked at construction: positive steps, Lipschitz coefficients, and
-    admissibility of the measure at eta = 1 for the given index (the
-    well-posedness condition of the scheme).
+    Checked at construction: positive steps, a horizon T that is a whole
+    number of steps, Lipschitz coefficients, and admissibility of the
+    measure at eta = 1 for the given index (the well-posedness condition
+    of the scheme).
     """
 
     idx: FractionalIndex
@@ -155,8 +156,12 @@ class SolverConfig:
     def __post_init__(self):
         if not self.dt > 0:
             raise ConstraintViolationError("dt must be > 0")
-        if self.T < self.dt:
-            raise ConstraintViolationError("T must be >= dt")
+        if not (math.isfinite(self.T) and self.T >= self.dt):
+            raise ConstraintViolationError("T must be finite and >= dt")
+        if abs(self.n_steps * self.dt - self.T) > TIME_RTOL * self.T:
+            raise ConstraintViolationError(
+                f"T={self.T} is not a whole number of steps of dt={self.dt}"
+            )
         if self.scheme not in ("exp_euler", "picard"):
             raise ConstraintViolationError(f"unknown scheme {self.scheme!r}")
         if self.frame_stride < 1:
@@ -204,9 +209,12 @@ class PathSolution:
         probe = (probe,) if np.isscalar(probe) else tuple(probe)
         return np.array([f.values[probe] for f in self.frames])
 
-    def frame_near(self, t: float) -> Field:
-        i = int(np.argmin(np.abs(np.asarray(self.times) - t)))
-        return self.frames[i]
+    def frame_at(self, t: float) -> Field:
+        """The frame stored at time ``t``; ConfigurationError if none is."""
+        hit = np.flatnonzero(np.isclose(self.times, t, TIME_RTOL, 0.0))
+        if hit.size == 0:
+            raise ConfigurationError(f"no frame stored at t={t}")
+        return self.frames[hit[0]]
 
 
 def smooth_initial(u0, idx: FractionalIndex, t: float, grid: Grid) -> Field:
@@ -226,39 +234,27 @@ def _check_frame(values, ceiling, step, replicate_id):
         )
 
 
-def _stability_ceiling(u0_field: Field) -> float:
-    return BLOWUP_FACTOR * max(1.0, float(np.abs(u0_field.values).max()))
+def _stored(step: int, config: SolverConfig) -> bool:
+    """Whether the frame after ``step`` steps is stored (stride or last)."""
+    return step % config.frame_stride == 0 or step == config.n_steps
 
 
 class _Stepper:
     """Precomputed per-config operators; state kept in FFT layout.
 
-    The arithmetic matches ``apply_semigroup``/``sample_increment`` term
-    for term (same symbol lattice, same draw per RngStream), only the
-    wrap-around index layout differs until frames are stored.
+    The semigroup matches ``apply_semigroup`` term for term and the noise
+    is ``sample_increment``'s synthesis; only the index layout differs.
     """
 
     def __init__(self, config: SolverConfig):
-        grid = config.grid
-        self.grid = grid
-        self.psi = _symbol_lattice(config.idx, grid, config.dt)
-        dens = config.measure.density_on_lattice(grid)
-        if not np.all(np.isfinite(dens)) or np.any(dens < 0):
-            raise NoiseSynthesisError(
-                "spectral density is negative or undefined on the grid band"
-            )
-        self.sqrt_m = np.sqrt(dens)
-        self.noise_scale = (np.sqrt(config.dt)
-                            * (2 * np.pi / grid.box_length) ** (grid.d / 2))
-        self.mode_norm = grid.n_per_dim ** (grid.d / 2)
+        self.psi = _symbol_lattice(config.idx, config.grid, config.dt)
+        self.noise = _Synthesizer(config.grid, config.measure, config.dt)
+        u0 = np.asarray(config.u0.values, dtype=float)
+        self.u0 = self.enter(u0)
+        self.ceiling = BLOWUP_FACTOR * max(1.0, float(np.abs(u0).max()))
 
     def semigroup(self, values):
         return np.real(np.fft.fftn(self.psi * np.fft.ifftn(values)))
-
-    def increment(self, stream: RngStream):
-        white = stream.generator().standard_normal(self.grid.shape)
-        modes = np.fft.fftn(white) / self.mode_norm
-        return self.noise_scale * np.real(np.fft.fftn(self.sqrt_m * modes))
 
     @staticmethod
     def enter(values):
@@ -282,23 +278,20 @@ def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
         If any frame becomes non-finite or leaves the stability envelope.
     """
     grid, dt = config.grid, config.dt
-    n = config.n_steps
-    u0f = config.u0
-    ceiling = _stability_ceiling(u0f)
     has_noise = not config.sigma.is_zero
     base = config.noise_stream(replicate_id)
     op = _Stepper(config)
 
-    u = op.enter(np.asarray(u0f.values, dtype=float))
-    frames = [Field(grid, np.array(u0f.values, dtype=float), _skip_copy=True)]
+    u = op.u0
+    frames = [Field(grid, op.leave(u), _skip_copy=True)]
     times = [0.0]
-    for k in range(n):
+    for k in range(config.n_steps):
         stage = u + dt * config.b(u)
         if has_noise:
-            stage = stage + config.sigma(u) * op.increment(base.for_step(k))
+            stage = stage + config.sigma(u) * op.noise.draw(base.for_step(k))
         u = op.semigroup(stage)
-        _check_frame(u, ceiling, k + 1, replicate_id)
-        if (k + 1) % config.frame_stride == 0 or k + 1 == n:
+        _check_frame(u, op.ceiling, k + 1, replicate_id)
+        if _stored(k + 1, config):
             frames.append(Field(grid, op.leave(u), _skip_copy=True))
             times.append((k + 1) * dt)
     return PathSolution(tuple(frames), tuple(times), replicate_id)
@@ -321,15 +314,13 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
     """
     grid, dt = config.grid, config.dt
     n = config.n_steps
-    u0f = config.u0
-    ceiling = _stability_ceiling(u0f)
     op = _Stepper(config)
     base = config.noise_stream(replicate_id)
-    increments = [op.increment(base.for_step(k)) for k in range(n)]
+    increments = [op.noise.draw(base.for_step(k)) for k in range(n)]
 
     # frames of the semigroup flow of u0, built by repeated one-step maps
     # so the linear arithmetic matches the stepping scheme exactly
-    flow = [op.enter(np.asarray(u0f.values, dtype=float))]
+    flow = [op.u0]
     for _ in range(n):
         flow.append(op.semigroup(flow[-1]))
 
@@ -343,7 +334,7 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
             w = op.semigroup(w + dt * config.b(current[k])
                              + config.sigma(current[k]) * increments[k])
             frame = flow[k + 1] + w
-            _check_frame(frame, ceiling, k + 1, replicate_id)
+            _check_frame(frame, op.ceiling, k + 1, replicate_id)
             residual = max(residual,
                            float(np.abs(frame - current[k + 1]).max()))
             new.append(frame)
@@ -358,8 +349,7 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
             residuals,
         )
 
-    keep = [j for j in range(n + 1)
-            if j % config.frame_stride == 0 or j == n]
+    keep = [j for j in range(n + 1) if _stored(j, config)]
     path = PathSolution(
         tuple(Field(grid, op.leave(current[j]), _skip_copy=True)
               for j in keep),

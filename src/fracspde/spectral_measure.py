@@ -390,6 +390,22 @@ def _extrapolated_sum(ks, c):
     return total
 
 
+def _tail_verdict(ks, c, band_limited, what):
+    """(finite, conclusive, value, slope) read off the tail slope: >= 0
+    divergent, < CONVERGENT_SLOPE finite, else inconclusive with value inf.
+    Raises InconclusiveError when no tail slope can be fitted."""
+    slope = _tail_slope(ks, c)
+    if band_limited or slope is None:
+        raise InconclusiveError(
+            f"insufficient frequency range to classify {what}"
+        )
+    if slope >= 0:
+        return False, True, math.inf, slope
+    finite = slope < CONVERGENT_SLOPE
+    value = _extrapolated_sum(ks, c) if finite else math.inf
+    return finite, finite, value, slope
+
+
 def spectral_integral(measure, idx, g, axis_weights=1.0, **kw) -> float:
     """int m(|xi|) g(T(xi)) dxi for a single integrand."""
     ks, c, _ = _dyadic_contributions(measure, idx, [(axis_weights, g)], **kw)
@@ -474,26 +490,18 @@ def admissibility(measure: SpectralMeasure, idx: FractionalIndex, eta: float,
     ks, c, band_limited = _dyadic_contributions(
         measure, idx, [_admissibility_integrand(idx, eta)]
     )
-    slope = _tail_slope(ks, c[0])
 
     if method != "quadrature" and eta_crit is not None:
         admissible = eta > eta_crit
         value = _extrapolated_sum(ks, c[0]) if admissible else math.inf
         return AdmissibilityReport(eta, value, admissible, "closed_form",
-                                   True, slope)
+                                   True, _tail_slope(ks, c[0]))
 
-    if band_limited or slope is None:
-        raise InconclusiveError(
-            "tabulated band too short to extrapolate the admissibility tail"
-        )
-    if slope >= 0:
-        return AdmissibilityReport(eta, math.inf, False, "quadrature",
-                                   True, slope)
-    admissible = slope < CONVERGENT_SLOPE
-    value = _extrapolated_sum(ks, c[0]) if admissible else math.inf
+    admissible, conclusive, value, slope = _tail_verdict(
+        ks, c[0], band_limited, "the admissibility tail"
+    )
     return AdmissibilityReport(eta, value, admissible, "quadrature",
-                               conclusive=slope < CONVERGENT_SLOPE or slope >= 0,
-                               tail_slope=slope)
+                               conclusive, slope)
 
 
 def critical_eta(measure: SpectralMeasure, idx: FractionalIndex,
@@ -509,11 +517,8 @@ def critical_eta(measure: SpectralMeasure, idx: FractionalIndex,
         return crit
     eta = 0.5
     for _ in range(4):
+        # raises InconclusiveError when no tail slope can be fitted
         rep = admissibility(measure, idx, eta, method="quadrature")
-        if rep.tail_slope is None:
-            raise InconclusiveError(
-                "cannot establish a tail slope for this measure"
-            )
         shift = rep.tail_slope
         eta = min(max(eta + shift, 0.02), 1.0)
         if abs(shift) < tol:
@@ -527,10 +532,10 @@ def _admissible_at_one(measure: SpectralMeasure, idx: FractionalIndex) -> bool:
     return rep.admissible or not rep.conclusive
 
 
-def require_admissible(measure, idx, eta=1.0):
+def require_admissible(measure, idx):
     if not _admissible_at_one(measure, idx):
         raise DivergenceError(
-            f"{measure.kind} measure is not admissible at eta={eta} "
+            f"{measure.kind} measure is not admissible at eta=1 "
             f"for alpha={idx.alpha}"
         )
 
@@ -649,14 +654,7 @@ def weighted_spectral_integral(idx: FractionalIndex, measure: SpectralMeasure,
     ks, c, band_limited = _dyadic_contributions(
         measure, idx, [(np.ones(idx.d), g)]
     )
-    slope = _tail_slope(ks, c[0])
-    if band_limited or slope is None:
-        raise InconclusiveError(
-            "insufficient frequency range to classify the weighted integral"
-        )
-    if slope >= 0:
-        return WeightedIntegralReport(p, T, math.inf, False, True, slope)
-    finite = slope < CONVERGENT_SLOPE
-    value = _extrapolated_sum(ks, c[0])
-    return WeightedIntegralReport(p, T, value if finite else math.inf,
-                                  finite, finite, slope)
+    finite, conclusive, value, slope = _tail_verdict(
+        ks, c[0], band_limited, "the weighted integral"
+    )
+    return WeightedIntegralReport(p, T, value, finite, conclusive, slope)

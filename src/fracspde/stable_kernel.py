@@ -169,7 +169,7 @@ def kernel(idx: FractionalIndex, t: float, grid: Grid, *,
         raise ConstraintViolationError(f"kernel time must be > 0, got {t}")
     psi = _symbol_lattice(idx, grid, t)
     vals = np.real(
-        np.fft.fftshift(np.fft.fftn(psi)) / grid.box_length**grid.d
+        to_physical(Field(grid, psi, "frequency", _skip_copy=True)).values
     )
     min_value = float(vals.min())
     if min_value < -NEGATIVE_RIPPLE_TOL:

@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from fracspde.cli import main
 from fracspde.fields import read_array_binary
@@ -171,3 +172,17 @@ def test_unreadable_config_exits_2(tmp_path):
     rc = main(["kernel", "--config", str(tmp_path / "nope.json"),
                "--out", str(tmp_path / "o")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("over,argv", [
+    ({}, ["--seed", "-1"]),
+    ({"dt": "abc"}, []),
+    ({"measure": [1]}, []),
+])
+def test_malformed_input_exits_2_with_json(tmp_path, capsys, over, argv):
+    cfg = _sim_cfg(tmp_path, **over)
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+               *argv])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError"

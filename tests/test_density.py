@@ -66,6 +66,13 @@ def test_sample_law_time_must_hit_lattice():
         sample_law(cfg, 0.0501, 128, 10)
 
 
+def test_sample_law_time_must_be_stored():
+    # t = 0.1 is on the dt lattice but the stride stores only t = 0 and T
+    cfg = _config(u0=5.0, dt=0.01, T=0.25)
+    with pytest.raises(ConfigurationError):
+        sample_law(cfg, 0.1, 128, 3)
+
+
 # -- kde ------------------------------------------------------------------------
 
 def test_kde_gaussian_oracle_pointwise():

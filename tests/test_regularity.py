@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracspde.errors import ConstraintViolationError
+from fracspde.errors import ConfigurationError, ConstraintViolationError
 from fracspde.fields import Field, FractionalIndex, Grid
 from fracspde.regularity import (
     build_report,
@@ -124,6 +124,13 @@ def test_spatial_estimate_rough_field_calibration():
     paths = [_flat_time_path(rng.normal(size=512), grid) for _ in range(50)]
     est = estimate_spatial(paths, 0.0, min_replicates=1)
     assert abs(est.value) < 0.05
+
+
+def test_spatial_estimate_needs_stored_time():
+    grid = Grid(1, 256, 2 * np.pi)
+    paths = [_flat_time_path(np.sin(grid.axis_coordinates()), grid)]
+    with pytest.raises(ConfigurationError):
+        estimate_spatial(paths, 0.25, min_replicates=1)  # frames at 0, 0.5
 
 
 def test_spatial_estimate_needs_grid_resolution():

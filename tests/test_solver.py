@@ -7,6 +7,7 @@ from fracspde.errors import (
     ConstraintViolationError,
 )
 from fracspde.fields import Field, FractionalIndex, Grid
+from fracspde.noise import RngStream, sample_increment
 from fracspde.solver import (
     Coefficient,
     PathSolution,
@@ -17,6 +18,7 @@ from fracspde.solver import (
     solve_picard,
 )
 from fracspde.spectral_measure import SpectralMeasure
+from fracspde.stable_kernel import apply_semigroup
 
 GAUSS = FractionalIndex([2.0], [0.0])
 WHITE = SpectralMeasure.white(1)
@@ -63,6 +65,8 @@ def test_config_rejects_bad_steps():
         _config(dt=-0.1)
     with pytest.raises(ConstraintViolationError):
         _config(T=0.001)  # T < dt
+    with pytest.raises(ConstraintViolationError):
+        _config(T=0.25, dt=0.1)  # not a whole number of steps
 
 
 def test_config_requires_admissible_measure():
@@ -252,6 +256,26 @@ def test_path_solution_validation():
         PathSolution((f, f), (0.0, 0.0), 0)  # times not increasing
     with pytest.raises(ConstraintViolationError):
         PathSolution((f,), (0.5,), 0)  # must start at 0
+
+
+@pytest.mark.parametrize("idx,measure,grid", [
+    (FractionalIndex([1.5], [0.3]), SpectralMeasure.riesz(0.5, 1),
+     Grid(1, 128, 16.0)),
+    (FractionalIndex([1.5, 1.2], [0.3, 0.1]), SpectralMeasure.bessel(3.0, 2),
+     Grid(2, 16, 8.0)),
+])
+def test_solver_noise_is_sample_increment(idx, measure, grid):
+    # one step from u0 = 0 with b = 0, sigma = 1 is S_dt applied to the
+    # increment that sample_increment draws from the same stream
+    dt, seed, rep = 0.01, 9, 2
+    cfg = SolverConfig(idx=idx, measure=measure, grid=grid,
+                       b=Coefficient.constant(0.0),
+                       sigma=Coefficient.constant(1.0),
+                       u0=0.0, dt=dt, T=dt, master_seed=seed)
+    stepped = solve(cfg, rep).frames[-1].values
+    inc = sample_increment(grid, measure, dt, RngStream(seed, rep, 0))
+    expected = apply_semigroup(inc.field, idx, dt).values
+    np.testing.assert_allclose(stepped, expected, rtol=0, atol=1e-12)
 
 
 # -- moments ----------------------------------------------------------------------
