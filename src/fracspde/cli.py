@@ -128,6 +128,16 @@ _U0_PRESETS = {
 }
 
 
+def _parse_probe(cfg, key, grid: Grid):
+    """Grid point ``cfg[key]`` (default: the centre), an index per axis."""
+    value = cfg.get(key, [grid.n_per_dim // 2] * grid.d)
+    probe = [value] if np.isscalar(value) else list(value)
+    if len(probe) != grid.d or not all(
+            type(i) is int and 0 <= i < grid.n_per_dim for i in probe):
+        raise ValidationError(f"{key}={value!r} is not a point of the grid")
+    return probe[0] if grid.d == 1 else tuple(probe)
+
+
 def _parse_u0(cfg):
     spec = dict(cfg.get("u0", {"preset": "zero"}))
     preset = spec.pop("preset")
@@ -171,7 +181,8 @@ def _write_manifest(outdir: Path, command, cfg, seed):
 def _run_kernel(cfg, outdir: Path, args):
     idx = _parse_idx(cfg)
     grid = _parse_grid(cfg, idx.d)
-    t = float(cfg["t"])
+    with _reading("t"):
+        t = float(cfg["t"])
     field, diag = kernel(idx, t, grid, return_diagnostics=True)
     report = diag.to_dict()
     report["normalization"] = "PASS" if abs(diag.mass - 1) < 1e-6 else "FAIL"
@@ -193,13 +204,14 @@ def _run_kernel(cfg, outdir: Path, args):
 def _run_measure(cfg, outdir: Path, args):
     idx = _parse_idx(cfg)
     measure = _parse_measure(cfg, idx.d)
-    etas = cfg.get("eta", [0.25, 0.5, 0.75, 1.0])
-    if np.isscalar(etas):
-        etas = [etas]
-    reports = [admissibility(measure, idx, float(e)).to_dict() for e in etas]
+    with _reading("eta/T"):
+        etas = [float(e) for e in
+                np.atleast_1d(cfg.get("eta", [0.25, 0.5, 0.75, 1.0]))]
+        T = float(cfg.get("T", 1.0))
+    reports = [admissibility(measure, idx, e).to_dict() for e in etas]
     payload = {"measure": measure.to_dict(), "admissibility": reports}
     try:
-        bounds = cumulative_bound_check(idx, measure, float(cfg.get("T", 1.0)))
+        bounds = cumulative_bound_check(idx, measure, T)
         payload["cumulative_bounds"] = bounds.to_dict()
     except DivergenceError as exc:
         payload["cumulative_bounds"] = {"skipped": str(exc)}
@@ -236,6 +248,7 @@ def _run_simulate(cfg, outdir: Path, args):
 
 def _run_holder(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
+    eta_star = critical_eta(config.measure, config.idx)
     with _reading("holder settings"):
         n_rep = int(cfg.get("replicates", 200))
         t_probe = float(cfg.get("t_probe", config.T))
@@ -243,16 +256,16 @@ def _run_holder(cfg, outdir: Path, args):
         min_lag_steps = int(cfg.get("min_lag_steps", 2))
         min_lag_cells = int(cfg.get("min_lag_cells", 1))
         rho = float(cfg.get("rho", 0.99))
+        x_probe = _parse_probe(cfg, "x_probe", config.grid)
+        eta = float(cfg.get("eta", eta_star))
     paths = _per_replicate(lambda rep: solve(config, rep), n_rep,
                            args.threads)
-    x_probe = cfg.get("x_probe", config.grid.n_per_dim // 2)
     temporal = estimate_temporal(
         paths, x_probe, min_replicates=min_rep, min_lag_steps=min_lag_steps,
     )
     spatial = estimate_spatial(
         paths, t_probe, min_replicates=min_rep, min_lag_cells=min_lag_cells,
     )
-    eta = float(cfg.get("eta", critical_eta(config.measure, config.idx)))
     report = build_report(temporal, spatial, config.idx, rho, eta)
     _dump_json(outdir / "holder_report.json", report.to_dict())
     if args.format == "csv":
@@ -266,19 +279,20 @@ def _run_holder(cfg, outdir: Path, args):
 
 def _run_density(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
+    eta_star = critical_eta(config.measure, config.idx)
     with _reading("density settings"):
         n = int(cfg.get("n_samples", 2000))
         t = float(cfg.get("t", config.T))
-    x = cfg.get("x", config.grid.n_per_dim // 2)
+        x = _parse_probe(cfg, "x", config.grid)
+        thetas = cfg.get("thetas", [1.0, max(1.0 - eta_star, 0.05)])
+        theta1, theta2 = (float(v) for v in thetas)
+        rho_grid = [float(r) for r in cfg.get(
+            "rho_grid", np.geomspace(1e-3, min(t, 1.0), 24))]
     samples = sample_law(config, t, x, n)
     estimate = kde(samples)
-    eta_star = critical_eta(config.measure, config.idx)
-    thetas = cfg.get("thetas", [1.0, max(1.0 - eta_star, 0.05)])
-    rho_grid = cfg.get(
-        "rho_grid", list(np.geomspace(1e-3, min(t, 1.0), 24))
-    )
     bounds = variance_bound_check(config.idx, config.measure, t,
-                                  tuple(thetas), rho_grid, eta_star=eta_star)
+                                  (theta1, theta2), rho_grid,
+                                  eta_star=eta_star)
     if args.format == "csv":
         with open(outdir / "density.csv", "w") as fh:
             fh.write("point,density\n")

@@ -29,8 +29,9 @@ from .errors import (
     NumericalConsistencyError,
 )
 from .fields import FractionalIndex
-from .solver import SolverConfig, solve
-from .spectral_measure import SpectralMeasure, spectral_integral
+from .solver import TIME_RTOL, SolverConfig, _stored, solve
+from .spectral_measure import N_RADIAL, SpectralMeasure, spectral_integral
+from .spectral_measure import _cumulative_integrand
 
 __all__ = [
     "DensityEstimate",
@@ -42,6 +43,9 @@ __all__ = [
 ]
 
 ETA_SMOOTHNESS_GATE = 0.5
+KDE_GRID_POINTS = 512
+MIN_KDE_SAMPLES = 500
+_ELLIPTICITY_PROBE = np.linspace(-10.0, 10.0, 401)  # where sigma must be > 0
 
 
 @dataclass(frozen=True)
@@ -55,38 +59,26 @@ class DensityEstimate:
     derivative_bounds: tuple  # (max |f'|, max |f''|)
     degenerate: bool = False
 
-    def to_dict(self):
-        return asdict(self)
 
-
-def _check_ellipticity(sigma, probe_lo=-10.0, probe_hi=10.0, n_probe=401):
-    z = np.linspace(probe_lo, probe_hi, n_probe)
-    vals = np.asarray(sigma(z), dtype=float)
-    low = float(vals.min())
-    if not low > 0:
-        raise EllipticityError(
-            f"diffusion coefficient dips to {low:.3e} on "
-            f"[{probe_lo}, {probe_hi}]; a strictly positive floor is required"
-        )
-    return low
-
-
-def sample_law(config: SolverConfig, t: float, x, n: int,
-               *, replicate_offset: int = 0) -> np.ndarray:
+def sample_law(config: SolverConfig, t: float, x, n: int) -> np.ndarray:
     """n independent replicate values of the solution at (t, x).
 
     ``x`` is a grid index (int for d=1, tuple otherwise) and ``t`` a stored
-    frame time.  The diffusion coefficient must be elliptic: strictly
-    positive on a probe range.  Deterministic given the config's master seed.
+    frame time.  Before any solve, ``t`` and the ellipticity of sigma (> 0 on
+    a probe range) are checked.  Deterministic given the master seed.
     """
-    _check_ellipticity(config.sigma)
-    if not 0 < t <= config.T + 1e-12:
-        raise ConfigurationError(f"sample time {t} outside (0, T]")
+    low = float(np.min(config.sigma(_ELLIPTICITY_PROBE)))
+    if not low > 0:
+        raise EllipticityError(f"diffusion coefficient dips to {low:.3e} on "
+                               "[-10, 10]; it must stay strictly positive")
+    stored = [k * config.dt for k in range(config.n_steps + 1)
+              if _stored(k, config)]  # the times solve stores
+    if not (t > 0 and np.isclose(stored, t, TIME_RTOL, 0.0).any()):
+        raise ConfigurationError(f"no frame stored at t={t} in (0, T]")
     probe = (x,) if np.isscalar(x) else tuple(x)
     out = np.empty(n)
     for i in range(n):
-        path = solve(config, replicate_offset + i)
-        out[i] = path.frame_at(t).values[probe]
+        out[i] = solve(config, i).frame_at(t).values[probe]
     return out
 
 
@@ -99,22 +91,21 @@ def silverman_bandwidth(samples) -> float:
     return float(0.9 * spread * len(samples) ** (-0.2))
 
 
-def kde(samples, bandwidth: float | None = None, *, n_grid: int = 512,
-        min_samples: int = 500) -> DensityEstimate:
+def kde(samples, bandwidth: float | None = None) -> DensityEstimate:
     """Gaussian-kernel density estimate with derivative diagnostics.
 
-    Uses the Silverman plug-in bandwidth unless one is given.  Reports
-    max |f'| and max |f''| by central finite differences on the
-    evaluation grid.  A numerically degenerate sample (zero spread) warns
-    and returns a point-mass report.
+    Needs MIN_KDE_SAMPLES samples.  Uses the Silverman plug-in bandwidth
+    unless one is given.  Reports max |f'| and max |f''| by central finite
+    differences on a KDE_GRID_POINTS evaluation grid.  A numerically
+    degenerate sample (zero spread) warns and returns a point-mass report.
     """
     samples = np.asarray(samples, dtype=float)
-    if samples.size < min_samples:
+    if samples.size < MIN_KDE_SAMPLES:
         raise ConfigurationError(
-            f"need >= {min_samples} samples, got {samples.size}"
+            f"need >= {MIN_KDE_SAMPLES} samples, got {samples.size}"
         )
-    if samples.std() == 0 or (bandwidth is None
-                              and silverman_bandwidth(samples) == 0):
+    h = silverman_bandwidth(samples) if bandwidth is None else float(bandwidth)
+    if samples.std() == 0 or h == 0:
         warnings.warn(
             "samples are numerically a point mass; density is degenerate",
             DegenerateLawWarning,
@@ -126,10 +117,9 @@ def kde(samples, bandwidth: float | None = None, *, n_grid: int = 512,
             values=(math.inf,), derivative_bounds=(math.inf, math.inf),
             degenerate=True,
         )
-    h = float(bandwidth) if bandwidth is not None else silverman_bandwidth(samples)
     lo = samples.min() - 4 * h
     hi = samples.max() + 4 * h
-    grid = np.linspace(lo, hi, n_grid)
+    grid = np.linspace(lo, hi, KDE_GRID_POINTS)
     z = (grid[:, None] - samples[None, :]) / h
     vals = np.exp(-0.5 * z**2).sum(axis=1) / (samples.size * h *
                                               math.sqrt(2 * math.pi))
@@ -146,17 +136,12 @@ def kde(samples, bandwidth: float | None = None, *, n_grid: int = 512,
 
 
 def cumulative_variance(idx: FractionalIndex, measure: SpectralMeasure,
-                        rho: float, **quad_kw) -> float:
+                        rho: float, *, n_radial: int = N_RADIAL) -> float:
     """int_0^rho of the variance rate, via the closed time integral."""
     if not rho > 0:
         raise ConstraintViolationError(f"rho must be > 0, got {rho}")
-    w = np.cos(np.asarray(idx.delta) * np.pi / 2)
-
-    def g(s):
-        s = np.maximum(s, 1e-300)
-        return -np.expm1(-2 * rho * s) / (2 * s)
-
-    return spectral_integral(measure, idx, g, axis_weights=w, **quad_kw)
+    w, g = _cumulative_integrand(idx, rho)
+    return spectral_integral(measure, idx, g, w, n_radial=n_radial)
 
 
 @dataclass(frozen=True)
@@ -177,10 +162,10 @@ class VarianceBoundReport:
 
 def variance_bound_check(idx: FractionalIndex, measure: SpectralMeasure,
                          t: float, thetas, rho_grid, *,
-                         eta_star: float | None = None, **quad_kw
-                         ) -> VarianceBoundReport:
+                         eta_star: float | None = None,
+                         n_radial: int = N_RADIAL) -> VarianceBoundReport:
     """Fit the largest c1 with I >= c1 rho^theta1 and the smallest c2 with
-    I <= c2 rho^theta2 on ``rho_grid``.
+    I <= c2 rho^theta2 on ``rho_grid`` (``n_radial`` nodes per shell).
 
     theta1 must be >= 1; theta2 must lie in (0, 1 - eta*] when the
     measure's critical exponent eta* is supplied.  If theta2 exceeds its
@@ -218,7 +203,8 @@ def variance_bound_check(idx: FractionalIndex, measure: SpectralMeasure,
             "rho_grid must lie in (0, min(t, 1)]"
         )
     integrals = np.array(
-        [cumulative_variance(idx, measure, r, **quad_kw) for r in rho_grid]
+        [cumulative_variance(idx, measure, r, n_radial=n_radial)
+         for r in rho_grid]
     )
     ratios1 = integrals / rho_grid**theta1
     ratios2 = integrals / rho_grid**theta2

@@ -63,7 +63,6 @@ class NoiseIncrement:
 
     field: Field
     dt: float
-    seed_path: RngStream
     imag_residue: float = 0.0
 
 
@@ -113,7 +112,7 @@ def sample_increment(grid: Grid, measure: SpectralMeasure, dt: float,
     residue = float(np.abs(modes.imag).max() / norm) if norm > 0 else 0.0
     values = np.fft.fftshift(synth.scale * np.real(modes))
     return NoiseIncrement(Field(grid, values, _skip_copy=True), dt,
-                          rng_stream, residue)
+                          residue)
 
 
 def band_limited_covariance(grid: Grid, measure: SpectralMeasure) -> np.ndarray:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ConstraintViolationError
 from .fields import FractionalIndex
+from .solver import _bootstrap_interval
 
 __all__ = [
     "HolderReport",
@@ -62,9 +63,6 @@ class ExponentEstimate:
     def n_scales(self) -> int:
         return len(self.lags)
 
-    def to_dict(self):
-        return asdict(self)
-
 
 @dataclass(frozen=True)
 class HolderReport:
@@ -80,22 +78,17 @@ class HolderReport:
         return asdict(self)
 
 
-def _fit_exponent(lags, sq_increments, n_boot, boot_seed):
+def _fit_exponent(lags, sq_increments):
     """sq_increments: (n_rep, n_lags) mean squared increments per replicate."""
     lags = np.asarray(lags, dtype=float)
     mean = sq_increments.mean(axis=0)
     if np.any(mean <= 0):
         raise ConstraintViolationError("degenerate increments (zero moment)")
-    slope = np.polyfit(np.log(lags), np.log(mean), 1)[0]
+    log_lags = np.log(lags)
+    slope = np.polyfit(log_lags, np.log(mean), 1)[0]
     n_rep = sq_increments.shape[0]
-    rng = np.random.default_rng(boot_seed)
-    boots = np.empty(n_boot)
-    for i in range(n_boot):
-        pick = rng.integers(0, n_rep, n_rep)
-        m = sq_increments[pick].mean(axis=0)
-        boots[i] = np.polyfit(np.log(lags), np.log(np.maximum(m, 1e-300)),
-                              1)[0] / 2
-    lo, hi = np.percentile(boots, [2.5, 97.5])
+    lo, hi = _bootstrap_interval(sq_increments, lambda m: np.polyfit(
+        log_lags, np.log(np.maximum(m, 1e-300)), 1)[0] / 2)
     if n_rep == 1:
         lo = hi = slope / 2
     return ExponentEstimate(float(slope / 2), float(lo), float(hi),
@@ -116,7 +109,7 @@ def _dyadic_lags(base, limit, min_scales):
     return lags
 
 
-def estimate_temporal(paths, x_probe, *, n_boot=200, boot_seed=0,
+def estimate_temporal(paths, x_probe, *,
                       min_replicates=DEFAULT_MIN_REPLICATES,
                       min_lag_steps=2) -> ExponentEstimate:
     """Temporal Hölder exponent at one grid point.
@@ -152,10 +145,10 @@ def estimate_temporal(paths, x_probe, *, n_boot=200, boot_seed=0,
         inc = (series[:, base_lo + m:base_hi + m + 1]
                - series[:, base_lo:base_hi + 1])
         sq[:, j] = (inc**2).mean(axis=1)
-    return _fit_exponent(lags, sq, n_boot, boot_seed)
+    return _fit_exponent(lags, sq)
 
 
-def estimate_spatial(paths, t_probe, *, n_boot=200, boot_seed=0,
+def estimate_spatial(paths, t_probe, *,
                      min_replicates=DEFAULT_MIN_REPLICATES,
                      min_lag_cells=1) -> ExponentEstimate:
     """Spatial Hölder exponent at one time, averaged over the grid.
@@ -182,7 +175,7 @@ def estimate_spatial(paths, t_probe, *, n_boot=200, boot_seed=0,
     for j, o in enumerate(offsets):
         inc = np.roll(fields, -o, axis=1) - fields
         sq[:, j] = (inc**2).mean(axis=tuple(range(1, fields.ndim)))
-    return _fit_exponent(lags, sq, n_boot, boot_seed)
+    return _fit_exponent(lags, sq)
 
 
 def build_report(temporal: ExponentEstimate, spatial: ExponentEstimate,

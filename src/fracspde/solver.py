@@ -45,6 +45,8 @@ __all__ = [
 
 BLOWUP_FACTOR = 1e6
 TIME_RTOL = 1e-9  # relative tolerance for matching step and frame times
+MIN_MOMENT_REPLICATES = 100
+BOOT_RESAMPLES, BOOT_SEED = 200, 0  # every bootstrap interval uses these
 
 
 @dataclass(frozen=True)
@@ -112,9 +114,6 @@ class Coefficient:
         if preset not in makers:
             raise ConfigurationError(f"unknown coefficient preset {preset!r}")
         return makers[preset]()
-
-    def to_dict(self):
-        return {"preset": self.name, "params": list(self.params)}
 
 
 def _as_initial_field(u0, grid: Grid) -> Field:
@@ -370,19 +369,30 @@ class MomentEstimate:
     n_replicates: int
 
 
-def moment_estimate(config: SolverConfig, p: float, n_replicates: int,
-                    *, n_boot: int = 200, boot_seed: int = 0,
-                    min_replicates: int = 100) -> MomentEstimate:
+def _bootstrap_interval(per_replicate: np.ndarray, statistic):
+    """2.5/97.5 percentiles of ``statistic`` of resampled replicate means."""
+    n = per_replicate.shape[0]
+    rng = np.random.default_rng(BOOT_SEED)
+    boots = np.empty(BOOT_RESAMPLES)
+    for i in range(BOOT_RESAMPLES):
+        pick = rng.integers(0, n, n)
+        boots[i] = statistic(per_replicate[pick].mean(axis=0))
+    lo, hi = np.percentile(boots, [2.5, 97.5])
+    return float(lo), float(hi)
+
+
+def moment_estimate(config: SolverConfig, p: float,
+                    n_replicates: int) -> MomentEstimate:
     """max over (frame, x) of the empirical p-th absolute moment.
 
-    Runs ``n_replicates`` independent trajectories and bootstraps the
-    replicate axis for the confidence interval.
+    Runs ``n_replicates`` >= MIN_MOMENT_REPLICATES independent trajectories
+    and bootstraps the replicate axis for the confidence interval.
     """
     if p < 2:
         raise ConstraintViolationError("moment order must be >= 2")
-    if n_replicates < min_replicates:
+    if n_replicates < MIN_MOMENT_REPLICATES:
         raise ConfigurationError(
-            f"need at least {min_replicates} replicates, got {n_replicates}"
+            f"need >= {MIN_MOMENT_REPLICATES} replicates, got {n_replicates}"
         )
     powers = []
     for rep in range(n_replicates):
@@ -390,10 +400,5 @@ def moment_estimate(config: SolverConfig, p: float, n_replicates: int,
         powers.append(np.abs(np.stack([f.values for f in path.frames])) ** p)
     stack = np.stack(powers).reshape(n_replicates, -1)
     value = float(stack.mean(axis=0).max())
-    rng = np.random.default_rng(boot_seed)
-    boots = np.empty(n_boot)
-    for i in range(n_boot):
-        pick = rng.integers(0, n_replicates, n_replicates)
-        boots[i] = stack[pick].mean(axis=0).max()
-    lo, hi = np.percentile(boots, [2.5, 97.5])
-    return MomentEstimate(p, value, float(lo), float(hi), n_replicates)
+    lo, hi = _bootstrap_interval(stack, np.max)
+    return MomentEstimate(p, value, lo, hi, n_replicates)

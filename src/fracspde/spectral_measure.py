@@ -64,6 +64,12 @@ _KINDS = ("white", "riesz", "bessel", "free_field", "tabulated")
 CONVERGENT_SLOPE = -0.01
 _TAIL_FIT_SHELLS = 5
 
+N_RADIAL = 24  # log-radial nodes per dyadic shell: the one quadrature knob
+_N_THETA = 48  # angular nodes per axis
+_REL_TOL = 1e-10  # three shells this small relative to the total end a scan
+_K_RANGE = range(-340, 340)  # the shells 2^k a scan may visit
+_CRITICAL_ETA_TOL = 0.01  # tail-slope shift at which critical_eta stops
+
 
 @dataclass(frozen=True)
 class SpectralMeasure:
@@ -218,8 +224,7 @@ def _leggauss(n):
 class _NodeGeometry:
     """Directional nodes: |omega_i| components and sphere weights."""
 
-    def __init__(self, idx: FractionalIndex, n_theta: int,
-                 allow_radial: bool = True):
+    def __init__(self, idx: FractionalIndex, allow_radial: bool):
         d = idx.d
         self.alpha = np.asarray(idx.alpha)
         radial = allow_radial and all(a == 2.0 for a in idx.alpha)
@@ -233,14 +238,14 @@ class _NodeGeometry:
                 [2 * np.pi ** (d / 2) / gamma_fn(d / 2)]
             )
         elif d == 2:
-            t, w = _leggauss(n_theta)
+            t, w = _leggauss(_N_THETA)
             phi = (np.pi / 4) * (t + 1)
             theta = (np.pi / 2) * np.sin(phi) ** 2
             jac = (np.pi / 2) * np.sin(2 * phi)
             self.comps = np.stack([np.cos(theta), np.sin(theta)], axis=1)
             self.sphere_weights = 4 * (np.pi / 4) * w * jac
         elif d == 3:
-            t, w = _leggauss(n_theta)
+            t, w = _leggauss(_N_THETA)
             u = (np.pi / 4) * (t + 1)
             ang = (np.pi / 2) * np.sin(u) ** 2
             jac = (np.pi / 4) * w * (np.pi / 2) * np.sin(2 * u)
@@ -290,9 +295,7 @@ class _NodeGeometry:
         )
 
 
-def _dyadic_contributions(measure, idx, integrands, *, n_theta=48, n_radial=24,
-                          rel_tol=1e-10, k_start=0, k_floor=-340,
-                          k_ceil=340):
+def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
     """Shell-by-shell contributions of several integrands.
 
     integrands: list of (axis_weights, g) with g vectorized over level
@@ -302,7 +305,7 @@ def _dyadic_contributions(measure, idx, integrands, *, n_theta=48, n_radial=24,
         np.ptp(np.broadcast_to(np.asarray(w, dtype=float), (idx.d,))) == 0
         for w, _ in integrands
     )
-    geom = _NodeGeometry(idx, n_theta, allow_radial=uniform)
+    geom = _NodeGeometry(idx, uniform)
     d = measure.d
     gl_x, gl_w = _leggauss(n_radial)
     band = measure.band_limit
@@ -335,15 +338,15 @@ def _dyadic_contributions(measure, idx, integrands, *, n_theta=48, n_radial=24,
 
     def scan(direction):
         nonlocal band_limited, total
-        k = k_start if direction > 0 else k_start - 1
+        k = 0 if direction > 0 else -1
         quiet = rising = 0
         prev = None
-        while k_floor <= k < k_ceil:
+        while k in _K_RANGE:
             c, clipped = shell(k)
             ks.append(k)
             contribs.append(c)
             total = total + np.abs(c)
-            small = np.all(c <= rel_tol * np.maximum(total, 1e-300))
+            small = np.all(c <= _REL_TOL * np.maximum(total, 1e-300))
             if clipped and not small:
                 band_limited = True
             if clipped:
@@ -406,9 +409,11 @@ def _tail_verdict(ks, c, band_limited, what):
     return finite, finite, value, slope
 
 
-def spectral_integral(measure, idx, g, axis_weights=1.0, **kw) -> float:
+def spectral_integral(measure, idx, g, axis_weights=1.0, *,
+                      n_radial: int = N_RADIAL) -> float:
     """int m(|xi|) g(T(xi)) dxi for a single integrand."""
-    ks, c, _ = _dyadic_contributions(measure, idx, [(axis_weights, g)], **kw)
+    ks, c, _ = _dyadic_contributions(measure, idx, [(axis_weights, g)],
+                                     n_radial=n_radial)
     return _extrapolated_sum(ks, c[0])
 
 
@@ -504,8 +509,7 @@ def admissibility(measure: SpectralMeasure, idx: FractionalIndex, eta: float,
                                conclusive, slope)
 
 
-def critical_eta(measure: SpectralMeasure, idx: FractionalIndex,
-                 *, tol: float = 0.01) -> float:
+def critical_eta(measure: SpectralMeasure, idx: FractionalIndex) -> float:
     """Critical admissibility exponent, closed form where known.
 
     Quadrature fallback exploits that the dyadic tail slope is linear in
@@ -521,7 +525,7 @@ def critical_eta(measure: SpectralMeasure, idx: FractionalIndex,
         rep = admissibility(measure, idx, eta, method="quadrature")
         shift = rep.tail_slope
         eta = min(max(eta + shift, 0.02), 1.0)
-        if abs(shift) < tol:
+        if abs(shift) < _CRITICAL_ETA_TOL:
             break
     return eta
 
@@ -547,6 +551,16 @@ def require_admissible(measure, idx):
 
 def _damping_weights(idx: FractionalIndex) -> np.ndarray:
     return np.cos(np.asarray(idx.delta) * np.pi / 2)
+
+
+def _cumulative_integrand(idx: FractionalIndex, T: float):
+    """(axis weights, g) of int_0^T of the variance rate, in closed form."""
+
+    def g(s):
+        s = np.maximum(s, 1e-300)
+        return -np.expm1(-2 * T * s) / (2 * s)
+
+    return _damping_weights(idx), g
 
 
 def variance_rate(idx: FractionalIndex, measure: SpectralMeasure,
@@ -595,15 +609,9 @@ def cumulative_bound_check(idx: FractionalIndex, measure: SpectralMeasure,
         raise ConstraintViolationError(f"horizon must be > 0, got {T}")
     require_admissible(measure, idx)
     kappa = idx.min_damping
-    dw = _damping_weights(idx)
-
-    def phi_mid(s):
-        s = np.maximum(s, 1e-300)
-        return -np.expm1(-2 * T * s) / (2 * s)
-
     integrands = [
         (np.ones(idx.d), lambda s: T / (1 + 2 * T * s)),
-        (dw, phi_mid),
+        _cumulative_integrand(idx, T),
         (np.ones(idx.d), lambda s: 2 * T / (1 + 2 * T * kappa * s)),
     ]
     ks, c, _ = _dyadic_contributions(measure, idx, integrands)
@@ -627,9 +635,6 @@ class WeightedIntegralReport:
     finite: bool
     conclusive: bool
     tail_slope: float | None
-
-    def to_dict(self):
-        return asdict(self)
 
 
 def weighted_spectral_integral(idx: FractionalIndex, measure: SpectralMeasure,

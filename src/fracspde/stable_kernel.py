@@ -30,6 +30,7 @@ from .errors import (
     TruncationError,
 )
 from .fields import Field, FractionalIndex, Grid, to_frequency, to_physical
+from .spectral_measure import _damping_weights
 
 __all__ = [
     "generator_symbol",
@@ -48,7 +49,8 @@ __all__ = [
 # negative entries beyond this magnitude mean the grid cannot represent
 # the kernel; smaller ripples are clipped and accounted for.
 NEGATIVE_RIPPLE_TOL = 1e-8
-DEFAULT_LEAKAGE_TOL = 1e-6
+LEAKAGE_TOL = 1e-6  # largest estimated out-of-box mass that is leakage_ok
+HIGH_FREQ_TOL = 1e-6  # top-octave energy share where apply_generator warns
 
 
 def _symbol_terms(idx: FractionalIndex, xi_axes):
@@ -150,7 +152,6 @@ class KernelDiagnostics:
 
 
 def kernel(idx: FractionalIndex, t: float, grid: Grid, *,
-           leakage_tol: float = DEFAULT_LEAKAGE_TOL,
            return_diagnostics: bool = False):
     """Discretized Green kernel at time ``t`` on ``grid``.
 
@@ -182,17 +183,14 @@ def kernel(idx: FractionalIndex, t: float, grid: Grid, *,
     field = Field(grid, vals, _skip_copy=True)
     if not return_diagnostics:
         return field
-    edge = math.exp(
-        -t * min(grid.max_frequency**a * c
-                 for a, c in zip(idx.alpha,
-                                 np.cos(np.asarray(idx.delta) * np.pi / 2)))
-    )
+    edge = math.exp(-t * min(grid.max_frequency**a * c for a, c
+                             in zip(idx.alpha, _damping_weights(idx))))
     diag = KernelDiagnostics(
         mass=field.mass(),
         min_value=min_value,
         clipped_mass=clipped_mass,
         leakage_estimate=leakage_estimate(idx, t, grid),
-        leakage_tol=leakage_tol,
+        leakage_tol=LEAKAGE_TOL,
         symbol_edge_modulus=edge,
     )
     return field, diag
@@ -217,12 +215,11 @@ def apply_semigroup(field: Field, idx: FractionalIndex, t: float) -> Field:
     return Field(field.grid, vals, _skip_copy=True)
 
 
-def apply_generator(field: Field, idx: FractionalIndex, *,
-                    high_freq_tol: float = 1e-6) -> Field:
+def apply_generator(field: Field, idx: FractionalIndex) -> Field:
     """Apply the fractional generator as a Fourier multiplier.
 
     Warns when the top octave of the spectrum carries more than
-    ``high_freq_tol`` of the energy: the multiplier then amplifies
+    HIGH_FREQ_TOL of the energy: the multiplier then amplifies
     unresolved content and the result loses accuracy.
     """
     field.require_space("physical")
@@ -240,10 +237,10 @@ def apply_generator(field: Field, idx: FractionalIndex, *,
         total = float((np.abs(hat) ** 2).sum())
         if total > 0:
             frac = float((np.abs(hat[mask]) ** 2).sum()) / total
-            if frac > high_freq_tol:
+            if frac > HIGH_FREQ_TOL:
                 warnings.warn(
                     f"top-octave spectral energy fraction {frac:.2e} exceeds "
-                    f"{high_freq_tol:.1e}; generator output may be inaccurate",
+                    f"{HIGH_FREQ_TOL:.1e}; generator output may be inaccurate",
                     AccuracyWarning,
                     stacklevel=2,
                 )
@@ -334,7 +331,7 @@ def calibrate_integral_weights(idx: FractionalIndex):
 
 
 def write_kernel_csv(path, field: Field, idx: FractionalIndex, t: float,
-                     diagnostics: KernelDiagnostics | None = None):
+                     diagnostics: KernelDiagnostics):
     """Kernel dump: one JSON metadata header line, then coordinate/value rows."""
     grid = field.grid
     meta = {
@@ -343,9 +340,8 @@ def write_kernel_csv(path, field: Field, idx: FractionalIndex, t: float,
         "t": t,
         "grid": {"d": grid.d, "n_per_dim": grid.n_per_dim,
                  "box_length": grid.box_length},
+        "diagnostics": diagnostics.to_dict(),
     }
-    if diagnostics is not None:
-        meta["diagnostics"] = diagnostics.to_dict()
     ax = grid.axis_coordinates()
     with open(path, "w") as fh:
         fh.write("# " + json.dumps(meta, sort_keys=True) + "\n")

@@ -174,14 +174,24 @@ def test_unreadable_config_exits_2(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("over,argv", [
-    ({}, ["--seed", "-1"]),
-    ({"dt": "abc"}, []),
-    ({"measure": [1]}, []),
+@pytest.mark.parametrize("command,over,argv", [
+    ("simulate", {}, ["--seed", "-1"]),
+    ("simulate", {"dt": "abc"}, []),
+    ("simulate", {"measure": [1]}, []),
+    ("density", {"x": "abc"}, []),
+    ("density", {"x": 1000}, []),
+    ("density", {"thetas": "ab"}, []),
+    ("density", {"rho_grid": ["a"]}, []),
+    ("holder", {"eta": "abc"}, []),
+    ("holder", {"x_probe": "abc"}, []),
+    ("measure", {"eta": "abc"}, []),
+    ("measure", {"T": "abc"}, []),
+    ("kernel", {"t": "abc"}, []),
 ])
-def test_malformed_input_exits_2_with_json(tmp_path, capsys, over, argv):
+def test_malformed_input_exits_2_with_json(tmp_path, capsys, command, over,
+                                           argv):
     cfg = _sim_cfg(tmp_path, **over)
-    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o"),
                *argv])
     assert rc == 2
     err = json.loads(capsys.readouterr().err)

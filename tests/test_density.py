@@ -66,11 +66,17 @@ def test_sample_law_time_must_hit_lattice():
         sample_law(cfg, 0.0501, 128, 10)
 
 
-def test_sample_law_time_must_be_stored():
-    # t = 0.1 is on the dt lattice but the stride stores only t = 0 and T
+def test_sample_law_time_must_be_stored(monkeypatch):
+    # t = 0.1 is on the dt lattice but the stride stores only t = 0 and T;
+    # the time is rejected before any replicate is solved
+    import fracspde.density
+    calls, solve = [], fracspde.density.solve
+    monkeypatch.setattr(fracspde.density, "solve",
+                        lambda *args: calls.append(args) or solve(*args))
     cfg = _config(u0=5.0, dt=0.01, T=0.25)
     with pytest.raises(ConfigurationError):
         sample_law(cfg, 0.1, 128, 3)
+    assert calls == []
 
 
 # -- kde ------------------------------------------------------------------------

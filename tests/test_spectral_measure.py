@@ -214,7 +214,7 @@ def test_critical_eta_quadrature_bisection():
     # riesz with fractional alpha: tail exponent gives eta* = gamma/alpha
     idx = FractionalIndex([1.5], [0.3])
     m = SpectralMeasure.riesz(0.5, 1)
-    assert critical_eta(m, idx, tol=0.01) == pytest.approx(0.5 / 1.5, abs=0.02)
+    assert critical_eta(m, idx) == pytest.approx(0.5 / 1.5, abs=0.02)
 
 
 # -- variance rate ------------------------------------------------------------
