@@ -27,10 +27,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .density import kde, sample_law, variance_bound_check
+from .density import (_check_bound_inputs, kde, sample_law,
+                      variance_bound_check)
 from .errors import DivergenceError, FracspdeError, NumericalError, ValidationError
 from .fields import FractionalIndex, Grid, write_array_binary
-from .regularity import build_report, estimate_spatial, estimate_temporal
+from .regularity import (_check_window_inputs, build_report,
+                         estimate_spatial, estimate_temporal)
 from .solver import Coefficient, SolverConfig, solve, solve_picard
 from .spectral_measure import (
     SpectralMeasure,
@@ -258,6 +260,7 @@ def _run_holder(cfg, outdir: Path, args):
         rho = float(cfg.get("rho", 0.99))
         x_probe = _parse_probe(cfg, "x_probe", config.grid)
         eta = float(cfg.get("eta", eta_star))
+    _check_window_inputs(rho, eta)
     paths = _per_replicate(lambda rep: solve(config, rep), n_rep,
                            args.threads)
     temporal = estimate_temporal(
@@ -288,6 +291,7 @@ def _run_density(cfg, outdir: Path, args):
         theta1, theta2 = (float(v) for v in thetas)
         rho_grid = [float(r) for r in cfg.get(
             "rho_grid", np.geomspace(1e-3, min(t, 1.0), 24))]
+    _check_bound_inputs(t, (theta1, theta2), rho_grid)
     samples = sample_law(config, t, x, n)
     estimate = kde(samples)
     bounds = variance_bound_check(config.idx, config.measure, t,

@@ -160,6 +160,23 @@ class VarianceBoundReport:
         return asdict(self)
 
 
+def _check_bound_inputs(t: float, thetas, rho_grid) -> np.ndarray:
+    """The sorted ``rho_grid``; ConstraintViolationError unless theta1 >= 1,
+    theta2 > 0 and ``rho_grid`` is non-empty and lies in (0, min(t, 1)]."""
+    theta1, theta2 = thetas
+    if theta1 < 1:
+        raise ConstraintViolationError("theta1 must be >= 1")
+    if not theta2 > 0:
+        raise ConstraintViolationError("theta2 must be > 0")
+    rho_grid = np.sort(np.asarray(rho_grid, dtype=float))
+    if (rho_grid.size == 0 or rho_grid[0] <= 0
+            or rho_grid[-1] > min(t, 1.0) + 1e-12):
+        raise ConstraintViolationError(
+            "rho_grid must be non-empty and lie in (0, min(t, 1)]"
+        )
+    return rho_grid
+
+
 def variance_bound_check(idx: FractionalIndex, measure: SpectralMeasure,
                          t: float, thetas, rho_grid, *,
                          eta_star: float | None = None,
@@ -179,10 +196,7 @@ def variance_bound_check(idx: FractionalIndex, measure: SpectralMeasure,
         numerically).
     """
     theta1, theta2 = thetas
-    if theta1 < 1:
-        raise ConstraintViolationError("theta1 must be >= 1")
-    if not theta2 > 0:
-        raise ConstraintViolationError("theta2 must be > 0")
+    rho_grid = _check_bound_inputs(t, thetas, rho_grid)
     if eta_star is not None and eta_star >= ETA_SMOOTHNESS_GATE:
         warnings.warn(
             f"critical admissibility exponent {eta_star} is outside the "
@@ -196,11 +210,6 @@ def variance_bound_check(idx: FractionalIndex, measure: SpectralMeasure,
             "fit is expected to degenerate",
             AccuracyWarning,
             stacklevel=2,
-        )
-    rho_grid = np.sort(np.asarray(rho_grid, dtype=float))
-    if rho_grid[0] <= 0 or rho_grid[-1] > min(t, 1.0) + 1e-12:
-        raise ConstraintViolationError(
-            "rho_grid must lie in (0, min(t, 1)]"
         )
     integrals = np.array(
         [cumulative_variance(idx, measure, r, n_radial=n_radial)

@@ -231,6 +231,24 @@ def to_physical(field: Field) -> Field:
     return Field(g, vals, PHYSICAL, _skip_copy=True)
 
 
+def _half_lattice(values: np.ndarray) -> np.ndarray:
+    """Last-axis indices 0..n//2 of a full-lattice array in FFT order: the
+    half-spectrum layout of ``_rfft``."""
+    return values[..., : values.shape[-1] // 2 + 1]
+
+
+def _rfft(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Half spectrum (``rfftn`` over the trailing ``grid.d`` axes) of real
+    values in FFT (wrap-around) order; leading axes are a batch."""
+    return np.fft.rfftn(values, axes=tuple(range(-grid.d, 0)))
+
+
+def _irfft(spectrum: np.ndarray, grid: Grid) -> np.ndarray:
+    """Real values in FFT order of half spectra: the inverse of ``_rfft``."""
+    return np.fft.irfftn(spectrum, s=grid.shape,
+                         axes=tuple(range(-grid.d, 0)))
+
+
 _MAGIC = b"FSPD"
 
 

@@ -8,8 +8,21 @@ spectral density m.  On the periodic grid an increment over a step dt is
 with Z a Hermitian complex Gaussian array of unit modal variance, so that
 E[dM(x) dM(y)] = dt * Gamma_L(x - y) where Gamma_L is the band-limited
 periodization of the covariance.  Z is realized as the DFT of an iid real
-Gaussian array, which enforces Hermitian symmetry exactly; the synthesized
-field is real to round-off.
+Gaussian array W, which enforces Hermitian symmetry exactly.
+
+The synthesis is real: W and dM are real arrays, so both transforms are
+real FFTs over the spatial axes.  In the half-spectrum layout of
+``numpy.fft.rfftn`` (last axis cut to indices 0..n//2) the increment is
+
+    rfftn(dM) = sqrt(dt) * (2*pi/L)^(d/2) * n^(d/2) * sqrt(m) * conj(rfftn(W))
+
+and ``irfftn`` of that is dM, real by construction.
+
+Increments are drawn in blocks of consecutive steps of one replicate, at
+most BLOCK_ELEMENTS grid values per block: each step's white array comes
+from its own stream, and the block is transformed by one batched
+``rfftn``.  The solver adds the spectra directly when sigma is constant and
+transforms the block back with one batched ``irfftn`` otherwise.
 
 Randomness is counter-style: each (master_seed, replicate, step) triple
 names a disjoint, reproducible Philox stream, so replicates and steps can
@@ -23,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NoiseSynthesisError
-from .fields import Field, Grid
+from .fields import Field, Grid, _half_lattice, _irfft, _rfft
 from .spectral_measure import SpectralMeasure
 
 __all__ = [
@@ -33,6 +46,8 @@ __all__ = [
     "band_limited_covariance",
     "empirical_covariance",
 ]
+
+BLOCK_ELEMENTS = 2**16  # most grid values drawn and transformed in one block
 
 
 @dataclass(frozen=True)
@@ -63,12 +78,14 @@ class NoiseIncrement:
 
     field: Field
     dt: float
-    imag_residue: float = 0.0
 
 
 class _Synthesizer:
     """The increment synthesis, precomputed for one (grid, measure, dt).
-    Increments come out in the solver's FFT (wrap-around) index layout."""
+
+    Spectra come out in the half-spectrum layout of ``fields._rfft``; their
+    ``_irfft`` is the increments in the solver's FFT (wrap-around) layout.
+    """
 
     def __init__(self, grid: Grid, measure: SpectralMeasure, dt: float):
         if not dt > 0:
@@ -78,18 +95,25 @@ class _Synthesizer:
             raise NoiseSynthesisError(
                 "spectral density is negative or undefined on the grid band"
             )
-        self.sqrt_m = np.sqrt(dens)
-        self.mode_norm = grid.n_per_dim ** (grid.d / 2)
-        self.scale = np.sqrt(dt) * (2 * np.pi / grid.box_length) ** (grid.d / 2)
+        scale = (np.sqrt(dt) * (2 * np.pi / grid.box_length) ** (grid.d / 2)
+                 * grid.n_per_dim ** (grid.d / 2))
+        self.weight = scale * _half_lattice(np.sqrt(dens))
+        self.grid = grid
+        self.block_steps = max(1, BLOCK_ELEMENTS // dens.size)
 
-    def modes(self, rng_stream: RngStream) -> np.ndarray:
-        """Unscaled synthesis, complex but real to round-off."""
-        white = rng_stream.generator().standard_normal(self.sqrt_m.shape)
-        return np.fft.fftn(self.sqrt_m * (np.fft.fftn(white) / self.mode_norm))
+    def spectra(self, rng_stream: RngStream, steps) -> np.ndarray:
+        """Half spectra of the increments at ``steps`` of one replicate,
+        stacked along a leading axis; one stream per step."""
+        white = np.empty((len(steps),) + self.grid.shape)
+        for row, k in zip(white, steps):
+            rng_stream.for_step(k).generator().standard_normal(out=row)
+        return self.weight * np.conj(_rfft(white, self.grid))
 
-    def draw(self, rng_stream: RngStream) -> np.ndarray:
-        """One real increment in wrap-around layout."""
-        return self.scale * np.real(self.modes(rng_stream))
+    def blocks(self, rng_stream: RngStream, n_steps: int):
+        """Spectra of steps 0..n_steps-1, ``block_steps`` steps at a time."""
+        for start in range(0, n_steps, self.block_steps):
+            stop = min(start + self.block_steps, n_steps)
+            yield self.spectra(rng_stream, range(start, stop))
 
 
 def sample_increment(grid: Grid, measure: SpectralMeasure, dt: float,
@@ -107,12 +131,9 @@ def sample_increment(grid: Grid, measure: SpectralMeasure, dt: float,
     rng_stream : stream identity (master seed, replicate, step).
     """
     synth = _Synthesizer(grid, measure, dt)
-    modes = synth.modes(rng_stream)
-    norm = float(np.abs(modes).max())
-    residue = float(np.abs(modes.imag).max() / norm) if norm > 0 else 0.0
-    values = np.fft.fftshift(synth.scale * np.real(modes))
-    return NoiseIncrement(Field(grid, values, _skip_copy=True), dt,
-                          residue)
+    spectrum = synth.spectra(rng_stream, [rng_stream.step_id])
+    values = np.fft.fftshift(_irfft(spectrum[0], grid))
+    return NoiseIncrement(Field(grid, values, _skip_copy=True), dt)
 
 
 def band_limited_covariance(grid: Grid, measure: SpectralMeasure) -> np.ndarray:

@@ -37,12 +37,17 @@ MIN_SCALES = 4
 DEFAULT_MIN_REPLICATES = 200
 
 
-def theoretical_exponents(idx: FractionalIndex, rho: float, eta: float):
-    """Upper limits (temporal, spatial) of the Hölder windows."""
+def _check_window_inputs(rho: float, eta: float):
+    """ConstraintViolationError unless rho and eta both lie in (0, 1)."""
     if not (0 < rho < 1):
         raise ConstraintViolationError(f"rho must lie in (0, 1), got {rho}")
     if not (0 < eta < 1):
         raise ConstraintViolationError(f"eta must lie in (0, 1), got {eta}")
+
+
+def theoretical_exponents(idx: FractionalIndex, rho: float, eta: float):
+    """Upper limits (temporal, spatial) of the Hölder windows."""
+    _check_window_inputs(rho, eta)
     gamma1 = min(rho * idx.inverse_alpha_sum, (1 - eta) / 2)
     gamma2 = min(rho, idx.min_alpha * (1 - eta) / 2, 0.5)
     return gamma1, gamma2

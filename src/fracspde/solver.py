@@ -10,6 +10,17 @@ evaluation.  The whole-path fixed-point scheme iterates the discrete
 integral map on a frozen noise realization; both schemes share the same
 discrete fixed point, so they cross-validate path by path.
 
+The stepping state is the half spectrum (``rfftn`` over the spatial axes)
+of the field, so a step is
+
+    u_hat <- psi_h * (u_hat + F[dt * b(u_k) + sigma(u_k) * dM_k])
+
+followed by one ``irfftn`` for the checked (and possibly stored) frame.
+A constant coefficient acts in frequency space: constant sigma adds the
+noise spectrum directly and constant b adds dt*b*n^d to the zero mode, so
+with both constant a step makes no forward transform and no coefficient
+call.
+
 Determinism: (config, replicate_id) fixes every noise stream, so results
 are bit-identical regardless of scheduling.
 """
@@ -27,7 +38,8 @@ from .errors import (
     ConstraintViolationError,
     PicardConvergenceError,
 )
-from .fields import Field, FractionalIndex, Grid
+from .fields import (Field, FractionalIndex, Grid, _half_lattice,
+                     _irfft, _rfft)
 from .noise import RngStream, _Synthesizer
 from .spectral_measure import SpectralMeasure, require_admissible
 from .stable_kernel import _symbol_lattice, apply_semigroup
@@ -222,10 +234,10 @@ def smooth_initial(u0, idx: FractionalIndex, t: float, grid: Grid) -> Field:
 
 
 def _check_frame(values, ceiling, step, replicate_id):
-    if not np.all(np.isfinite(values)):
+    sup = float(np.abs(values).max())  # NaN or inf if any value is
+    if not math.isfinite(sup):
         raise BlowUpError(f"non-finite values at step {step}", step,
                           replicate_id)
-    sup = float(np.abs(values).max())
     if sup > ceiling:
         raise BlowUpError(
             f"sup-norm {sup:.3e} exceeded stability ceiling at step {step}",
@@ -238,22 +250,36 @@ def _stored(step: int, config: SolverConfig) -> bool:
     return step % config.frame_stride == 0 or step == config.n_steps
 
 
-class _Stepper:
-    """Precomputed per-config operators; state kept in FFT layout.
+def _constant_value(coef: Coefficient):
+    """c for a ``Coefficient.constant(c)`` preset, None for any other."""
+    return coef.params[0] if coef.name == "constant" else None
 
-    The semigroup matches ``apply_semigroup`` term for term and the noise
-    is ``sample_increment``'s synthesis; only the index layout differs.
+
+class _Stepper:
+    """Precomputed per-config operators.  ``solve`` keeps its state as the
+    half spectrum (``fields._rfft``: ``rfftn`` over the spatial axes) of the
+    field in FFT (wrap-around) layout; ``enter``/``leave`` convert frames.
+
+    ``psi`` is the semigroup multiplier on the half lattice: the Hermitian
+    part of the reflected symbol, (psi(-k) + conj psi(k)) / 2.  That is
+    the multiplier ``apply_semigroup`` applies once it takes the real part
+    of its complex transform, so ``semigroup`` matches it to round-off; it
+    differs from psi itself on the Nyquist planes when delta != 0.  The
+    noise is ``sample_increment``'s synthesis.
     """
 
     def __init__(self, config: SolverConfig):
-        self.psi = _symbol_lattice(config.idx, config.grid, config.dt)
-        self.noise = _Synthesizer(config.grid, config.measure, config.dt)
+        grid = self.grid = config.grid
+        psi = _symbol_lattice(config.idx, grid, config.dt)
+        reflected = np.roll(np.flip(psi), 1, axis=tuple(range(grid.d)))
+        self.psi = _half_lattice(0.5 * (reflected + np.conj(psi)))
+        self.noise = _Synthesizer(grid, config.measure, config.dt)
         u0 = np.asarray(config.u0.values, dtype=float)
         self.u0 = self.enter(u0)
         self.ceiling = BLOWUP_FACTOR * max(1.0, float(np.abs(u0).max()))
 
     def semigroup(self, values):
-        return np.real(np.fft.fftn(self.psi * np.fft.ifftn(values)))
+        return _irfft(self.psi * _rfft(values, self.grid), self.grid)
 
     @staticmethod
     def enter(values):
@@ -269,26 +295,45 @@ def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
 
     Deterministic in (config, replicate_id).  With b = sigma = 0 the
     linear part is integrated exactly, so frames coincide with the
-    smoothed initial condition to round-off.
+    smoothed initial condition to round-off.  Every step's frame is
+    checked; the stepping state stays in half-spectrum layout.
 
     Raises
     ------
     BlowUpError
         If any frame becomes non-finite or leaves the stability envelope.
     """
-    grid, dt = config.grid, config.dt
-    has_noise = not config.sigma.is_zero
-    base = config.noise_stream(replicate_id)
+    grid, dt, n = config.grid, config.dt, config.n_steps
     op = _Stepper(config)
+    b_const = _constant_value(config.b)
+    sigma_const = _constant_value(config.sigma)
+    has_noise = not config.sigma.is_zero
+    # constant coefficients act in frequency space, the others on the frame
+    sigma_on_frame = has_noise and sigma_const is None
+    if has_noise:
+        blocks = op.noise.blocks(config.noise_stream(replicate_id), n)
 
     u = op.u0
+    u_hat = _rfft(u, grid)
     frames = [Field(grid, op.leave(u), _skip_copy=True)]
     times = [0.0]
-    for k in range(config.n_steps):
-        stage = u + dt * config.b(u)
-        if has_noise:
-            stage = stage + config.sigma(u) * op.noise.draw(base.for_step(k))
-        u = op.semigroup(stage)
+    for k in range(n):
+        j = k % op.noise.block_steps
+        if has_noise and j == 0:
+            dm_hat = next(blocks)
+            if sigma_on_frame:
+                dm = _irfft(dm_hat, grid)
+        if b_const is None or sigma_on_frame:
+            forcing = dt * config.b(u) if b_const is None else 0.0
+            if sigma_on_frame:
+                forcing = forcing + config.sigma(u) * dm[j]
+            u_hat = u_hat + _rfft(forcing, grid)
+        if b_const:
+            u_hat[(0,) * grid.d] += dt * b_const * u.size
+        if has_noise and not sigma_on_frame:
+            u_hat = u_hat + sigma_const * dm_hat[j]
+        u_hat = op.psi * u_hat
+        u = _irfft(u_hat, grid)
         _check_frame(u, op.ceiling, k + 1, replicate_id)
         if _stored(k + 1, config):
             frames.append(Field(grid, op.leave(u), _skip_copy=True))
@@ -314,8 +359,8 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
     grid, dt = config.grid, config.dt
     n = config.n_steps
     op = _Stepper(config)
-    base = config.noise_stream(replicate_id)
-    increments = [op.noise.draw(base.for_step(k)) for k in range(n)]
+    blocks = op.noise.blocks(config.noise_stream(replicate_id), n)
+    increments = np.concatenate([_irfft(s, grid) for s in blocks])
 
     # frames of the semigroup flow of u0, built by repeated one-step maps
     # so the linear arithmetic matches the stepping scheme exactly

@@ -196,3 +196,36 @@ def test_malformed_input_exits_2_with_json(tmp_path, capsys, command, over,
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ValidationError"
+
+
+@pytest.mark.parametrize("command,over", [
+    ("holder", {"rho": 1.5}),
+    ("holder", {"eta": 1.5}),
+    ("density", {"thetas": [0.5, 0.5]}),
+    ("density", {"thetas": [1.0, 0.0]}),
+    ("density", {"rho_grid": [0.05, 2.0]}),
+    ("density", {"rho_grid": [0.0, 0.05]}),
+    ("density", {"rho_grid": []}),
+])
+def test_out_of_range_setting_exits_2_before_solving(tmp_path, capsys,
+                                                     monkeypatch, command,
+                                                     over):
+    import fracspde.cli
+    import fracspde.density
+
+    calls = []
+
+    def counting(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapped
+
+    for module in (fracspde.cli, fracspde.density):
+        monkeypatch.setattr(module, "solve", counting(module.solve))
+    cfg = _sim_cfg(tmp_path, replicates=40, n_samples=600, **over)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConstraintViolationError"
+    assert calls == []

@@ -100,11 +100,26 @@ def test_distinct_streams_differ():
     assert not np.array_equal(a.field.values, c.field.values)
 
 
-def test_imaginary_residue_negligible():
-    m = SpectralMeasure.riesz(0.5, 1)
-    for r in range(5):
-        inc = sample_increment(GRID, m, DT, RngStream(1, r, 0))
-        assert inc.imag_residue < 1e-10
+@pytest.mark.parametrize("grid,measure", [
+    (GRID, SpectralMeasure.riesz(0.5, 1)),
+    (Grid(1, 45, 8.0), SpectralMeasure.bessel(1.0, 1)),
+    (Grid(2, 16, 4.0), SpectralMeasure.bessel(3.0, 2)),
+    (Grid(2, 9, 4.0), SpectralMeasure.riesz(0.5, 2)),
+    (Grid(3, 8, 4.0), SpectralMeasure.white(3)),
+])
+def test_increment_matches_complex_reference_formula(grid, measure):
+    # the real synthesis equals the complex-FFT formula it replaced
+    sqrt_m = np.sqrt(measure.density_on_lattice(grid))
+    mode_norm = grid.n_per_dim ** (grid.d / 2)
+    scale = np.sqrt(DT) * (2 * np.pi / grid.box_length) ** (grid.d / 2)
+    for r in range(3):
+        stream = RngStream(1, r, 4)
+        white = stream.generator().standard_normal(grid.shape)
+        ref = scale * np.real(
+            np.fft.fftn(sqrt_m * np.fft.fftn(white) / mode_norm))
+        inc = sample_increment(grid, measure, DT, stream)
+        np.testing.assert_allclose(inc.field.values, np.fft.fftshift(ref),
+                                   rtol=0, atol=1e-13)
 
 
 def test_increment_mean_zero():

@@ -1,5 +1,8 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracspde.errors import (
     BlowUpError,
@@ -12,13 +15,14 @@ from fracspde.solver import (
     Coefficient,
     PathSolution,
     SolverConfig,
+    _Stepper,
     moment_estimate,
     smooth_initial,
     solve,
     solve_picard,
 )
 from fracspde.spectral_measure import SpectralMeasure
-from fracspde.stable_kernel import apply_semigroup
+from fracspde.stable_kernel import _symbol_lattice, apply_semigroup
 
 GAUSS = FractionalIndex([2.0], [0.0])
 WHITE = SpectralMeasure.white(1)
@@ -276,6 +280,64 @@ def test_solver_noise_is_sample_increment(idx, measure, grid):
     inc = sample_increment(grid, measure, dt, RngStream(seed, rep, 0))
     expected = apply_semigroup(inc.field, idx, dt).values
     np.testing.assert_allclose(stepped, expected, rtol=0, atol=1e-12)
+
+
+def _complex_step_reference(config, replicate_id):
+    """Frames of the exponential-Euler scheme stepped with complex FFTs:
+    every step S_dt[u + dt b(u) + sigma(u) dM] in physical space."""
+    grid, dt = config.grid, config.dt
+    psi = _symbol_lattice(config.idx, grid, dt)
+    sqrt_m = np.sqrt(config.measure.density_on_lattice(grid))
+    mode_norm = grid.n_per_dim ** (grid.d / 2)
+    scale = np.sqrt(dt) * (2 * np.pi / grid.box_length) ** (grid.d / 2)
+    u = np.fft.ifftshift(config.u0.values)
+    frames = [u]
+    for k in range(config.n_steps):
+        white = RngStream(config.master_seed, replicate_id, k).generator() \
+            .standard_normal(grid.shape)
+        dm = scale * np.real(np.fft.fftn(sqrt_m * np.fft.fftn(white)
+                                         / mode_norm))
+        stage = u + dt * config.b(u) + config.sigma(u) * dm
+        u = np.real(np.fft.fftn(psi * np.fft.ifftn(stage)))
+        frames.append(u)
+    return [np.fft.fftshift(f) for f in frames]
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.sampled_from([1, 2]),
+    n=st.integers(4, 17),
+    alpha=st.lists(st.floats(0.3, 1.95).filter(lambda a: abs(a - 1) > 0.05),
+                   min_size=2, max_size=2),
+    skew=st.lists(st.floats(0.2, 1.0), min_size=2, max_size=2),
+    sign=st.sampled_from([-1.0, 1.0]),
+    seed=st.integers(0, 2**16),
+)
+def test_real_spectrum_step_matches_complex_step(d, n, alpha, skew, sign,
+                                                 seed):
+    # delta != 0 makes the symbol complex on the Nyquist planes of even n:
+    # the half-spectrum multiplier must be its Hermitian part there
+    delta = [sign * f * min(a, 2 - a) for a, f in zip(alpha, skew)]
+    idx = FractionalIndex(alpha[:d], delta[:d])
+    grid = Grid(d, n, 8.0)
+    multiplicative = SolverConfig(
+        idx=idx, measure=SpectralMeasure.bessel(3.0, d), grid=grid,
+        b=Coefficient.sine(0.5), sigma=Coefficient.affine(0.3, 1.0),
+        u0=lambda *xs: np.cos(xs[0]) + 0.5 * np.sin(xs[-1]),
+        dt=0.01, T=0.2, master_seed=seed)
+    op = _Stepper(multiplicative)
+    f = Field(grid, np.random.default_rng(seed).standard_normal(grid.shape))
+    stepped = op.leave(op.semigroup(op.enter(f.values)))
+    np.testing.assert_allclose(stepped, apply_semigroup(f, idx, 0.01).values,
+                               rtol=0, atol=1e-12)
+    # constant b and sigma take the frequency-space branch of the step
+    additive = replace(multiplicative, b=Coefficient.constant(0.4),
+                       sigma=Coefficient.constant(0.7))
+    for cfg in (multiplicative, additive):
+        path = solve(cfg, 1)
+        assert len(path.frames) == 21
+        for frame, ref in zip(path.frames, _complex_step_reference(cfg, 1)):
+            np.testing.assert_allclose(frame.values, ref, rtol=0, atol=1e-12)
 
 
 # -- moments ----------------------------------------------------------------------
