@@ -140,6 +140,15 @@ def _parse_probe(cfg, key, grid: Grid):
     return probe[0] if grid.d == 1 else tuple(probe)
 
 
+def _parse_count(cfg, key, default) -> int:
+    """``cfg[key]`` as a count >= 1."""
+    with _reading(key):
+        count = int(cfg.get(key, default))
+    if count < 1:
+        raise ValidationError(f"{key} must be >= 1, got {count}")
+    return count
+
+
 def _parse_u0(cfg):
     spec = dict(cfg.get("u0", {"preset": "zero"}))
     preset = spec.pop("preset")
@@ -231,8 +240,7 @@ def _per_replicate(fn, n_rep, threads):
 
 def _run_simulate(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
-    with _reading("replicates"):
-        n_rep = int(cfg.get("replicates", 1))
+    n_rep = _parse_count(cfg, "replicates", 1)
     runner = solve_picard if config.scheme == "picard" else solve
 
     def one(rep):
@@ -251,8 +259,8 @@ def _run_simulate(cfg, outdir: Path, args):
 def _run_holder(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
     eta_star = critical_eta(config.measure, config.idx)
+    n_rep = _parse_count(cfg, "replicates", 200)
     with _reading("holder settings"):
-        n_rep = int(cfg.get("replicates", 200))
         t_probe = float(cfg.get("t_probe", config.T))
         min_rep = int(cfg.get("min_replicates", min(n_rep, 200)))
         min_lag_steps = int(cfg.get("min_lag_steps", 2))
@@ -283,8 +291,8 @@ def _run_holder(cfg, outdir: Path, args):
 def _run_density(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
     eta_star = critical_eta(config.measure, config.idx)
+    n = _parse_count(cfg, "n_samples", 2000)
     with _reading("density settings"):
-        n = int(cfg.get("n_samples", 2000))
         t = float(cfg.get("t", config.T))
         x = _parse_probe(cfg, "x", config.grid)
         thetas = cfg.get("thetas", [1.0, max(1.0 - eta_star, 0.05)])
@@ -350,6 +358,8 @@ def _fail(name, exc, code) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.threads < 1:
+            raise ValidationError(f"--threads={args.threads} must be >= 1")
         cfg = _load_config(args.config)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

@@ -64,9 +64,12 @@ def sample_law(config: SolverConfig, t: float, x, n: int) -> np.ndarray:
     """n independent replicate values of the solution at (t, x).
 
     ``x`` is a grid index (int for d=1, tuple otherwise) and ``t`` a stored
-    frame time.  Before any solve, ``t`` and the ellipticity of sigma (> 0 on
-    a probe range) are checked.  Deterministic given the master seed.
+    frame time.  Before any solve, ``n`` >= 1, ``t`` and the ellipticity of
+    sigma (> 0 on a probe range) are checked.  Deterministic given the
+    master seed.
     """
+    if n < 1:
+        raise ConfigurationError(f"need n >= 1 samples, got {n}")
     low = float(np.min(config.sigma(_ELLIPTICITY_PROBE)))
     if not low > 0:
         raise EllipticityError(f"diffusion coefficient dips to {low:.3e} on "

@@ -12,6 +12,14 @@ Transform pair (continuum convention, pinned by the Gaussian test case):
 Discretely, ``to_frequency`` approximates the forward integral by its
 Riemann sum (exact for band-limited periodic data) and ``to_physical``
 inverts it; the pair round-trips to machine precision.
+
+Layouts, all owned here: physical fields are centred (origin at index
+n//2 per axis); ``_wrap``/``_centre`` move them to and from FFT order, and
+``_rfft``/``_irfft`` keep half spectra (``rfftn`` over the trailing
+``grid.d`` axes; leading axes are a batch).  A lattice symbol psi acts on
+half spectra as ``_real_multiplier(psi)`` = (psi(-k) + conj psi(k)) / 2,
+what the real part of the complex route applies; it is not psi on Nyquist
+planes where psi is not Hermitian.  ``_apply_symbol`` applies it.
 """
 
 from __future__ import annotations
@@ -31,7 +39,6 @@ __all__ = [
     "to_physical",
     "write_array_binary",
     "read_array_binary",
-    "write_field_binary",
     "read_field_binary",
 ]
 
@@ -219,7 +226,7 @@ def to_frequency(field: Field) -> Field:
     """Forward transform; output samples F(f) on the frequency lattice."""
     field.require_space(PHYSICAL)
     g = field.grid
-    vals = np.fft.ifftn(np.fft.ifftshift(field.values)) * g.box_length**g.d
+    vals = np.fft.ifftn(_wrap(field.values, g)) * g.box_length**g.d
     return Field(g, vals, FREQUENCY, _skip_copy=True)
 
 
@@ -227,19 +234,22 @@ def to_physical(field: Field) -> Field:
     """Inverse transform; output samples the band-limited f on the grid."""
     field.require_space(FREQUENCY)
     g = field.grid
-    vals = np.fft.fftshift(np.fft.fftn(field.values)) / g.box_length**g.d
+    vals = _centre(np.fft.fftn(field.values), g) / g.box_length**g.d
     return Field(g, vals, PHYSICAL, _skip_copy=True)
 
 
-def _half_lattice(values: np.ndarray) -> np.ndarray:
-    """Last-axis indices 0..n//2 of a full-lattice array in FFT order: the
-    half-spectrum layout of ``_rfft``."""
-    return values[..., : values.shape[-1] // 2 + 1]
+def _wrap(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """Centred values in FFT (wrap-around) order over the trailing axes."""
+    return np.fft.ifftshift(values, axes=tuple(range(-grid.d, 0)))
+
+
+def _centre(values: np.ndarray, grid: Grid) -> np.ndarray:
+    """FFT-ordered values centred over the trailing axes: undoes ``_wrap``."""
+    return np.fft.fftshift(values, axes=tuple(range(-grid.d, 0)))
 
 
 def _rfft(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Half spectrum (``rfftn`` over the trailing ``grid.d`` axes) of real
-    values in FFT (wrap-around) order; leading axes are a batch."""
+    """Half spectrum of real values in FFT order; leading axes are a batch."""
     return np.fft.rfftn(values, axes=tuple(range(-grid.d, 0)))
 
 
@@ -247,6 +257,23 @@ def _irfft(spectrum: np.ndarray, grid: Grid) -> np.ndarray:
     """Real values in FFT order of half spectra: the inverse of ``_rfft``."""
     return np.fft.irfftn(spectrum, s=grid.shape,
                          axes=tuple(range(-grid.d, 0)))
+
+
+def _real_multiplier(symbol: np.ndarray) -> np.ndarray:
+    """Half-lattice multiplier of a full-lattice symbol in FFT order."""
+    half = symbol.shape[-1] // 2 + 1
+    reflected = np.roll(np.flip(symbol), 1, axis=tuple(range(symbol.ndim)))
+    return 0.5 * (reflected[..., :half] + np.conj(symbol[..., :half]))
+
+
+def _apply_symbol(field: Field, symbol: np.ndarray) -> Field:
+    """real(to_physical(symbol * to_frequency(field))) of a real physical
+    field, computed through half spectra."""
+    if np.iscomplexobj(field.require_space(PHYSICAL).values):
+        raise ConstraintViolationError("expected a real field, got complex")
+    g = field.grid
+    hat = _real_multiplier(symbol) * _rfft(_wrap(field.values, g), g)
+    return Field(g, _centre(_irfft(hat, g), g), _skip_copy=True)
 
 
 _MAGIC = b"FSPD"
@@ -271,10 +298,6 @@ def read_array_binary(path) -> np.ndarray:
         shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
         data = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
     return np.array(data)
-
-
-def write_field_binary(path, field: Field):
-    write_array_binary(path, field.values)
 
 
 def read_field_binary(path, grid: Grid) -> Field:

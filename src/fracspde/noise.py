@@ -11,8 +11,7 @@ periodization of the covariance.  Z is realized as the DFT of an iid real
 Gaussian array W, which enforces Hermitian symmetry exactly.
 
 The synthesis is real: W and dM are real arrays, so both transforms are
-real FFTs over the spatial axes.  In the half-spectrum layout of
-``numpy.fft.rfftn`` (last axis cut to indices 0..n//2) the increment is
+real FFTs.  In the half-spectrum layout of ``fields._rfft`` the increment is
 
     rfftn(dM) = sqrt(dt) * (2*pi/L)^(d/2) * n^(d/2) * sqrt(m) * conj(rfftn(W))
 
@@ -36,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NoiseSynthesisError
-from .fields import Field, Grid, _half_lattice, _irfft, _rfft
+from .fields import Field, Grid, _centre, _irfft, _real_multiplier, _rfft
 from .spectral_measure import SpectralMeasure
 
 __all__ = [
@@ -68,9 +67,6 @@ class RngStream:
     def for_step(self, step_id: int) -> "RngStream":
         return RngStream(self.master_seed, self.replicate_id, step_id)
 
-    def for_replicate(self, replicate_id: int) -> "RngStream":
-        return RngStream(self.master_seed, replicate_id, self.step_id)
-
 
 @dataclass(frozen=True)
 class NoiseIncrement:
@@ -81,11 +77,8 @@ class NoiseIncrement:
 
 
 class _Synthesizer:
-    """The increment synthesis, precomputed for one (grid, measure, dt).
-
-    Spectra come out in the half-spectrum layout of ``fields._rfft``; their
-    ``_irfft`` is the increments in the solver's FFT (wrap-around) layout.
-    """
+    """The increment synthesis for one (grid, measure, dt).  Its weight is
+    ``fields._real_multiplier`` of sqrt(m): sqrt(m) cut, as m is radial."""
 
     def __init__(self, grid: Grid, measure: SpectralMeasure, dt: float):
         if not dt > 0:
@@ -97,7 +90,7 @@ class _Synthesizer:
             )
         scale = (np.sqrt(dt) * (2 * np.pi / grid.box_length) ** (grid.d / 2)
                  * grid.n_per_dim ** (grid.d / 2))
-        self.weight = scale * _half_lattice(np.sqrt(dens))
+        self.weight = scale * _real_multiplier(np.sqrt(dens))
         self.grid = grid
         self.block_steps = max(1, BLOCK_ELEMENTS // dens.size)
 
@@ -132,7 +125,7 @@ def sample_increment(grid: Grid, measure: SpectralMeasure, dt: float,
     """
     synth = _Synthesizer(grid, measure, dt)
     spectrum = synth.spectra(rng_stream, [rng_stream.step_id])
-    values = np.fft.fftshift(_irfft(spectrum[0], grid))
+    values = _centre(_irfft(spectrum[0], grid), grid)
     return NoiseIncrement(Field(grid, values, _skip_copy=True), dt)
 
 

@@ -114,6 +114,15 @@ def _dyadic_lags(base, limit, min_scales):
     return lags
 
 
+def _check_ensemble(paths, min_replicates):
+    """At least one path, and at least ``min_replicates``."""
+    need = max(min_replicates, 1)
+    if len(paths) < need:
+        raise ConstraintViolationError(
+            f"need >= {need} replicates, got {len(paths)}"
+        )
+
+
 def estimate_temporal(paths, x_probe, *,
                       min_replicates=DEFAULT_MIN_REPLICATES,
                       min_lag_steps=2) -> ExponentEstimate:
@@ -124,10 +133,7 @@ def estimate_temporal(paths, x_probe, *,
     and T/8.  Increments are averaged over all admissible base times in
     [T/2, T - max_lag] and over replicates.
     """
-    if len(paths) < min_replicates:
-        raise ConstraintViolationError(
-            f"need >= {min_replicates} replicates, got {len(paths)}"
-        )
+    _check_ensemble(paths, min_replicates)
     if min_lag_steps < 2:
         raise ConstraintViolationError("min_lag_steps must be >= 2")
     times = np.asarray(paths[0].times)
@@ -161,10 +167,7 @@ def estimate_spatial(paths, t_probe, *,
     Uses dyadic lags starting at min_lag_cells grid cells (per the first
     axis) with periodic wrap-around.  ``t_probe`` must be a stored time.
     """
-    if len(paths) < min_replicates:
-        raise ConstraintViolationError(
-            f"need >= {min_replicates} replicates, got {len(paths)}"
-        )
+    _check_ensemble(paths, min_replicates)
     grid = paths[0].grid
     n = grid.n_per_dim
     offsets = [min_lag_cells * 2**j for j in range(MIN_SCALES)]

@@ -10,12 +10,14 @@ evaluation.  The whole-path fixed-point scheme iterates the discrete
 integral map on a frozen noise realization; both schemes share the same
 discrete fixed point, so they cross-validate path by path.
 
-The stepping state is the half spectrum (``rfftn`` over the spatial axes)
-of the field, so a step is
+The stepping state is the half spectrum (``fields._rfft``) of the field,
+so a step is
 
     u_hat <- psi_h * (u_hat + F[dt * b(u_k) + sigma(u_k) * dM_k])
 
-followed by one ``irfftn`` for the checked (and possibly stored) frame.
+followed by one ``irfftn`` for the checked (and possibly stored) frame;
+psi_h (``fields._real_multiplier`` of the symbol), the noise synthesis
+and the blow-up ceiling are cached on the SolverConfig.
 A constant coefficient acts in frequency space: constant sigma adds the
 noise spectrum directly and constant b adds dt*b*n^d to the zero mode, so
 with both constant a step makes no forward transform and no coefficient
@@ -29,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -38,8 +41,8 @@ from .errors import (
     ConstraintViolationError,
     PicardConvergenceError,
 )
-from .fields import (Field, FractionalIndex, Grid, _half_lattice,
-                     _irfft, _rfft)
+from .fields import (Field, FractionalIndex, Grid, _centre, _irfft, _rfft,
+                     _real_multiplier, _wrap)
 from .noise import RngStream, _Synthesizer
 from .spectral_measure import SpectralMeasure, require_admissible
 from .stable_kernel import _symbol_lattice, apply_semigroup
@@ -191,6 +194,19 @@ class SolverConfig:
     def noise_stream(self, replicate_id: int) -> RngStream:
         return RngStream(self.master_seed, replicate_id, 0)
 
+    @cached_property
+    def _psi_h(self) -> np.ndarray:
+        return _real_multiplier(_symbol_lattice(self.idx, self.grid, self.dt))
+
+    @cached_property
+    def _synthesizer(self) -> _Synthesizer:
+        return _Synthesizer(self.grid, self.measure, self.dt)
+
+    @cached_property
+    def _ceiling(self) -> float:
+        u0 = np.asarray(self.u0.values, dtype=float)
+        return BLOWUP_FACTOR * max(1.0, float(np.abs(u0).max()))
+
 
 @dataclass(frozen=True, eq=False)
 class PathSolution:
@@ -255,41 +271,6 @@ def _constant_value(coef: Coefficient):
     return coef.params[0] if coef.name == "constant" else None
 
 
-class _Stepper:
-    """Precomputed per-config operators.  ``solve`` keeps its state as the
-    half spectrum (``fields._rfft``: ``rfftn`` over the spatial axes) of the
-    field in FFT (wrap-around) layout; ``enter``/``leave`` convert frames.
-
-    ``psi`` is the semigroup multiplier on the half lattice: the Hermitian
-    part of the reflected symbol, (psi(-k) + conj psi(k)) / 2.  That is
-    the multiplier ``apply_semigroup`` applies once it takes the real part
-    of its complex transform, so ``semigroup`` matches it to round-off; it
-    differs from psi itself on the Nyquist planes when delta != 0.  The
-    noise is ``sample_increment``'s synthesis.
-    """
-
-    def __init__(self, config: SolverConfig):
-        grid = self.grid = config.grid
-        psi = _symbol_lattice(config.idx, grid, config.dt)
-        reflected = np.roll(np.flip(psi), 1, axis=tuple(range(grid.d)))
-        self.psi = _half_lattice(0.5 * (reflected + np.conj(psi)))
-        self.noise = _Synthesizer(grid, config.measure, config.dt)
-        u0 = np.asarray(config.u0.values, dtype=float)
-        self.u0 = self.enter(u0)
-        self.ceiling = BLOWUP_FACTOR * max(1.0, float(np.abs(u0).max()))
-
-    def semigroup(self, values):
-        return _irfft(self.psi * _rfft(values, self.grid), self.grid)
-
-    @staticmethod
-    def enter(values):
-        return np.fft.ifftshift(values)
-
-    @staticmethod
-    def leave(values):
-        return np.fft.fftshift(values)
-
-
 def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
     """Exponential-Euler trajectory for one replicate.
 
@@ -304,21 +285,21 @@ def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
         If any frame becomes non-finite or leaves the stability envelope.
     """
     grid, dt, n = config.grid, config.dt, config.n_steps
-    op = _Stepper(config)
+    psi_h, noise, ceiling = config._psi_h, config._synthesizer, config._ceiling
     b_const = _constant_value(config.b)
     sigma_const = _constant_value(config.sigma)
     has_noise = not config.sigma.is_zero
     # constant coefficients act in frequency space, the others on the frame
     sigma_on_frame = has_noise and sigma_const is None
     if has_noise:
-        blocks = op.noise.blocks(config.noise_stream(replicate_id), n)
+        blocks = noise.blocks(config.noise_stream(replicate_id), n)
 
-    u = op.u0
+    u = _wrap(np.asarray(config.u0.values, dtype=float), grid)
     u_hat = _rfft(u, grid)
-    frames = [Field(grid, op.leave(u), _skip_copy=True)]
+    frames = [Field(grid, _centre(u, grid), _skip_copy=True)]
     times = [0.0]
     for k in range(n):
-        j = k % op.noise.block_steps
+        j = k % noise.block_steps
         if has_noise and j == 0:
             dm_hat = next(blocks)
             if sigma_on_frame:
@@ -332,11 +313,11 @@ def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
             u_hat[(0,) * grid.d] += dt * b_const * u.size
         if has_noise and not sigma_on_frame:
             u_hat = u_hat + sigma_const * dm_hat[j]
-        u_hat = op.psi * u_hat
+        u_hat = psi_h * u_hat
         u = _irfft(u_hat, grid)
-        _check_frame(u, op.ceiling, k + 1, replicate_id)
+        _check_frame(u, ceiling, k + 1, replicate_id)
         if _stored(k + 1, config):
-            frames.append(Field(grid, op.leave(u), _skip_copy=True))
+            frames.append(Field(grid, _centre(u, grid), _skip_copy=True))
             times.append((k + 1) * dt)
     return PathSolution(tuple(frames), tuple(times), replicate_id)
 
@@ -356,17 +337,19 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
         If the residuals do not drop below tolerance within
         ``picard_max_iter`` sweeps (the trace is attached).
     """
-    grid, dt = config.grid, config.dt
+    grid, dt, psi_h = config.grid, config.dt, config._psi_h
     n = config.n_steps
-    op = _Stepper(config)
-    blocks = op.noise.blocks(config.noise_stream(replicate_id), n)
+    blocks = config._synthesizer.blocks(config.noise_stream(replicate_id), n)
     increments = np.concatenate([_irfft(s, grid) for s in blocks])
+
+    def semigroup(values):
+        return _irfft(psi_h * _rfft(values, grid), grid)
 
     # frames of the semigroup flow of u0, built by repeated one-step maps
     # so the linear arithmetic matches the stepping scheme exactly
-    flow = [op.u0]
+    flow = [_wrap(np.asarray(config.u0.values, dtype=float), grid)]
     for _ in range(n):
-        flow.append(op.semigroup(flow[-1]))
+        flow.append(semigroup(flow[-1]))
 
     current = list(flow)
     residuals = []
@@ -375,10 +358,10 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
         new = [flow[0]]
         residual = 0.0
         for k in range(n):
-            w = op.semigroup(w + dt * config.b(current[k])
+            w = semigroup(w + dt * config.b(current[k])
                              + config.sigma(current[k]) * increments[k])
             frame = flow[k + 1] + w
-            _check_frame(frame, op.ceiling, k + 1, replicate_id)
+            _check_frame(frame, config._ceiling, k + 1, replicate_id)
             residual = max(residual,
                            float(np.abs(frame - current[k + 1]).max()))
             new.append(frame)
@@ -395,7 +378,7 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
 
     keep = [j for j in range(n + 1) if _stored(j, config)]
     path = PathSolution(
-        tuple(Field(grid, op.leave(current[j]), _skip_copy=True)
+        tuple(Field(grid, _centre(current[j], grid), _skip_copy=True)
               for j in keep),
         tuple(j * dt for j in keep),
         replicate_id,

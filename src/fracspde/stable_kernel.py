@@ -29,7 +29,8 @@ from .errors import (
     ConstraintViolationError,
     TruncationError,
 )
-from .fields import Field, FractionalIndex, Grid, to_frequency, to_physical
+from .fields import (Field, FractionalIndex, Grid, _apply_symbol,
+                     to_frequency, to_physical)
 from .spectral_measure import _damping_weights
 
 __all__ = [
@@ -153,7 +154,7 @@ class KernelDiagnostics:
 
 def kernel(idx: FractionalIndex, t: float, grid: Grid, *,
            return_diagnostics: bool = False):
-    """Discretized Green kernel at time ``t`` on ``grid``.
+    """Discretized Green kernel at time ``t``: S_t of ``Field.spike(grid)``.
 
     Returns the physical Field (values real, clipped of sub-round-off
     negative ripple, cell sums to mass 1 by construction).  With
@@ -168,10 +169,7 @@ def kernel(idx: FractionalIndex, t: float, grid: Grid, *,
     """
     if not t > 0:
         raise ConstraintViolationError(f"kernel time must be > 0, got {t}")
-    psi = _symbol_lattice(idx, grid, t)
-    vals = np.real(
-        to_physical(Field(grid, psi, "frequency", _skip_copy=True)).values
-    )
+    vals = apply_semigroup(Field.spike(grid), idx, t).values
     min_value = float(vals.min())
     if min_value < -NEGATIVE_RIPPLE_TOL:
         raise TruncationError(
@@ -197,22 +195,17 @@ def kernel(idx: FractionalIndex, t: float, grid: Grid, *,
 
 
 def apply_semigroup(field: Field, idx: FractionalIndex, t: float) -> Field:
-    """Evolve a physical field by time t under the stable semigroup.
+    """Evolve a real physical field by time t under the stable semigroup.
 
     Exact (to round-off) for band-limited data; composition in t holds by
-    construction.  t=0 returns the input field unchanged.
+    construction.  t=0 returns the input field unchanged; for t > 0 a
+    complex field raises ConstraintViolationError.
     """
-    field.require_space("physical")
     if t < 0:
         raise ConstraintViolationError(f"time must be >= 0, got {t}")
     if t == 0:
-        return field
-    psi = _symbol_lattice(idx, field.grid, t)
-    hat = to_frequency(field)
-    out = to_physical(Field(field.grid, psi * hat.values, "frequency",
-                            _skip_copy=True))
-    vals = out.values.real if np.isrealobj(field.values) else out.values
-    return Field(field.grid, vals, _skip_copy=True)
+        return field.require_space("physical")
+    return _apply_symbol(field, _symbol_lattice(idx, field.grid, t))
 
 
 def apply_generator(field: Field, idx: FractionalIndex) -> Field:

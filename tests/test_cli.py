@@ -187,6 +187,12 @@ def test_unreadable_config_exits_2(tmp_path):
     ("measure", {"eta": "abc"}, []),
     ("measure", {"T": "abc"}, []),
     ("kernel", {"t": "abc"}, []),
+    ("holder", {"replicates": 0}, []),
+    ("density", {"n_samples": -5}, []),
+    ("simulate", {"replicates": 0}, []),
+    ("simulate", {"replicates": -3}, []),
+    ("simulate", {}, ["--threads", "0"]),
+    ("simulate", {}, ["--threads", "-2"]),
 ])
 def test_malformed_input_exits_2_with_json(tmp_path, capsys, command, over,
                                            argv):

@@ -79,6 +79,17 @@ def test_sample_law_time_must_be_stored(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("n", [0, -5])
+def test_sample_law_needs_a_sample(monkeypatch, n):
+    import fracspde.density
+    calls, solve = [], fracspde.density.solve
+    monkeypatch.setattr(fracspde.density, "solve",
+                        lambda *args: calls.append(args) or solve(*args))
+    with pytest.raises(ConfigurationError):
+        sample_law(_config(u0=5.0, dt=0.01, T=0.1), 0.1, 128, n)
+    assert calls == []
+
+
 # -- kde ------------------------------------------------------------------------
 
 def test_kde_gaussian_oracle_pointwise():

@@ -12,7 +12,6 @@ from fracspde.fields import (
     to_frequency,
     to_physical,
     write_array_binary,
-    write_field_binary,
 )
 
 
@@ -125,7 +124,7 @@ def test_binary_roundtrip(tmp_path):
     grid = Grid(2, 8, 2.0)
     f = Field.from_function(grid, lambda x, y: x + 2 * y)
     path = tmp_path / "dump.bin"
-    write_field_binary(path, f)
+    write_array_binary(path, f.values)
     back = read_field_binary(path, grid)
     assert np.array_equal(back.values, f.values)
 

@@ -95,7 +95,7 @@ def test_distinct_streams_differ():
     base = RngStream(42, 0, 0)
     a = sample_increment(GRID, WHITE, DT, base)
     b = sample_increment(GRID, WHITE, DT, base.for_step(1))
-    c = sample_increment(GRID, WHITE, DT, base.for_replicate(1))
+    c = sample_increment(GRID, WHITE, DT, RngStream(42, 1, 0))
     assert not np.array_equal(a.field.values, b.field.values)
     assert not np.array_equal(a.field.values, c.field.values)
 

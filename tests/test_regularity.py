@@ -147,6 +147,14 @@ def test_replicate_floor_enforced():
         estimate_temporal(paths, 0)
 
 
+def test_empty_ensemble_rejected():
+    # a floor of 0 replicates still needs one path to read the grid from
+    with pytest.raises(ConstraintViolationError):
+        estimate_temporal([], 0, min_replicates=0)
+    with pytest.raises(ConstraintViolationError):
+        estimate_spatial([], 0.0, min_replicates=0)
+
+
 def test_build_report_combines():
     dt = 1e-3
     series = dt * np.arange(257)

@@ -9,13 +9,13 @@ from fracspde.errors import (
     ConfigurationError,
     ConstraintViolationError,
 )
-from fracspde.fields import Field, FractionalIndex, Grid
+from fracspde.fields import (Field, FractionalIndex, Grid, to_frequency,
+                             to_physical)
 from fracspde.noise import RngStream, sample_increment
 from fracspde.solver import (
     Coefficient,
     PathSolution,
     SolverConfig,
-    _Stepper,
     moment_estimate,
     smooth_initial,
     solve,
@@ -325,10 +325,12 @@ def test_real_spectrum_step_matches_complex_step(d, n, alpha, skew, sign,
         b=Coefficient.sine(0.5), sigma=Coefficient.affine(0.3, 1.0),
         u0=lambda *xs: np.cos(xs[0]) + 0.5 * np.sin(xs[-1]),
         dt=0.01, T=0.2, master_seed=seed)
-    op = _Stepper(multiplicative)
+    # apply_semigroup acts on half spectra; the complex route, written out
     f = Field(grid, np.random.default_rng(seed).standard_normal(grid.shape))
-    stepped = op.leave(op.semigroup(op.enter(f.values)))
-    np.testing.assert_allclose(stepped, apply_semigroup(f, idx, 0.01).values,
+    psi = _symbol_lattice(idx, grid, 0.01)
+    ref = np.real(to_physical(Field(grid, psi * to_frequency(f).values,
+                                    "frequency")).values)
+    np.testing.assert_allclose(apply_semigroup(f, idx, 0.01).values, ref,
                                rtol=0, atol=1e-12)
     # constant b and sigma take the frequency-space branch of the step
     additive = replace(multiplicative, b=Coefficient.constant(0.4),
@@ -338,6 +340,24 @@ def test_real_spectrum_step_matches_complex_step(d, n, alpha, skew, sign,
         assert len(path.frames) == 21
         for frame, ref in zip(path.frames, _complex_step_reference(cfg, 1)):
             np.testing.assert_allclose(frame.values, ref, rtol=0, atol=1e-12)
+
+
+def test_symbol_lattice_built_once_per_config(monkeypatch):
+    import fracspde.solver
+
+    calls = []
+    original = fracspde.solver._symbol_lattice
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(fracspde.solver, "_symbol_lattice", counting)
+    cfg = _config(sigma=Coefficient.constant(1.0), u0=0.0, dt=0.01, T=0.05)
+    paths = [solve(cfg, rep) for rep in range(3)]
+    assert len(calls) == 1
+    assert not np.array_equal(paths[0].frames[-1].values,
+                              paths[1].frames[-1].values)
 
 
 # -- moments ----------------------------------------------------------------------

@@ -8,8 +8,10 @@ from fracspde.errors import (
     ConstraintViolationError,
     TruncationError,
 )
-from fracspde.fields import Field, FractionalIndex, Grid, to_frequency
+from fracspde.fields import (Field, FractionalIndex, Grid, to_frequency,
+                             to_physical)
 from fracspde.stable_kernel import (
+    _symbol_lattice,
     apply_generator,
     apply_semigroup,
     calibrate_integral_weights,
@@ -255,6 +257,28 @@ def test_apply_semigroup_spike_gives_kernel():
     out = apply_semigroup(Field.spike(grid), idx, 1.0)
     k = kernel(idx, 1.0, grid)
     assert np.abs(out.values - k.values).max() < 1e-10
+
+
+def test_apply_semigroup_rejects_complex_field():
+    grid = Grid(1, 64, 8.0)
+    f = Field(grid, np.exp(1j * grid.axis_coordinates()))
+    with pytest.raises(ConstraintViolationError):
+        apply_semigroup(f, GAUSS, 0.5)
+
+
+@pytest.mark.parametrize("idx,grid,t", [
+    (FractionalIndex([1.5], [0.3]), Grid(1, 256, 64.0), 1.0),
+    (FractionalIndex([0.8], [-0.5]), Grid(1, 255, 64.0), 1.0),
+    (FractionalIndex([1.5, 1.8], [0.3, -0.1]), Grid(2, 64, 32.0), 0.6),
+    (FractionalIndex([1.2, 1.7], [-0.6, 0.2]), Grid(2, 31, 16.0), 1.5),
+])
+def test_kernel_matches_complex_formula(idx, grid, t):
+    # the half-spectrum kernel against real(to_physical(psi)), written out
+    psi = _symbol_lattice(idx, grid, t)
+    ref = np.real(to_physical(Field(grid, psi, "frequency")).values)
+    vals = kernel(idx, t, grid).values
+    err = np.abs(vals - np.maximum(ref, 0.0)).max()
+    assert err <= 1e-15 * np.abs(ref).max()
 
 
 def test_apply_semigroup_heat_eigenfunction():
