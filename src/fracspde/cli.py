@@ -95,7 +95,7 @@ def _parse_idx(cfg) -> FractionalIndex:
 def _parse_grid(cfg, d) -> Grid:
     with _reading("grid"):
         g = cfg["grid"]
-        return Grid(d, int(g["n_per_dim"]), float(g["box_length"]))
+        return Grid(d, _parse_int(g, "n_per_dim"), float(g["box_length"]))
 
 
 def _parse_measure(cfg, d) -> SpectralMeasure:
@@ -140,13 +140,18 @@ def _parse_probe(cfg, key, grid: Grid):
     return probe[0] if grid.d == 1 else tuple(probe)
 
 
-def _parse_count(cfg, key, default) -> int:
-    """``cfg[key]`` as a count >= 1."""
-    with _reading(key):
-        count = int(cfg.get(key, default))
-    if count < 1:
-        raise ValidationError(f"{key} must be >= 1, got {count}")
-    return count
+def _parse_int(cfg, key, default=None, minimum=None) -> int:
+    """``cfg[key]`` (required unless a ``default`` is given) as an int >=
+    ``minimum``.  An integral float is read as one; a bool, a string or a
+    fractional float is invalid rather than truncated."""
+    value = cfg[key] if default is None else cfg.get(key, default)
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if type(value) is not int:
+        raise ValidationError(f"{key} must be an integer, got {value!r}")
+    if minimum is not None and value < minimum:
+        raise ValidationError(f"{key} must be >= {minimum}, got {value}")
+    return value
 
 
 def _parse_u0(cfg):
@@ -171,10 +176,10 @@ def _parse_solver_config(cfg, seed_override=None) -> SolverConfig:
             dt=float(cfg["dt"]),
             T=float(cfg["T"]),
             scheme=cfg.get("scheme", "exp_euler"),
-            picard_max_iter=int(cfg.get("picard_max_iter", 200)),
+            picard_max_iter=_parse_int(cfg, "picard_max_iter", 200),
             picard_tol=float(cfg.get("picard_tol", 1e-12)),
             master_seed=_parse_seed(cfg, seed_override),
-            frame_stride=int(cfg.get("frame_stride", 1)),
+            frame_stride=_parse_int(cfg, "frame_stride", 1),
         )
     return SolverConfig(idx=idx, **fields)
 
@@ -240,7 +245,7 @@ def _per_replicate(fn, n_rep, threads):
 
 def _run_simulate(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
-    n_rep = _parse_count(cfg, "replicates", 1)
+    n_rep = _parse_int(cfg, "replicates", 1, minimum=1)
     runner = solve_picard if config.scheme == "picard" else solve
 
     def one(rep):
@@ -259,12 +264,12 @@ def _run_simulate(cfg, outdir: Path, args):
 def _run_holder(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
     eta_star = critical_eta(config.measure, config.idx)
-    n_rep = _parse_count(cfg, "replicates", 200)
+    n_rep = _parse_int(cfg, "replicates", 200, minimum=1)
     with _reading("holder settings"):
         t_probe = float(cfg.get("t_probe", config.T))
-        min_rep = int(cfg.get("min_replicates", min(n_rep, 200)))
-        min_lag_steps = int(cfg.get("min_lag_steps", 2))
-        min_lag_cells = int(cfg.get("min_lag_cells", 1))
+        min_rep = _parse_int(cfg, "min_replicates", min(n_rep, 200))
+        min_lag_steps = _parse_int(cfg, "min_lag_steps", 2)
+        min_lag_cells = _parse_int(cfg, "min_lag_cells", 1)
         rho = float(cfg.get("rho", 0.99))
         x_probe = _parse_probe(cfg, "x_probe", config.grid)
         eta = float(cfg.get("eta", eta_star))
@@ -291,7 +296,7 @@ def _run_holder(cfg, outdir: Path, args):
 def _run_density(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
     eta_star = critical_eta(config.measure, config.idx)
-    n = _parse_count(cfg, "n_samples", 2000)
+    n = _parse_int(cfg, "n_samples", 2000, minimum=1)
     with _reading("density settings"):
         t = float(cfg.get("t", config.T))
         x = _parse_probe(cfg, "x", config.grid)

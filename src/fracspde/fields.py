@@ -97,9 +97,14 @@ class FractionalIndex:
         return min(self.alpha)
 
     @property
+    def damping(self) -> np.ndarray:
+        """cos(delta_i*pi/2) per axis: the symbol's modulus damping factor."""
+        return np.cos(np.asarray(self.delta) * np.pi / 2)
+
+    @property
     def min_damping(self) -> float:
         """min_i cos(delta_i*pi/2): worst-case modulus damping factor."""
-        return float(min(np.cos(np.asarray(self.delta) * np.pi / 2)))
+        return float(min(self.damping))
 
     @property
     def inverse_alpha_sum(self) -> float:

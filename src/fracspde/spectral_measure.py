@@ -16,7 +16,8 @@ tabulated   piecewise-linear samples on a finite radial band
 High-frequency admissibility asks whether int m / (1 + W(xi))^eta is
 finite, with W(xi) = sum_i |xi_i|^alpha_i the anisotropic frequency
 weight.  Closed-form thresholds are implemented for the alpha == 2
-families and for white noise at any alpha; everything else goes through
+families, for white noise at any alpha and for band-limited (tabulated)
+densities, which are finite at every eta; everything else goes through
 dyadic-annulus quadrature with power-law tail extrapolation: integrate
 over shells W in [2^k, 2^(k+1)), fit the log-contribution slope over the
 top shells, and read convergence off the slope sign.
@@ -25,13 +26,14 @@ top shells, and read convergence off the slope sign.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, asdict
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import (
+    AccuracyWarning,
     ConstraintViolationError,
     DivergenceError,
     InconclusiveError,
@@ -136,7 +138,7 @@ class SpectralMeasure:
         """Exact Fourier-pair constant of |x|^-gamma, divided by (2 pi)^d."""
         g, d = self.gamma, self.d
         return (2 ** (d - g) * np.pi ** (d / 2)
-                * gamma_fn((d - g) / 2) / gamma_fn(g / 2)) / (2 * np.pi) ** d
+                * math.gamma((d - g) / 2) / math.gamma(g / 2)) / (2 * np.pi) ** d
 
     def radial_density(self, r):
         """Spectral density as a function of |xi| (vectorized)."""
@@ -235,7 +237,7 @@ class _NodeGeometry:
             # angular factor integrates out exactly
             self.comps = None
             self.sphere_weights = np.array(
-                [2 * np.pi ** (d / 2) / gamma_fn(d / 2)]
+                [2 * np.pi ** (d / 2) / math.gamma(d / 2)]
             )
         elif d == 2:
             t, w = _leggauss(_N_THETA)
@@ -379,11 +381,12 @@ def _tail_slope(ks, c):
     return float(np.polyfit(ks[sel], np.log2(c[sel]), 1)[0])
 
 
-def _extrapolated_sum(ks, c):
-    """Total with geometric extensions beyond both ends."""
+def _extrapolated_sum(ks, c, band_limit=math.inf):
+    """Total with geometric extensions beyond both ends; the plain shell
+    sum for a band-limited measure, which has nothing beyond its band."""
     total = float(c.sum())
     pos = np.where(c > 0)[0]
-    if len(pos) >= 3:
+    if band_limit == math.inf and len(pos) >= 3:
         hi = c[pos[-1]] / max(c[pos[-2]], 1e-300)
         if 0 < hi < 0.999:
             total += float(c[pos[-1]] * hi / (1 - hi))
@@ -414,7 +417,7 @@ def spectral_integral(measure, idx, g, axis_weights=1.0, *,
     """int m(|xi|) g(T(xi)) dxi for a single integrand."""
     ks, c, _ = _dyadic_contributions(measure, idx, [(axis_weights, g)],
                                      n_radial=n_radial)
-    return _extrapolated_sum(ks, c[0])
+    return _extrapolated_sum(ks, c[0], measure.band_limit)
 
 
 # ---------------------------------------------------------------------------
@@ -441,12 +444,16 @@ def closed_form_critical_eta(measure: SpectralMeasure,
                              idx: FractionalIndex) -> float | None:
     """Critical exponent eta* (admissible iff eta > eta*), where known.
 
-    White noise: sum_i 1/alpha_i for any alpha.  Riesz/Bessel/free-field:
-    thresholds gamma/2, (d-beta)+/2, (d-2)+/2, valid for alpha == 2 on
-    every axis.  Returns None when no closed form applies.
+    White noise: sum_i 1/alpha_i for any alpha.  Tabulated: 0 for any
+    alpha, since a bounded density on a bounded band integrates to a
+    finite value at every eta.  Riesz/Bessel/free-field: thresholds
+    gamma/2, (d-beta)+/2, (d-2)+/2, valid for alpha == 2 on every axis.
+    Returns None when no closed form applies.
     """
     if measure.kind == "white":
         return idx.inverse_alpha_sum
+    if measure.kind == "tabulated":
+        return 0.0
     if any(a != 2.0 for a in idx.alpha):
         return None
     if measure.kind == "riesz":
@@ -475,8 +482,8 @@ def admissibility(measure: SpectralMeasure, idx: FractionalIndex, eta: float,
     Raises
     ------
     InconclusiveError
-        For a tabulated measure whose band ends before the tail behavior
-        is established.
+        For ``method="quadrature"`` on a tabulated measure whose band ends
+        before the tail behavior is established.
     """
     if not (0 < eta <= 1):
         raise ConstraintViolationError(f"eta must lie in (0, 1], got {eta}")
@@ -498,7 +505,8 @@ def admissibility(measure: SpectralMeasure, idx: FractionalIndex, eta: float,
 
     if method != "quadrature" and eta_crit is not None:
         admissible = eta > eta_crit
-        value = _extrapolated_sum(ks, c[0]) if admissible else math.inf
+        value = (_extrapolated_sum(ks, c[0], measure.band_limit)
+                 if admissible else math.inf)
         return AdmissibilityReport(eta, value, admissible, "closed_form",
                                    True, _tail_slope(ks, c[0]))
 
@@ -533,6 +541,13 @@ def critical_eta(measure: SpectralMeasure, idx: FractionalIndex) -> float:
 @lru_cache(maxsize=256)
 def _admissible_at_one(measure: SpectralMeasure, idx: FractionalIndex) -> bool:
     rep = admissibility(measure, idx, 1.0)
+    if not rep.conclusive:
+        warnings.warn(
+            f"admissibility of the {measure.kind} measure at eta=1 is "
+            f"inconclusive (tail slope {rep.tail_slope:.3g}); accepted",
+            AccuracyWarning,
+            stacklevel=3,
+        )
     return rep.admissible or not rep.conclusive
 
 
@@ -549,10 +564,6 @@ def require_admissible(measure, idx):
 # ---------------------------------------------------------------------------
 
 
-def _damping_weights(idx: FractionalIndex) -> np.ndarray:
-    return np.cos(np.asarray(idx.delta) * np.pi / 2)
-
-
 def _cumulative_integrand(idx: FractionalIndex, T: float):
     """(axis weights, g) of int_0^T of the variance rate, in closed form."""
 
@@ -560,7 +571,7 @@ def _cumulative_integrand(idx: FractionalIndex, T: float):
         s = np.maximum(s, 1e-300)
         return -np.expm1(-2 * T * s) / (2 * s)
 
-    return _damping_weights(idx), g
+    return idx.damping, g
 
 
 def variance_rate(idx: FractionalIndex, measure: SpectralMeasure,
@@ -573,7 +584,7 @@ def variance_rate(idx: FractionalIndex, measure: SpectralMeasure,
     if not t > 0:
         raise ConstraintViolationError(f"time must be > 0, got {t}")
     require_admissible(measure, idx)
-    w = 2.0 * t * _damping_weights(idx)
+    w = 2.0 * t * idx.damping
     return spectral_integral(measure, idx, lambda s: np.exp(-s),
                              axis_weights=w)
 
@@ -615,7 +626,8 @@ def cumulative_bound_check(idx: FractionalIndex, measure: SpectralMeasure,
         (np.ones(idx.d), lambda s: 2 * T / (1 + 2 * T * kappa * s)),
     ]
     ks, c, _ = _dyadic_contributions(measure, idx, integrands)
-    lower, mid, upper = (_extrapolated_sum(ks, c[j]) for j in range(3))
+    lower, mid, upper = (_extrapolated_sum(ks, c[j], measure.band_limit)
+                         for j in range(3))
     slack = tol * max(abs(mid), 1.0)
     if not (lower <= mid + slack and mid <= upper + slack):
         raise NumericalConsistencyError(

@@ -21,8 +21,6 @@ import warnings
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc, gamma as gamma_fn
 
 from .errors import (
     AccuracyWarning,
@@ -31,7 +29,6 @@ from .errors import (
 )
 from .fields import (Field, FractionalIndex, Grid, _apply_symbol,
                      to_frequency, to_physical)
-from .spectral_measure import _damping_weights
 
 __all__ = [
     "generator_symbol",
@@ -42,8 +39,6 @@ __all__ = [
     "apply_generator",
     "tail_coefficients",
     "leakage_estimate",
-    "singular_integral_symbol",
-    "calibrate_integral_weights",
     "write_kernel_csv",
 ]
 
@@ -107,7 +102,7 @@ def tail_coefficients(alpha: float, delta: float):
     follow from the first-order expansion of the Fourier integral.  Both
     vanish at alpha=2 (Gaussian tails).
     """
-    g = float(gamma_fn(1 + alpha)) / math.pi
+    g = math.gamma(1 + alpha) / math.pi
     return (g * math.sin(math.pi * (alpha - delta) / 2),
             g * math.sin(math.pi * (alpha + delta) / 2))
 
@@ -123,7 +118,7 @@ def leakage_estimate(idx: FractionalIndex, t: float, grid: Grid) -> float:
     half = grid.box_length / 2
     for a, dl in zip(idx.alpha, idx.delta):
         if a == 2.0:
-            total += float(erfc(half / (2 * math.sqrt(t))))
+            total += math.erfc(half / (2 * math.sqrt(t)))
         else:
             cm, cp = tail_coefficients(a, dl)
             r = half * t ** (-1.0 / a)
@@ -182,7 +177,7 @@ def kernel(idx: FractionalIndex, t: float, grid: Grid, *,
     if not return_diagnostics:
         return field
     edge = math.exp(-t * min(grid.max_frequency**a * c for a, c
-                             in zip(idx.alpha, _damping_weights(idx))))
+                             in zip(idx.alpha, idx.damping)))
     diag = KernelDiagnostics(
         mass=field.mass(),
         min_value=min_value,
@@ -241,86 +236,6 @@ def apply_generator(field: Field, idx: FractionalIndex) -> Field:
     out = to_physical(Field(grid, mult * hat, "frequency", _skip_copy=True))
     vals = out.values.real if np.isrealobj(field.values) else out.values
     return Field(grid, vals, _skip_copy=True)
-
-
-# ---------------------------------------------------------------------------
-# Singular-integral representation of the 1-d generator.
-#
-# For smooth f the generator equals a jump-type integral with one-sided
-# weights kappa_-, kappa_+.  No closed form for the weights is asserted;
-# they are calibrated numerically by matching the Fourier multiplier at one
-# frequency, and homogeneity of the multiplier validates the match
-# everywhere else.
-# ---------------------------------------------------------------------------
-
-
-def _one_sided_constants(alpha: float):
-    """(A_c, A_s): int_0^inf (cos u - 1)/u^{1+a} du and the sine analogue
-    (with the linear term subtracted when 1 < a < 2)."""
-    drift = alpha > 1
-    a_c = quad(lambda u: (math.cos(u) - 1) / u ** (1 + alpha), 0, 1,
-               limit=200)[0]
-    a_c += quad(lambda u: u ** (-1 - alpha), 1, np.inf,
-                weight="cos", wvar=1.0)[0]
-    a_c += -1.0 / alpha  # int_1^inf -u^{-1-a} du
-    if drift:
-        a_s = quad(lambda u: (math.sin(u) - u) / u ** (1 + alpha), 0, 1,
-                   limit=200)[0]
-        a_s += quad(lambda u: u ** (-1 - alpha), 1, np.inf,
-                    weight="sin", wvar=1.0)[0]
-        a_s += -1.0 / (alpha - 1)  # int_1^inf -u^{-a} du
-    else:
-        a_s = quad(lambda u: math.sin(u) / u ** (1 + alpha), 0, 1,
-                   limit=200)[0]
-        a_s += quad(lambda u: u ** (-1 - alpha), 1, np.inf,
-                    weight="sin", wvar=1.0)[0]
-    return a_c, a_s
-
-
-def singular_integral_symbol(alpha: float, xi: float,
-                             kappa_minus: float, kappa_plus: float) -> complex:
-    """Multiplier of the jump-integral operator at frequency xi, by direct
-    quadrature in the jump variable (no homogeneity shortcut)."""
-    if xi == 0:
-        return 0j
-    drift = 1.0 if alpha > 1 else 0.0
-    s = abs(xi)
-
-    def side(sign):
-        # int_0^inf (e^{i sign s y} - 1 - i sign s y [drift]) / y^{1+a} dy
-        re = quad(lambda y: (math.cos(s * y) - 1) / y ** (1 + alpha),
-                  0, 1 / s, limit=200)[0]
-        re += quad(lambda y: y ** (-1 - alpha), 1 / s, np.inf,
-                   weight="cos", wvar=s)[0]
-        re += -(1 / s) ** (-alpha) / alpha
-        im = quad(lambda y: (math.sin(s * y) - drift * s * y)
-                  / y ** (1 + alpha), 0, 1 / s, limit=200)[0]
-        im += quad(lambda y: y ** (-1 - alpha), 1 / s, np.inf,
-                   weight="sin", wvar=s)[0]
-        if drift:
-            im += -s * (1 / s) ** (1 - alpha) / (alpha - 1)
-        return complex(re, sign * im)
-
-    val = kappa_plus * side(+1) + kappa_minus * side(-1)
-    if xi < 0:
-        val = val.conjugate()
-    return val
-
-
-def calibrate_integral_weights(idx: FractionalIndex):
-    """Fit (kappa_minus, kappa_plus) so the jump integral matches the
-    Fourier multiplier at xi=1.  d=1 only."""
-    if idx.d != 1:
-        raise ConstraintViolationError("integral representation is per-axis")
-    alpha, delta = idx.alpha[0], idx.delta[0]
-    a_c, a_s = _one_sided_constants(alpha)
-    # target -exp(-i delta pi/2); kp+km from the real part, kp-km from the
-    # imaginary part.
-    ssum = -math.cos(delta * np.pi / 2) / a_c
-    sdiff = math.sin(delta * np.pi / 2) / a_s
-    kp = (ssum + sdiff) / 2
-    km = (ssum - sdiff) / 2
-    return km, kp
 
 
 def write_kernel_csv(path, field: Field, idx: FractionalIndex, t: float,

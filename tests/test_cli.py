@@ -162,6 +162,15 @@ def test_holder_command(tmp_path):
     assert (tmp_path / "o" / "variogram.csv").exists()
 
 
+def test_integral_float_count_is_read(tmp_path):
+    cfg = _sim_cfg(tmp_path, replicates=2.0, frame_stride=5.0)
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 0
+    index = json.loads((tmp_path / "o" / "frames_index.json").read_text())
+    assert len(index["replicates"]) == 2
+    assert index["replicates"][0]["times"] == pytest.approx([0.0, 0.05, 0.1])
+
+
 def test_missing_config_key_exits_2(tmp_path):
     cfg = _write(tmp_path, "bad.json", {"alpha": [2.0]})
     rc = main(["kernel", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -193,6 +202,16 @@ def test_unreadable_config_exits_2(tmp_path):
     ("simulate", {"replicates": -3}, []),
     ("simulate", {}, ["--threads", "0"]),
     ("simulate", {}, ["--threads", "-2"]),
+    ("simulate", {"replicates": 2.7}, []),
+    ("simulate", {"frame_stride": 1.9}, []),
+    ("simulate", {"replicates": True}, []),
+    ("simulate", {"replicates": "3"}, []),
+    ("simulate", {"picard_max_iter": 2.5}, []),
+    ("simulate", {"grid": {"n_per_dim": 64.5, "box_length": 8.0}}, []),
+    ("density", {"n_samples": 600.5}, []),
+    ("holder", {"min_replicates": 3.5}, []),
+    ("holder", {"min_lag_steps": 2.5}, []),
+    ("holder", {"min_lag_cells": "1"}, []),
 ])
 def test_malformed_input_exits_2_with_json(tmp_path, capsys, command, over,
                                            argv):

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 
 from fracspde.errors import (
+    AccuracyWarning,
     ConstraintViolationError,
     DivergenceError,
     InconclusiveError,
@@ -18,6 +19,7 @@ from fracspde.spectral_measure import (
     critical_eta,
     cumulative_bound_check,
     frequency_weight,
+    require_admissible,
     spectral_integral,
     variance_rate,
     weighted_spectral_integral,
@@ -208,6 +210,56 @@ def test_tabulated_band_too_short_is_inconclusive():
     m = SpectralMeasure.tabulated(radii, np.ones_like(radii), 1)
     with pytest.raises(InconclusiveError):
         admissibility(m, GAUSS1, 0.9, method="quadrature")
+
+
+BAND_LIMITED = [
+    ([0.0, 1.0, 2.0, 4.0], [1.0, 1.0, 1.0, 1.0]),
+    ([0.0, 1.0, 2.0, 4.0], [1.0, 1.0, 0.5, 0.0]),
+    ([0.0, 50.0], [1.0, 1.0]),
+]
+
+
+@pytest.mark.parametrize("radii,values", BAND_LIMITED)
+def test_band_limited_measure_settled_in_closed_form(radii, values):
+    # a bounded density on a bounded band is admissible at every eta
+    from fracspde.solver import Coefficient, SolverConfig
+    idx = FractionalIndex([1.5], [0.3])
+    m = SpectralMeasure.tabulated(radii, values, 1)
+    assert closed_form_critical_eta(m, idx) == 0.0
+    assert critical_eta(m, idx) == 0.0
+    for eta in (0.05, 0.5, 1.0):
+        rep = admissibility(m, idx, eta)
+        assert rep.admissible and rep.conclusive
+        assert rep.method == "closed_form"
+    SolverConfig(idx=idx, measure=m, grid=Grid(1, 64, 8.0),
+                 b=Coefficient.constant(0.0), sigma=Coefficient.constant(1.0),
+                 u0=0.0, dt=0.01, T=0.1)
+
+
+def test_band_limited_integral_is_the_shell_sum():
+    # integrals over [-4, 4] only: no geometric tail added past the band
+    idx = FractionalIndex([1.5], [0.3])
+    m = SpectralMeasure.tabulated([0.0, 4.0], [1.0, 1.0], 1)
+    want = 2 * quad(lambda x: 1 / (1 + x**1.5), 0, 4.0)[0]
+    assert admissibility(m, idx, 1.0).integral_value == pytest.approx(
+        want, rel=1e-9)
+    kappa, T = math.cos(0.15 * math.pi), 1.0
+    want = 2 * quad(lambda x: -math.expm1(-2 * T * kappa * x**1.5)
+                    / (2 * kappa * x**1.5), 0, 4.0)[0]
+    assert cumulative_bound_check(idx, m, T).integral == pytest.approx(
+        want, rel=1e-9)
+
+
+def test_inconclusive_admissibility_warns_when_accepted():
+    # riesz gamma/alpha = 0.994: the eta=1 tail slope -0.006 is inside the
+    # inconclusive band
+    from fracspde.spectral_measure import _admissible_at_one
+    _admissible_at_one.cache_clear()
+    idx = FractionalIndex([0.5], [0.0])
+    m = SpectralMeasure.riesz(0.497, 1)
+    assert not admissibility(m, idx, 1.0).conclusive
+    with pytest.warns(AccuracyWarning, match="inconclusive"):
+        require_admissible(m, idx)
 
 
 def test_critical_eta_quadrature_bisection():
