@@ -71,6 +71,7 @@ _N_THETA = 48  # angular nodes per axis
 _REL_TOL = 1e-10  # three shells this small relative to the total end a scan
 _K_RANGE = range(-340, 340)  # the shells 2^k a scan may visit
 _CRITICAL_ETA_TOL = 0.01  # tail-slope shift at which critical_eta stops
+_EDGE_CHUNK = 32  # shell edges bisected together: bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -224,17 +225,22 @@ def _leggauss(n):
 
 
 class _NodeGeometry:
-    """Directional nodes: |omega_i| components and sphere weights."""
+    """Directional nodes: |omega_i| components and sphere weights.
 
-    def __init__(self, idx: FractionalIndex, allow_radial: bool):
-        d = idx.d
-        self.alpha = np.asarray(idx.alpha)
-        radial = allow_radial and all(a == 2.0 for a in idx.alpha)
+    The 1-d and radial paths give the radius at which the frequency
+    weight reaches a shell edge 2^k in closed form.  The anisotropic path
+    tabulates it once per geometry, which ``_node_geometry`` keeps for
+    later calls: one vectorised bisection fills a chunk of edges the first
+    time a scan reaches it.
+    """
+
+    def __init__(self, alpha: tuple, radial: bool):
+        d = len(alpha)
+        self.alpha = np.asarray(alpha)
         if d == 1:
             self.comps = np.ones((1, 1))
             self.sphere_weights = np.array([2.0])  # both half-lines
         elif radial:
-            # angular factor integrates out exactly
             self.comps = None
             self.sphere_weights = np.array(
                 [2 * np.pi ** (d / 2) / math.gamma(d / 2)]
@@ -265,23 +271,36 @@ class _NodeGeometry:
                 "alpha == 2 on every axis reduces to the radial path"
             )
         self.radial = radial and d > 1
+        self._edge_chunks = {}  # chunk number -> radii at its edges, per node
 
-    def shell_radii(self, target):
-        """Radius where the frequency weight reaches ``target``, per node."""
+    def edge_radii(self, k):
+        """Radius where the frequency weight reaches 2^k, per node."""
         if self.radial:
-            return np.array([math.sqrt(target)])
+            return np.array([math.sqrt(2.0**k)])
         if self.comps.shape[1] == 1:
-            return np.array([target ** (1.0 / self.alpha[0])])
-        lo = np.full(len(self.comps), -340.0)
-        hi = np.full(len(self.comps), 340.0)
+            return np.array([(2.0**k) ** (1.0 / self.alpha[0])])
+        chunk, row = divmod(k - _K_RANGE.start, _EDGE_CHUNK)
+        if chunk not in self._edge_chunks:
+            self._edge_chunks[chunk] = self._bisect_edges(chunk)
+        return self._edge_chunks[chunk][row]
+
+    def _bisect_edges(self, chunk):
+        """Bisect log2 radius for every edge of a chunk and every node."""
+        first = _K_RANGE.start + chunk * _EDGE_CHUNK
+        ks = np.arange(first, min(first + _EDGE_CHUNK, _K_RANGE.stop + 1))
+        target = np.ldexp(1.0, ks)[:, None]
+        lo = np.full((len(ks), len(self.comps)), -340.0)
+        hi = np.full((len(ks), len(self.comps)), 340.0)
         ca = self.comps**self.alpha  # |omega_i|^alpha_i per node
         for _ in range(90):
             mid = 0.5 * (lo + hi)
-            val = (ca * np.exp2(np.outer(mid, self.alpha))).sum(axis=1)
+            val = (ca * np.exp2(mid[..., None] * self.alpha)).sum(axis=-1)
             take = val < target
             lo = np.where(take, mid, lo)
             hi = np.where(take, hi, mid)
-        return np.exp2(0.5 * (lo + hi))
+        radii = np.exp2(0.5 * (lo + hi))
+        radii.flags.writeable = False  # rows are shared by every caller
+        return radii
 
     def levels(self, r, axis_weights):
         """T(xi) = sum_i w_i |xi_i|^alpha_i on nodes; r has shape
@@ -297,35 +316,49 @@ class _NodeGeometry:
         )
 
 
+@lru_cache(maxsize=32)
+def _node_geometry(alpha: tuple, radial: bool) -> _NodeGeometry:
+    return _NodeGeometry(alpha, radial)
+
+
 def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
     """Shell-by-shell contributions of several integrands.
 
     integrands: list of (axis_weights, g) with g vectorized over level
     values.  Returns (ks, contribs[n_int, n_k], band_limited).
     """
-    uniform = all(
+    # the angular factor integrates out when alpha == 2 on every axis and
+    # every integrand weighs the axes alike
+    radial = all(a == 2.0 for a in idx.alpha) and all(
         np.ptp(np.broadcast_to(np.asarray(w, dtype=float), (idx.d,))) == 0
         for w, _ in integrands
     )
-    geom = _NodeGeometry(idx, uniform)
+    geom = _node_geometry(idx.alpha, radial)
     d = measure.d
     gl_x, gl_w = _leggauss(n_radial)
     band = measure.band_limit
+    # log-radii of a tabulated density's kinks inside its band
+    ln_kinks = np.log([r for r in measure.radii[:-1] if r > 0])
 
     def shell(k):
-        r1 = geom.shell_radii(2.0**k)
-        r2 = geom.shell_radii(2.0 ** (k + 1))
+        r1, r2 = geom.edge_radii(k), geom.edge_radii(k + 1)
         if band < math.inf:
             r1, r2 = np.minimum(r1, band), np.minimum(r2, band)
         with np.errstate(divide="ignore"):
-            ln1, ln2 = np.log(r1), np.log(r2)
-        h = 0.5 * (ln2 - ln1)
+            ln1, ln2 = np.log(r1)[:, None], np.log(r2)[:, None]
+        if ln_kinks.size:
+            # the kinks clipped into [r1, r2] split each direction into
+            # Gauss pieces; a piece of zero width adds exactly 0
+            ln = np.concatenate([ln1, np.clip(ln_kinks, ln1, ln2), ln2],
+                                axis=1)
+            ln1, ln2 = ln[:, :-1], ln[:, 1:]
+        h = 0.5 * (ln2 - ln1)  # (direction, piece)
         if not np.any(h > 0):
             return np.zeros(len(integrands)), True
-        s = h[:, None] * (gl_x[None, :] + 1) + ln1[:, None]
-        r = np.exp(s)
+        s = h[..., None] * (gl_x + 1) + ln1[..., None]
+        r = np.exp(s).reshape(len(r1), -1)
         dens = measure.radial_density(r) * r**d  # r^(d-1) plus log jacobian
-        base = h[:, None] * gl_w[None, :] * dens
+        base = (h[..., None] * gl_w).reshape(len(r1), -1) * dens
         out = np.empty(len(integrands))
         for j, (w, g) in enumerate(integrands):
             vals = g(geom.levels(r, w))

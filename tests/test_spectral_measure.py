@@ -205,6 +205,63 @@ def test_riesz_dyadic_self_similarity():
     assert np.allclose(ratios, 2 ** ((gamma - 2 * eta) / 2), rtol=0.02)
 
 
+# -- shell-edge radii -----------------------------------------------------------
+#
+# Oracle: the per-target bisection the quadrature used before the edge radii
+# were tabulated.  One target at a time, same start, same 90 halvings.
+
+def _shell_radii_oracle(geom, target):
+    lo = np.full(len(geom.comps), -340.0)
+    hi = np.full(len(geom.comps), 340.0)
+    ca = geom.comps**geom.alpha
+    for _ in range(90):
+        mid = 0.5 * (lo + hi)
+        val = (ca * np.exp2(np.outer(mid, geom.alpha))).sum(axis=1)
+        take = val < target
+        lo = np.where(take, mid, lo)
+        hi = np.where(take, hi, mid)
+    return np.exp2(0.5 * (lo + hi))
+
+
+@pytest.mark.parametrize("alpha", [(1.5, 0.5), (1.5, 1.2, 0.8)])
+def test_edge_radii_table_matches_per_target_bisection(alpha):
+    from fracspde.spectral_measure import _NodeGeometry
+    geom = _NodeGeometry(alpha, False)
+    sample = np.random.default_rng(11).integers(-340, 341, size=6)
+    for k in [-340, -1, 0, 1, 339, 340, *sample.tolist()]:
+        want = _shell_radii_oracle(geom, 2.0**k)
+        assert geom.edge_radii(k).tobytes() == want.tobytes(), k
+
+
+def test_node_geometry_built_once_per_alpha(monkeypatch):
+    import fracspde.spectral_measure as sm
+
+    sm._node_geometry.cache_clear()
+    built, bisected = [], []
+    init, bisect = sm._NodeGeometry.__init__, sm._NodeGeometry._bisect_edges
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    def counting_bisect(self, chunk):
+        bisected.append(chunk)
+        return bisect(self, chunk)
+
+    monkeypatch.setattr(sm._NodeGeometry, "__init__", counting_init)
+    monkeypatch.setattr(sm._NodeGeometry, "_bisect_edges", counting_bisect)
+    idx = FractionalIndex([1.5, 1.2], [0.3, 0.1])
+    m = SpectralMeasure.bessel(1.0, 2)
+    eta = critical_eta(m, idx)
+    first = list(bisected)
+    for shift in (0.05, -0.05, 0.05):
+        admissibility(m, idx, eta + shift)
+    critical_eta(m, idx)
+    assert built == [((1.5, 1.2), False)]
+    assert bisected == first  # later calls bisect nothing
+    assert len(set(first)) == len(first)  # each edge chunk bisected once
+
+
 def test_tabulated_band_too_short_is_inconclusive():
     radii = np.linspace(0, 4.0, 16)
     m = SpectralMeasure.tabulated(radii, np.ones_like(radii), 1)
@@ -248,6 +305,27 @@ def test_band_limited_integral_is_the_shell_sum():
                     / (2 * kappa * x**1.5), 0, 4.0)[0]
     assert cumulative_bound_check(idx, m, T).integral == pytest.approx(
         want, rel=1e-9)
+
+
+def test_tabulated_kinks_break_the_radial_nodes():
+    # the piecewise-linear density has kinks at r = 1 and 2; each shell
+    # splits its Gauss nodes there, so quad with the same breakpoints agrees
+    radii, values = [0.0, 1.0, 2.0, 4.0], [1.0, 1.0, 0.5, 0.0]
+
+    def m(r):
+        return np.interp(r, radii, values)
+
+    idx = FractionalIndex([1.5], [0.3])
+    got = admissibility(SpectralMeasure.tabulated(radii, values, 1), idx,
+                        1.0).integral_value
+    want = 2 * quad(lambda x: m(x) / (1 + x**1.5), 0, 4.0, points=[1, 2])[0]
+    assert got == pytest.approx(want, rel=1e-9)
+    # radial 2-d: the angle integrates out, leaving 2 pi int m(r) r dr
+    got = admissibility(SpectralMeasure.tabulated(radii, values, 2), GAUSS2,
+                        0.7).integral_value
+    want = 2 * np.pi * quad(lambda r: m(r) * r * (1 + r**2) ** -0.7, 0, 4.0,
+                            points=[1, 2])[0]
+    assert got == pytest.approx(want, rel=1e-9)
 
 
 def test_inconclusive_admissibility_warns_when_accepted():
