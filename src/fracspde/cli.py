@@ -95,7 +95,8 @@ def _parse_idx(cfg) -> FractionalIndex:
 def _parse_grid(cfg, d) -> Grid:
     with _reading("grid"):
         g = cfg["grid"]
-        return Grid(d, _parse_int(g, "n_per_dim"), float(g["box_length"]))
+        return Grid(d, _parse_int(g, "n_per_dim"),
+                    _parse_float(g, "box_length"))
 
 
 def _parse_measure(cfg, d) -> SpectralMeasure:
@@ -119,15 +120,23 @@ def _parse_measure(cfg, d) -> SpectralMeasure:
 # presets read their parameters when called, so at parse time
 _U0_PRESETS = {
     "zero": lambda p: 0.0,
-    "constant": lambda p: float(p.get("value", 1.0)),
+    "constant": lambda p: _parse_float(p, "value", 1.0),
     "cosine": lambda p: (
-        lambda *xs, w=float(p.get("frequency", 1.0)): np.cos(w * xs[0])
+        lambda *xs, w=_parse_float(p, "frequency", 1.0): np.cos(w * xs[0])
     ),
-    "gaussian_bump": lambda p: (
-        lambda *xs, h=float(p.get("width", 1.0)): np.exp(
-            -sum(x**2 for x in xs) / (2 * h ** 2))
-    ),
+    "gaussian_bump": lambda p: _gaussian_bump(_parse_float(p, "width", 1.0)),
 }
+
+
+def _gaussian_bump(h):
+    if not h > 0:
+        raise ValidationError(f"width must be > 0, got {h!r}")
+
+    def bump(*xs):
+        # far out on a wide box x**2 overflows to inf, and the bump is 0
+        with np.errstate(over="ignore"):
+            return np.exp(-sum(x**2 for x in xs) / (2 * h * h))
+    return bump
 
 
 def _parse_probe(cfg, key, grid: Grid):
@@ -154,6 +163,18 @@ def _parse_int(cfg, key, default=None, minimum=None) -> int:
     return value
 
 
+def _parse_float(cfg, key, default=None) -> float:
+    """``cfg[key]`` (required unless a ``default`` is given) as a finite
+    float.  An int is read as one; a bool, a string or a non-finite value
+    is invalid rather than converted."""
+    value = cfg[key] if default is None else cfg.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"{key} must be a real number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:
+        raise ValidationError(f"{key} must be finite, got {value!r}")
+    return float(value)
+
+
 def _parse_u0(cfg):
     spec = dict(cfg.get("u0", {"preset": "zero"}))
     preset = spec.pop("preset")
@@ -173,11 +194,11 @@ def _parse_solver_config(cfg, seed_override=None) -> SolverConfig:
             sigma=Coefficient.from_spec(cfg.get("sigma", {"preset": "constant",
                                                           "value": 1.0})),
             u0=_parse_u0(cfg),
-            dt=float(cfg["dt"]),
-            T=float(cfg["T"]),
+            dt=_parse_float(cfg, "dt"),
+            T=_parse_float(cfg, "T"),
             scheme=cfg.get("scheme", "exp_euler"),
             picard_max_iter=_parse_int(cfg, "picard_max_iter", 200),
-            picard_tol=float(cfg.get("picard_tol", 1e-12)),
+            picard_tol=_parse_float(cfg, "picard_tol", 1e-12),
             master_seed=_parse_seed(cfg, seed_override),
             frame_stride=_parse_int(cfg, "frame_stride", 1),
         )
@@ -197,8 +218,7 @@ def _write_manifest(outdir: Path, command, cfg, seed):
 def _run_kernel(cfg, outdir: Path, args):
     idx = _parse_idx(cfg)
     grid = _parse_grid(cfg, idx.d)
-    with _reading("t"):
-        t = float(cfg["t"])
+    t = _parse_float(cfg, "t")
     field, diag = kernel(idx, t, grid, return_diagnostics=True)
     report = diag.to_dict()
     report["normalization"] = "PASS" if abs(diag.mass - 1) < 1e-6 else "FAIL"
@@ -220,10 +240,10 @@ def _run_kernel(cfg, outdir: Path, args):
 def _run_measure(cfg, outdir: Path, args):
     idx = _parse_idx(cfg)
     measure = _parse_measure(cfg, idx.d)
-    with _reading("eta/T"):
+    with _reading("eta"):
         etas = [float(e) for e in
                 np.atleast_1d(cfg.get("eta", [0.25, 0.5, 0.75, 1.0]))]
-        T = float(cfg.get("T", 1.0))
+    T = _parse_float(cfg, "T", 1.0)
     reports = [admissibility(measure, idx, e).to_dict() for e in etas]
     payload = {"measure": measure.to_dict(), "admissibility": reports}
     try:
@@ -266,13 +286,13 @@ def _run_holder(cfg, outdir: Path, args):
     eta_star = critical_eta(config.measure, config.idx)
     n_rep = _parse_int(cfg, "replicates", 200, minimum=1)
     with _reading("holder settings"):
-        t_probe = float(cfg.get("t_probe", config.T))
+        t_probe = _parse_float(cfg, "t_probe", config.T)
         min_rep = _parse_int(cfg, "min_replicates", min(n_rep, 200))
         min_lag_steps = _parse_int(cfg, "min_lag_steps", 2)
         min_lag_cells = _parse_int(cfg, "min_lag_cells", 1)
-        rho = float(cfg.get("rho", 0.99))
+        rho = _parse_float(cfg, "rho", 0.99)
         x_probe = _parse_probe(cfg, "x_probe", config.grid)
-        eta = float(cfg.get("eta", eta_star))
+        eta = _parse_float(cfg, "eta", eta_star)
     _check_window_inputs(rho, eta)
     paths = _per_replicate(lambda rep: solve(config, rep), n_rep,
                            args.threads)
@@ -298,7 +318,7 @@ def _run_density(cfg, outdir: Path, args):
     eta_star = critical_eta(config.measure, config.idx)
     n = _parse_int(cfg, "n_samples", 2000, minimum=1)
     with _reading("density settings"):
-        t = float(cfg.get("t", config.T))
+        t = _parse_float(cfg, "t", config.T)
         x = _parse_probe(cfg, "x", config.grid)
         thetas = cfg.get("thetas", [1.0, max(1.0 - eta_star, 0.05)])
         theta1, theta2 = (float(v) for v in thetas)

@@ -24,6 +24,7 @@ planes where psi is not Hermitian.  ``_apply_symbol`` applies it.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -129,8 +130,8 @@ class Grid:
             raise ConstraintViolationError("grid dimension must be >= 1")
         if self.n_per_dim < 1:
             raise ConstraintViolationError("n_per_dim must be >= 1")
-        if not self.box_length > 0:
-            raise ConstraintViolationError("box_length must be > 0")
+        if not (math.isfinite(self.box_length) and self.box_length > 0):
+            raise ConstraintViolationError("box_length must be finite and > 0")
 
     @property
     def spacing(self) -> float:

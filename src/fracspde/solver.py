@@ -180,6 +180,8 @@ class SolverConfig:
             raise ConstraintViolationError(f"unknown scheme {self.scheme!r}")
         if self.frame_stride < 1:
             raise ConstraintViolationError("frame_stride must be >= 1")
+        if not (math.isfinite(self.picard_tol) and self.picard_tol > 0):
+            raise ConstraintViolationError("picard_tol must be finite and > 0")
         if self.idx.d != self.grid.d or self.measure.d != self.grid.d:
             raise ConstraintViolationError(
                 "index, measure and grid dimensions must agree"

@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracspde.cli import main
 from fracspde.fields import read_array_binary
@@ -102,6 +107,22 @@ def test_simulate_reproducible_and_thread_independent(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         assert a == (tmp_path / "b" / name).read_bytes()
         assert a == (tmp_path / "c" / name).read_bytes()
+
+
+def test_simulate_beyond_key_table_seed_is_thread_independent(tmp_path):
+    # a master seed >= 2**32 draws through SeedSequence itself
+    cfg = _sim_cfg(tmp_path, seed=2**32 + 7)
+    for out, threads in [("a", "1"), ("b", "2")]:
+        rc = main(["simulate", "--config", cfg, "--out",
+                   str(tmp_path / out), "--threads", threads])
+        assert rc == 0
+    for rep in range(3):
+        name = f"frames_{rep:04d}.bin"
+        assert ((tmp_path / "a" / name).read_bytes()
+                == (tmp_path / "b" / name).read_bytes())
+    assert not np.array_equal(
+        read_array_binary(tmp_path / "a" / "frames_0000.bin"),
+        read_array_binary(tmp_path / "a" / "frames_0001.bin"))
 
 
 def test_simulate_seed_flag_overrides(tmp_path):
@@ -212,6 +233,22 @@ def test_unreadable_config_exits_2(tmp_path):
     ("holder", {"min_replicates": 3.5}, []),
     ("holder", {"min_lag_steps": 2.5}, []),
     ("holder", {"min_lag_cells": "1"}, []),
+    ("simulate", {"dt": True}, []),
+    ("simulate", {"dt": "0.01"}, []),
+    ("simulate", {"T": float("inf")}, []),
+    ("simulate", {"grid": {"n_per_dim": 64, "box_length": True}}, []),
+    ("simulate", {"grid": {"n_per_dim": 64, "box_length": "inf"}}, []),
+    ("simulate", {"grid": {"n_per_dim": 64, "box_length": float("inf")}},
+     []),
+    ("simulate", {"scheme": "picard", "picard_tol": float("nan")}, []),
+    ("simulate", {"scheme": "picard", "picard_tol": "1e-12"}, []),
+    ("simulate", {"u0": {"preset": "constant", "value": "nan"}}, []),
+    ("simulate", {"u0": {"preset": "constant", "value": float("nan")}}, []),
+    ("simulate", {"u0": {"preset": "cosine", "frequency": True}}, []),
+    ("simulate", {"u0": {"preset": "gaussian_bump", "width": "1"}}, []),
+    ("holder", {"t_probe": "0.1"}, []),
+    ("holder", {"rho": True}, []),
+    ("holder", {"eta": float("nan")}, []),
 ])
 def test_malformed_input_exits_2_with_json(tmp_path, capsys, command, over,
                                            argv):
@@ -231,6 +268,8 @@ def test_malformed_input_exits_2_with_json(tmp_path, capsys, command, over,
     ("density", {"rho_grid": [0.05, 2.0]}),
     ("density", {"rho_grid": [0.0, 0.05]}),
     ("density", {"rho_grid": []}),
+    ("simulate", {"scheme": "picard", "picard_tol": -1.0}),
+    ("simulate", {"scheme": "picard", "picard_tol": 0.0}),
 ])
 def test_out_of_range_setting_exits_2_before_solving(tmp_path, capsys,
                                                      monkeypatch, command,
@@ -254,3 +293,80 @@ def test_out_of_range_setting_exits_2_before_solving(tmp_path, capsys,
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConstraintViolationError"
     assert calls == []
+
+
+# wrong in type or range, never so large that the run itself grows
+_BAD = st.sampled_from([None, True, "1", "nan", [], {}, -1, 0, 2.5,
+                        float("nan"), float("inf")])
+
+
+@st.composite
+def _fuzzed_simulate_config(draw):
+    """A small simulate config (<= 32 points, <= 4 steps); up to two
+    settings are replaced by a value of the wrong type or range and up to
+    one is dropped."""
+    def pick(*options):
+        return draw(st.sampled_from(options))
+
+    dt = pick(0.01, 0.005, 0.02)
+    alpha = pick([2.0], [1.5], [1.2], [0.7], [2.0, 2.0], [1.5, 1.8])
+    cfg = {
+        "alpha": alpha,
+        "delta": [pick(0.0, 0.2, -0.3)] * len(alpha),
+        "grid": {"n_per_dim": draw(st.integers(1, 32)),
+                 "box_length": pick(0.5, 8.0, 1e-3, 1e300)},
+        "measure": pick({"kind": "white"}, {"kind": "riesz", "gamma": 0.5},
+                        {"kind": "riesz", "gamma": 1.2},
+                        {"kind": "bessel", "beta": 1.0},
+                        {"kind": "free_field", "mass": 1.0},
+                        {"kind": "tabulated", "radii": [0.0, 4.0],
+                         "values": [1.0, 1.0]}),
+        "b": pick({"preset": "constant", "value": 0.5},
+                  {"preset": "sine", "amplitude": 1.0, "frequency": 2.0},
+                  {"preset": "linear", "slope": -1.0}),
+        "sigma": pick({"preset": "constant", "value": 1.0},
+                      {"preset": "affine", "slope": 0.5, "value": 1.0}),
+        "u0": pick({"preset": "zero"}, {"preset": "constant", "value": 2.0},
+                   {"preset": "cosine", "frequency": 3.0},
+                   {"preset": "gaussian_bump", "width": 0.5},
+                   {"preset": "constant", "value": 1e300}),
+        "dt": dt,
+        "T": dt * draw(st.integers(1, 4)),
+        "scheme": pick("exp_euler", "picard"),
+        "picard_tol": pick(1e-12, 1e-3),
+        "picard_max_iter": pick(1, 50),
+        "replicates": pick(1, 2, 2.0),
+        "frame_stride": pick(1, 2),
+        "seed": pick(0, 5, 2**32 + 1),
+    }
+    keys = sorted(cfg)
+    nested = {"box_length": ("grid", None), "n_per_dim": ("grid", None),
+              "value": ("u0", "constant"), "width": ("u0", "gaussian_bump")}
+    for key in draw(st.sets(st.sampled_from(keys + sorted(nested)),
+                            max_size=2)):
+        if key not in nested:
+            cfg[key] = draw(_BAD)
+            continue
+        outer, preset = nested[key]
+        if preset:
+            cfg[outer] = {"preset": preset}
+        cfg[outer][key] = draw(_BAD)
+    for key in draw(st.sets(st.sampled_from(keys), max_size=1)):
+        del cfg[key]
+    return cfg
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_fuzzed_simulate_config())
+def test_simulate_fuzz_exits_with_contract(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            rc = main(["simulate", "--config", str(path),
+                       "--out", str(Path(tmp) / "o")])
+    assert rc in (0, 2, 3)
+    if rc:
+        report = json.loads(err.getvalue())
+        assert set(report) == {"error", "message"}

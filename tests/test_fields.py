@@ -69,6 +69,12 @@ def test_grid_rejects_bad_parameters():
         Grid(1, 8, -1.0)
 
 
+@pytest.mark.parametrize("box_length", [float("inf"), float("nan")])
+def test_grid_rejects_non_finite_box_length(box_length):
+    with pytest.raises(ConstraintViolationError):
+        Grid(1, 16, box_length)
+
+
 def test_field_shape_checked():
     grid = Grid(2, 4, 1.0)
     with pytest.raises(ConstraintViolationError):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fracspde.errors import ConfigurationError
 from fracspde.fields import Grid
@@ -169,3 +170,60 @@ def test_small_ensemble_rejected():
 def test_nonpositive_dt_rejected():
     with pytest.raises(ConfigurationError):
         sample_increment(GRID, WHITE, 0.0, RngStream(0, 0, 0))
+
+
+def _seed_sequence_draws(master, rep, step, n=300):
+    seq = np.random.SeedSequence(master, spawn_key=(rep, step))
+    return np.random.Generator(np.random.Philox(seq)).standard_normal(n)
+
+
+_IDS = st.one_of(st.integers(0, 300), st.integers(0, 2**32 - 1),
+                 st.integers(2**32 - 3, 2**32 + 3), st.integers(0, 2**64))
+
+
+@settings(max_examples=200, deadline=None)
+@given(master=_IDS, rep=_IDS, step=_IDS)
+def test_stream_draws_equal_seed_sequence_stream(master, rep, step):
+    # the key table reproduces SeedSequence byte for byte; ids >= 2**32
+    # take SeedSequence itself
+    draws = RngStream(master, rep, step).generator().standard_normal(300)
+    assert draws.tobytes() == _seed_sequence_draws(master, rep, step).tobytes()
+
+
+@pytest.mark.parametrize("master,rep,step", [
+    (0, 0, 0),
+    (2**32 - 1, 2**32 - 1, 2**32 - 1),
+    (2**32, 0, 0),
+    (7, 2**32, 3),
+    (7, 3, 2**32),
+    (np.uint32(7), np.int64(3), np.uint32(2**32 - 1)),
+    (np.int64(2**32), np.uint32(0), np.int64(5)),
+    (True, 1, 0),
+    (1, True, 0),
+    (1, 2, True),
+])
+def test_stream_draws_equal_seed_sequence_stream_at_edges(master, rep, step):
+    draws = RngStream(master, rep, step).generator().standard_normal(300)
+    assert draws.tobytes() == _seed_sequence_draws(master, rep, step).tobytes()
+
+
+@pytest.mark.parametrize("master,rep,step", [
+    (-1, 0, 0), (0, -1, 0), (0, 0, -1),
+    (0.0, 0, 0), (1, 2.0, 0), (1, 0, 3.5),
+])
+def test_invalid_stream_ids_raise_like_seed_sequence(master, rep, step):
+    with pytest.raises(Exception) as expected:
+        np.random.SeedSequence(master, spawn_key=(rep, step))
+    with pytest.raises(expected.type):
+        RngStream(master, rep, step).generator()
+
+
+def test_interleaved_generators_draw_as_alone():
+    a, b = RngStream(3, 1, 4), RngStream(3, 2, 4)
+    alone = [s.generator().standard_normal(1000) for s in (a, b)]
+    ga, gb = a.generator(), b.generator()
+    parts = [(ga.standard_normal(100), gb.standard_normal(100))
+             for _ in range(10)]
+    for i in range(2):
+        together = np.concatenate([p[i] for p in parts])
+        assert together.tobytes() == alone[i].tobytes()

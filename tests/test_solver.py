@@ -73,6 +73,12 @@ def test_config_rejects_bad_steps():
         _config(T=0.25, dt=0.1)  # not a whole number of steps
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
+def test_config_requires_finite_positive_picard_tol(tol):
+    with pytest.raises(ConstraintViolationError):
+        _config(scheme="picard", picard_tol=tol)
+
+
 def test_config_requires_admissible_measure():
     from fracspde.errors import DivergenceError
     with pytest.raises(DivergenceError):
