@@ -29,11 +29,14 @@ import numpy as np
 from . import __version__
 from .density import (_check_bound_inputs, kde, sample_law,
                       variance_bound_check)
-from .errors import DivergenceError, FracspdeError, NumericalError, ValidationError
+from .errors import (ConfigurationError, DivergenceError, FracspdeError,
+                     NumericalError, ValidationError)
 from .fields import FractionalIndex, Grid, write_array_binary
-from .regularity import (_check_window_inputs, build_report,
+from .regularity import (_check_ensemble, _check_window_inputs,
+                         _spatial_offsets, _temporal_window, build_report,
                          estimate_spatial, estimate_temporal)
-from .solver import Coefficient, SolverConfig, solve, solve_picard
+from .solver import (Coefficient, SolverConfig, _frame_index, _stored_times,
+                     solve, solve_picard)
 from .spectral_measure import (
     SpectralMeasure,
     admissibility,
@@ -88,8 +91,9 @@ def _parse_seed(cfg, override=None) -> int:
 
 
 def _parse_idx(cfg) -> FractionalIndex:
+    delta = None if cfg.get("delta") is None else _parse_floats(cfg, "delta")
     with _reading("alpha/delta"):
-        return FractionalIndex(cfg["alpha"], cfg.get("delta"))
+        return FractionalIndex(_parse_floats(cfg, "alpha"), delta)
 
 
 def _parse_grid(cfg, d) -> Grid:
@@ -105,11 +109,14 @@ def _parse_measure(cfg, d) -> SpectralMeasure:
         kind = spec.pop("kind")
         makers = {
             "white": lambda: SpectralMeasure.white(d),
-            "riesz": lambda: SpectralMeasure.riesz(spec["gamma"], d),
-            "bessel": lambda: SpectralMeasure.bessel(spec["beta"], d),
-            "free_field": lambda: SpectralMeasure.free_field(spec["mass"], d),
+            "riesz": lambda: SpectralMeasure.riesz(
+                _parse_float(spec, "gamma"), d),
+            "bessel": lambda: SpectralMeasure.bessel(
+                _parse_float(spec, "beta"), d),
+            "free_field": lambda: SpectralMeasure.free_field(
+                _parse_float(spec, "mass"), d),
             "tabulated": lambda: SpectralMeasure.tabulated(
-                spec["radii"], spec["values"], d
+                _parse_floats(spec, "radii"), _parse_floats(spec, "values"), d
             ),
         }
         if kind not in makers:
@@ -167,12 +174,33 @@ def _parse_float(cfg, key, default=None) -> float:
     """``cfg[key]`` (required unless a ``default`` is given) as a finite
     float.  An int is read as one; a bool, a string or a non-finite value
     is invalid rather than converted."""
+    return _real(cfg[key] if default is None else cfg.get(key, default), key)
+
+
+def _parse_floats(cfg, key, default=None) -> list:
+    """``cfg[key]`` (required unless a ``default`` is given) as a list of
+    finite floats, each read as ``_parse_float`` reads one; a single
+    number is a list of one."""
     value = cfg[key] if default is None else cfg.get(key, default)
+    return [_real(v, key) for v in
+            (value if isinstance(value, list) else [value])]
+
+
+def _real(value, key) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{key} must be a real number, got {value!r}")
     if not abs(value) <= sys.float_info.max:
         raise ValidationError(f"{key} must be finite, got {value!r}")
     return float(value)
+
+
+def _parse_coefficient(cfg, key, default):
+    """``cfg[key]`` as a Coefficient, its parameters read as reals."""
+    spec = dict(cfg.get(key, default))
+    for name in ("value", "slope", "amplitude", "frequency"):
+        if name in spec:
+            spec[name] = _parse_float(spec, name)
+    return Coefficient.from_spec(spec)
 
 
 def _parse_u0(cfg):
@@ -189,10 +217,10 @@ def _parse_solver_config(cfg, seed_override=None) -> SolverConfig:
         fields = dict(
             measure=_parse_measure(cfg, idx.d),
             grid=_parse_grid(cfg, idx.d),
-            b=Coefficient.from_spec(cfg.get("b", {"preset": "constant",
-                                                  "value": 0.0})),
-            sigma=Coefficient.from_spec(cfg.get("sigma", {"preset": "constant",
-                                                          "value": 1.0})),
+            b=_parse_coefficient(cfg, "b", {"preset": "constant",
+                                            "value": 0.0}),
+            sigma=_parse_coefficient(cfg, "sigma", {"preset": "constant",
+                                                    "value": 1.0}),
             u0=_parse_u0(cfg),
             dt=_parse_float(cfg, "dt"),
             T=_parse_float(cfg, "T"),
@@ -240,9 +268,7 @@ def _run_kernel(cfg, outdir: Path, args):
 def _run_measure(cfg, outdir: Path, args):
     idx = _parse_idx(cfg)
     measure = _parse_measure(cfg, idx.d)
-    with _reading("eta"):
-        etas = [float(e) for e in
-                np.atleast_1d(cfg.get("eta", [0.25, 0.5, 0.75, 1.0]))]
+    etas = _parse_floats(cfg, "eta", [0.25, 0.5, 0.75, 1.0])
     T = _parse_float(cfg, "T", 1.0)
     reports = [admissibility(measure, idx, e).to_dict() for e in etas]
     payload = {"measure": measure.to_dict(), "admissibility": reports}
@@ -281,8 +307,17 @@ def _run_simulate(cfg, outdir: Path, args):
     return 0
 
 
+def _require_exp_euler(config, command):
+    """``command`` solves with ``solve``; a Picard scheme would be ignored."""
+    if config.scheme != "exp_euler":
+        raise ConfigurationError(
+            f"{command} runs the exp_euler scheme only, got {config.scheme!r}"
+        )
+
+
 def _run_holder(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
+    _require_exp_euler(config, "holder")
     eta_star = critical_eta(config.measure, config.idx)
     n_rep = _parse_int(cfg, "replicates", 200, minimum=1)
     with _reading("holder settings"):
@@ -294,13 +329,24 @@ def _run_holder(cfg, outdir: Path, args):
         x_probe = _parse_probe(cfg, "x_probe", config.grid)
         eta = _parse_float(cfg, "eta", eta_star)
     _check_window_inputs(rho, eta)
-    paths = _per_replicate(lambda rep: solve(config, rep), n_rep,
-                           args.threads)
+    # what the estimators would refuse, refused before any solve
+    times = _stored_times(config)
+    _frame_index(times, t_probe)
+    _check_ensemble(n_rep, min_rep)
+    _temporal_window(times, min_lag_steps)
+    _spatial_offsets(config.grid, min_lag_cells)
+
+    def probes(rep):
+        path = solve(config, rep)
+        return path.values_at(x_probe), path.frame_at(t_probe).values
+
+    series, fields = zip(*_per_replicate(probes, n_rep, args.threads))
     temporal = estimate_temporal(
-        paths, x_probe, min_replicates=min_rep, min_lag_steps=min_lag_steps,
+        series, times, min_replicates=min_rep, min_lag_steps=min_lag_steps,
     )
     spatial = estimate_spatial(
-        paths, t_probe, min_replicates=min_rep, min_lag_cells=min_lag_cells,
+        fields, config.grid, min_replicates=min_rep,
+        min_lag_cells=min_lag_cells,
     )
     report = build_report(temporal, spatial, config.idx, rho, eta)
     _dump_json(outdir / "holder_report.json", report.to_dict())
@@ -315,15 +361,16 @@ def _run_holder(cfg, outdir: Path, args):
 
 def _run_density(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
+    _require_exp_euler(config, "density")
     eta_star = critical_eta(config.measure, config.idx)
     n = _parse_int(cfg, "n_samples", 2000, minimum=1)
     with _reading("density settings"):
         t = _parse_float(cfg, "t", config.T)
         x = _parse_probe(cfg, "x", config.grid)
-        thetas = cfg.get("thetas", [1.0, max(1.0 - eta_star, 0.05)])
-        theta1, theta2 = (float(v) for v in thetas)
-        rho_grid = [float(r) for r in cfg.get(
-            "rho_grid", np.geomspace(1e-3, min(t, 1.0), 24))]
+        theta1, theta2 = _parse_floats(
+            cfg, "thetas", [1.0, max(1.0 - eta_star, 0.05)])
+        rho_grid = _parse_floats(
+            cfg, "rho_grid", np.geomspace(1e-3, min(t, 1.0), 24).tolist())
     _check_bound_inputs(t, (theta1, theta2), rho_grid)
     samples = sample_law(config, t, x, n)
     estimate = kde(samples)

@@ -29,7 +29,7 @@ from .errors import (
     NumericalConsistencyError,
 )
 from .fields import FractionalIndex
-from .solver import TIME_RTOL, SolverConfig, _stored, solve
+from .solver import SolverConfig, _frame_index, _stored_times, solve
 from .spectral_measure import N_RADIAL, SpectralMeasure, spectral_integral
 from .spectral_measure import _cumulative_integrand
 
@@ -74,10 +74,9 @@ def sample_law(config: SolverConfig, t: float, x, n: int) -> np.ndarray:
     if not low > 0:
         raise EllipticityError(f"diffusion coefficient dips to {low:.3e} on "
                                "[-10, 10]; it must stay strictly positive")
-    stored = [k * config.dt for k in range(config.n_steps + 1)
-              if _stored(k, config)]  # the times solve stores
-    if not (t > 0 and np.isclose(stored, t, TIME_RTOL, 0.0).any()):
+    if not t > 0:
         raise ConfigurationError(f"no frame stored at t={t} in (0, T]")
+    _frame_index(_stored_times(config), t)
     probe = (x,) if np.isscalar(x) else tuple(x)
     out = np.empty(n)
     for i in range(n):

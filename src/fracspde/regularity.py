@@ -1,4 +1,4 @@
-"""Hölder-exponent estimation from simulated path ensembles.
+"""Hölder-exponent estimation from simulated ensembles.
 
 Exponents are read off second-moment increment scaling: regress
 log E|u(t+h, x) - u(t, x)|^2 (or the spatial analogue) on log h across
@@ -114,33 +114,40 @@ def _dyadic_lags(base, limit, min_scales):
     return lags
 
 
-def _check_ensemble(paths, min_replicates):
-    """At least one path, and at least ``min_replicates``."""
+def _check_ensemble(n_replicates, min_replicates):
+    """At least one replicate, and at least ``min_replicates``."""
     need = max(min_replicates, 1)
-    if len(paths) < need:
+    if n_replicates < need:
         raise ConstraintViolationError(
-            f"need >= {need} replicates, got {len(paths)}"
+            f"need >= {need} replicates, got {n_replicates}"
         )
 
 
-def estimate_temporal(paths, x_probe, *,
-                      min_replicates=DEFAULT_MIN_REPLICATES,
-                      min_lag_steps=2) -> ExponentEstimate:
-    """Temporal Hölder exponent at one grid point.
+def _replicate_rows(values, row_shape, min_replicates):
+    """``values`` as an (R, *row_shape) float array, R checked as above."""
+    values = np.asarray(values, dtype=float)
+    if values.shape[1:] != row_shape:
+        raise ConstraintViolationError(
+            f"values of shape {values.shape} are not (R, *{row_shape})"
+        )
+    _check_ensemble(len(values), min_replicates)
+    return values
 
-    Requires uniformly stored frames and at least 4 dyadic lags between
-    min_lag_steps*dt (>= 2*dt, below which the stepping scheme dominates)
-    and T/8.  Increments are averaged over all admissible base times in
-    [T/2, T - max_lag] and over replicates.
+
+def _temporal_window(times, min_lag_steps):
+    """Dyadic lags, their lengths in steps and the base-step range
+    [base_lo, base_hi] that the temporal estimate uses on ``times``.
+
+    ConstraintViolationError unless the times are uniform from 0 and
+    leave at least MIN_SCALES lags between min_lag_steps*dt (>= 2*dt) and T/8.
     """
-    _check_ensemble(paths, min_replicates)
     if min_lag_steps < 2:
         raise ConstraintViolationError("min_lag_steps must be >= 2")
-    times = np.asarray(paths[0].times)
+    times = np.asarray(times, dtype=float)
     steps = np.diff(times)
-    if not np.allclose(steps, steps[0]):
+    if steps.size == 0 or times[0] != 0 or not np.allclose(steps, steps[0]):
         raise ConstraintViolationError(
-            "temporal estimation needs uniformly stored frames"
+            "temporal estimation needs uniformly spaced times from 0"
         )
     dt = float(steps[0])
     T = float(times[-1])
@@ -150,25 +157,12 @@ def estimate_temporal(paths, x_probe, *,
     base_hi = len(times) - 1 - lag_steps[-1]
     if base_hi < base_lo:
         raise ConstraintViolationError("no base times left in [T/2, T-max_lag]")
-    series = np.stack([p.values_at(x_probe) for p in paths])
-    sq = np.empty((len(paths), len(lags)))
-    for j, m in enumerate(lag_steps):
-        inc = (series[:, base_lo + m:base_hi + m + 1]
-               - series[:, base_lo:base_hi + 1])
-        sq[:, j] = (inc**2).mean(axis=1)
-    return _fit_exponent(lags, sq)
+    return lags, lag_steps, base_lo, base_hi
 
 
-def estimate_spatial(paths, t_probe, *,
-                     min_replicates=DEFAULT_MIN_REPLICATES,
-                     min_lag_cells=1) -> ExponentEstimate:
-    """Spatial Hölder exponent at one time, averaged over the grid.
-
-    Uses dyadic lags starting at min_lag_cells grid cells (per the first
-    axis) with periodic wrap-around.  ``t_probe`` must be a stored time.
-    """
-    _check_ensemble(paths, min_replicates)
-    grid = paths[0].grid
+def _spatial_offsets(grid, min_lag_cells):
+    """Dyadic lags in cells of the spatial estimate on ``grid``;
+    ConstraintViolationError unless MIN_SCALES of them fit in n/4."""
     n = grid.n_per_dim
     offsets = [min_lag_cells * 2**j for j in range(MIN_SCALES)]
     if offsets[-1] > n // 4:
@@ -177,9 +171,45 @@ def estimate_spatial(paths, t_probe, *,
             f"{MIN_SCALES} usable dyadic spatial scales from "
             f"{min_lag_cells} cells"
         )
+    return offsets
+
+
+def estimate_temporal(series, times, *,
+                      min_replicates=DEFAULT_MIN_REPLICATES,
+                      min_lag_steps=2) -> ExponentEstimate:
+    """Temporal Hölder exponent at one grid point.
+
+    ``series`` is an (R, len(times)) array: the field at that point over
+    the stored ``times`` in each of R replicates.  The times must be
+    uniform from 0 and leave at least 4 dyadic lags between
+    min_lag_steps*dt (>= 2*dt, below which the stepping scheme dominates)
+    and T/8.
+    Increments are averaged over all admissible base times in
+    [T/2, T - max_lag] and over replicates.
+    """
+    series = _replicate_rows(series, (len(times),), min_replicates)
+    lags, lag_steps, base_lo, base_hi = _temporal_window(times, min_lag_steps)
+    sq = np.empty((len(series), len(lags)))
+    for j, m in enumerate(lag_steps):
+        inc = (series[:, base_lo + m:base_hi + m + 1]
+               - series[:, base_lo:base_hi + 1])
+        sq[:, j] = (inc**2).mean(axis=1)
+    return _fit_exponent(lags, sq)
+
+
+def estimate_spatial(fields, grid, *,
+                     min_replicates=DEFAULT_MIN_REPLICATES,
+                     min_lag_cells=1) -> ExponentEstimate:
+    """Spatial Hölder exponent at one time, averaged over the grid.
+
+    ``fields`` is an (R, *grid.shape) array: the field of each of R
+    replicates at that time.  Uses dyadic lags starting at min_lag_cells
+    grid cells (per the first axis) with periodic wrap-around.
+    """
+    fields = _replicate_rows(fields, grid.shape, min_replicates)
+    offsets = _spatial_offsets(grid, min_lag_cells)
     lags = [grid.spacing * o for o in offsets]
-    fields = np.stack([p.frame_at(t_probe).values for p in paths])
-    sq = np.empty((len(paths), len(lags)))
+    sq = np.empty((len(fields), len(lags)))
     for j, o in enumerate(offsets):
         inc = np.roll(fields, -o, axis=1) - fields
         sq[:, j] = (inc**2).mean(axis=tuple(range(1, fields.ndim)))

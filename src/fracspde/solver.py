@@ -240,10 +240,16 @@ class PathSolution:
 
     def frame_at(self, t: float) -> Field:
         """The frame stored at time ``t``; ConfigurationError if none is."""
-        hit = np.flatnonzero(np.isclose(self.times, t, TIME_RTOL, 0.0))
-        if hit.size == 0:
-            raise ConfigurationError(f"no frame stored at t={t}")
-        return self.frames[hit[0]]
+        return self.frames[_frame_index(self.times, t)]
+
+
+def _frame_index(times, t: float) -> int:
+    """Index of the stored time ``t`` in ``times`` (to TIME_RTOL);
+    ConfigurationError if no frame is stored there."""
+    hit = np.flatnonzero(np.isclose(times, t, TIME_RTOL, 0.0))
+    if hit.size == 0:
+        raise ConfigurationError(f"no frame stored at t={t}")
+    return int(hit[0])
 
 
 def smooth_initial(u0, idx: FractionalIndex, t: float, grid: Grid) -> Field:
@@ -266,6 +272,12 @@ def _check_frame(values, ceiling, step, replicate_id):
 def _stored(step: int, config: SolverConfig) -> bool:
     """Whether the frame after ``step`` steps is stored (stride or last)."""
     return step % config.frame_stride == 0 or step == config.n_steps
+
+
+def _stored_times(config: SolverConfig) -> tuple:
+    """Times of the frames ``solve`` stores: the floats it records."""
+    return tuple(k * config.dt for k in range(config.n_steps + 1)
+                 if _stored(k, config))
 
 
 def _constant_value(coef: Coefficient):
@@ -378,11 +390,10 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
             residuals,
         )
 
-    keep = [j for j in range(n + 1) if _stored(j, config)]
     path = PathSolution(
         tuple(Field(grid, _centre(current[j], grid), _skip_copy=True)
-              for j in keep),
-        tuple(j * dt for j in keep),
+              for j in range(n + 1) if _stored(j, config)),
+        _stored_times(config),
         replicate_id,
     )
     return (path, residuals) if return_trace else path

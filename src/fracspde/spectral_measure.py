@@ -227,21 +227,21 @@ def _leggauss(n):
 class _NodeGeometry:
     """Directional nodes: |omega_i| components and sphere weights.
 
-    The 1-d and radial paths give the radius at which the frequency
-    weight reaches a shell edge 2^k in closed form.  The anisotropic path
-    tabulates it once per geometry, which ``_node_geometry`` keeps for
-    later calls: one vectorised bisection fills a chunk of edges the first
-    time a scan reaches it.
+    The radial path is the 1-d path with alpha = 2 and the weight
+    |S^{d-1}| of the whole sphere; the 1-d path gives the radius at which
+    the frequency weight reaches a shell edge 2^k in closed form.  The
+    anisotropic path tabulates it once per geometry, which
+    ``_node_geometry`` keeps for later calls: one vectorised bisection
+    fills a chunk of edges the first time a scan reaches it.
     """
 
     def __init__(self, alpha: tuple, radial: bool):
         d = len(alpha)
         self.alpha = np.asarray(alpha)
-        if d == 1:
+        if d == 1 or radial:
+            self.alpha = self.alpha[:1]
             self.comps = np.ones((1, 1))
-            self.sphere_weights = np.array([2.0])  # both half-lines
-        elif radial:
-            self.comps = None
+            # |S^{d-1}|; 2.0 exactly in 1-d (both half-lines)
             self.sphere_weights = np.array(
                 [2 * np.pi ** (d / 2) / math.gamma(d / 2)]
             )
@@ -270,13 +270,11 @@ class _NodeGeometry:
                 "anisotropic quadrature implemented for d <= 3 only; "
                 "alpha == 2 on every axis reduces to the radial path"
             )
-        self.radial = radial and d > 1
+        self.comps_alpha = self.comps**self.alpha  # |omega_i|^alpha_i
         self._edge_chunks = {}  # chunk number -> radii at its edges, per node
 
     def edge_radii(self, k):
         """Radius where the frequency weight reaches 2^k, per node."""
-        if self.radial:
-            return np.array([math.sqrt(2.0**k)])
         if self.comps.shape[1] == 1:
             return np.array([(2.0**k) ** (1.0 / self.alpha[0])])
         chunk, row = divmod(k - _K_RANGE.start, _EDGE_CHUNK)
@@ -291,7 +289,7 @@ class _NodeGeometry:
         target = np.ldexp(1.0, ks)[:, None]
         lo = np.full((len(ks), len(self.comps)), -340.0)
         hi = np.full((len(ks), len(self.comps)), 340.0)
-        ca = self.comps**self.alpha  # |omega_i|^alpha_i per node
+        ca = self.comps_alpha
         for _ in range(90):
             mid = 0.5 * (lo + hi)
             val = (ca * np.exp2(mid[..., None] * self.alpha)).sum(axis=-1)
@@ -305,15 +303,13 @@ class _NodeGeometry:
     def levels(self, r, axis_weights):
         """T(xi) = sum_i w_i |xi_i|^alpha_i on nodes; r has shape
         (n_dirs, n_r)."""
-        w = np.broadcast_to(np.asarray(axis_weights, dtype=float),
-                            (len(self.alpha),))
-        if self.radial:
-            return w[0] * r**2
-        ca = w * self.comps**self.alpha
-        return sum(
-            ca[:, i][:, None] * r ** self.alpha[i]
-            for i in range(len(self.alpha))
-        )
+        # w is a scalar or one weight per axis; the radial path's single
+        # node column reads the first of its d equal weights
+        ca = np.asarray(axis_weights, dtype=float) * self.comps_alpha
+        out = ca[:, 0, None] * r ** self.alpha[0]
+        for i in range(1, len(self.alpha)):
+            out = out + ca[:, i, None] * r ** self.alpha[i]
+        return out
 
 
 @lru_cache(maxsize=32)

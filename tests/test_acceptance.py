@@ -15,7 +15,7 @@ from scipy.stats import kstest
 import fracspde as fs
 from fracspde.fields import Field, Grid, to_frequency, to_physical
 from fracspde.noise import band_limited_covariance
-from fracspde.solver import PathSolution
+from fracspde.solver import _stored_times
 
 
 def _report(num, name, ok, detail=""):
@@ -309,18 +309,6 @@ def test_criterion_6_solver_oracles():
 
 # -- 7. Hölder windows --------------------------------------------------------------------
 
-def _light_temporal_paths(cfg, n_rep, probe):
-    """Keep only the probe-point series of each replicate."""
-    g1 = Grid(1, 1, 1.0)
-    out = []
-    for r in range(n_rep):
-        p = fs.solve(cfg, r)
-        series = p.values_at(probe)
-        out.append(PathSolution(
-            tuple(Field(g1, np.array([v])) for v in series), p.times, r))
-    return out
-
-
 def test_criterion_7_holder_windows():
     failures = []
     n_rep = 200
@@ -333,8 +321,10 @@ def test_criterion_7_holder_windows():
         b=fs.Coefficient.constant(0.0), sigma=fs.Coefficient.constant(1.0),
         u0=0.0, dt=5e-4, T=1.024, master_seed=101,
     )
-    tem = fs.estimate_temporal(_light_temporal_paths(cfg_t, n_rep, 128), 0,
-                               min_lag_steps=32)
+    tem = fs.estimate_temporal(
+        [fs.solve(cfg_t, r).values_at(128) for r in range(n_rep)],
+        _stored_times(cfg_t), min_lag_steps=32,
+    )
     if not 0.2 <= tem.value <= 0.3:
         failures.append(f"temporal {tem.value:.3f} outside [0.2, 0.3]")
 
@@ -344,8 +334,10 @@ def test_criterion_7_holder_windows():
         b=fs.Coefficient.constant(0.0), sigma=fs.Coefficient.constant(1.0),
         u0=0.0, dt=1.25e-4, T=0.125, master_seed=102, frame_stride=10**9,
     )
-    paths_s = [fs.solve(cfg_s, r) for r in range(n_rep)]
-    spa = fs.estimate_spatial(paths_s, cfg_s.T, min_lag_cells=2)
+    spa = fs.estimate_spatial(
+        [fs.solve(cfg_s, r).frame_at(cfg_s.T).values for r in range(n_rep)],
+        cfg_s.grid, min_lag_cells=2,
+    )
     if not 0.4 <= spa.value <= 0.55:
         failures.append(f"spatial {spa.value:.3f} outside [0.4, 0.55]")
 
@@ -367,16 +359,18 @@ def test_criterion_7_holder_windows():
         b=fs.Coefficient.constant(0.0), sigma=fs.Coefficient.constant(1.0),
         u0=0.0, dt=5e-4, T=1.024, master_seed=103,
     )
-    tem_f = fs.estimate_temporal(_light_temporal_paths(cfg_ft, n_rep, 128), 0,
-                                 min_lag_steps=32)
+    tem_f = fs.estimate_temporal(
+        [fs.solve(cfg_ft, r).values_at(128) for r in range(n_rep)],
+        _stored_times(cfg_ft), min_lag_steps=32,
+    )
     cfg_fs = fs.SolverConfig(
         idx=idx_f, measure=riesz, grid=Grid(1, 512, 16.0),
         b=fs.Coefficient.constant(0.0), sigma=fs.Coefficient.constant(1.0),
         u0=0.0, dt=1.25e-4, T=0.125, master_seed=104, frame_stride=10**9,
     )
     spa_f = fs.estimate_spatial(
-        [fs.solve(cfg_fs, r) for r in range(n_rep)], cfg_fs.T,
-        min_lag_cells=2,
+        [fs.solve(cfg_fs, r).frame_at(cfg_fs.T).values for r in range(n_rep)],
+        cfg_fs.grid, min_lag_cells=2,
     )
     if tem_f.value > f1_max + allow + (tem_f.ci_high - tem_f.value):
         failures.append(

@@ -175,12 +175,17 @@ def test_holder_command(tmp_path):
         "dt": 0.002, "T": 0.256, "replicates": 40, "min_replicates": 40,
         "seed": 5, "rho": 0.9, "eta": 0.51,
     })
-    rc = main(["holder", "--config", cfg, "--out", str(tmp_path / "o"),
-               "--format", "csv"])
-    assert rc == 0
+    for out, threads in [("o", "1"), ("p", "2")]:
+        rc = main(["holder", "--config", cfg, "--out", str(tmp_path / out),
+                   "--format", "csv", "--threads", threads])
+        assert rc == 0
     report = json.loads((tmp_path / "o" / "holder_report.json").read_text())
     assert 0 < report["gamma1_hat"] < 1
     assert (tmp_path / "o" / "variogram.csv").exists()
+    # each replicate is reduced to its probes, kept in replicate order
+    for name in ("holder_report.json", "variogram.csv"):
+        assert ((tmp_path / "o" / name).read_bytes()
+                == (tmp_path / "p" / name).read_bytes())
 
 
 def test_integral_float_count_is_read(tmp_path):
@@ -249,6 +254,25 @@ def test_unreadable_config_exits_2(tmp_path):
     ("holder", {"t_probe": "0.1"}, []),
     ("holder", {"rho": True}, []),
     ("holder", {"eta": float("nan")}, []),
+    ("holder", {"alpha": ["2.0"]}, []),
+    ("simulate", {"delta": [True]}, []),
+    ("simulate", {"measure": {"kind": "riesz", "gamma": "0.5"}}, []),
+    ("simulate", {"measure": {"kind": "bessel", "beta": True}}, []),
+    ("simulate", {"measure": {"kind": "free_field", "mass": float("inf")}},
+     []),
+    ("simulate", {"measure": {"kind": "tabulated", "radii": [0, "1", 2],
+                              "values": [1, 1, 1]}}, []),
+    ("simulate", {"measure": {"kind": "tabulated", "radii": [0, 1, 2],
+                              "values": [1, 1, True]}}, []),
+    ("simulate", {"sigma": {"preset": "constant", "value": "1.0"}}, []),
+    ("simulate", {"sigma": {"preset": "constant", "value": True}}, []),
+    ("simulate", {"b": {"preset": "linear", "slope": "1"}}, []),
+    ("simulate", {"b": {"preset": "sine", "amplitude": True}}, []),
+    ("simulate", {"b": {"preset": "sine", "frequency": float("nan")}}, []),
+    ("measure", {"eta": "0.5"}, []),
+    ("measure", {"eta": [0.5, True]}, []),
+    ("density", {"thetas": ["1", True]}, []),
+    ("density", {"rho_grid": [0.01, "0.02"]}, []),
 ])
 def test_malformed_input_exits_2_with_json(tmp_path, capsys, command, over,
                                            argv):
@@ -274,6 +298,17 @@ def test_malformed_input_exits_2_with_json(tmp_path, capsys, command, over,
 def test_out_of_range_setting_exits_2_before_solving(tmp_path, capsys,
                                                      monkeypatch, command,
                                                      over):
+    calls = _count_solves(monkeypatch)
+    cfg = _sim_cfg(tmp_path, replicates=40, n_samples=600, **over)
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConstraintViolationError"
+    assert calls == []
+
+
+def _count_solves(monkeypatch):
+    """The list each ``solve`` call of the CLI and of ``density`` adds to."""
     import fracspde.cli
     import fracspde.density
 
@@ -287,11 +322,34 @@ def test_out_of_range_setting_exits_2_before_solving(tmp_path, capsys,
 
     for module in (fracspde.cli, fracspde.density):
         monkeypatch.setattr(module, "solve", counting(module.solve))
+    return calls
+
+
+# a holder config whose windows fit (4 temporal and 4 spatial scales)
+_HOLDER_OK = {"frame_stride": 1, "T": 1.28}
+
+
+@pytest.mark.parametrize("command,over,error,fragment", [
+    ("holder", {"scheme": "picard"}, "ConfigurationError", "exp_euler"),
+    ("density", {"scheme": "picard"}, "ConfigurationError", "exp_euler"),
+    ("holder", {**_HOLDER_OK, "t_probe": 0.125}, "ConfigurationError",
+     "no frame stored"),
+    ("holder", {**_HOLDER_OK, "min_lag_steps": 16},
+     "ConstraintViolationError", "dyadic scales"),
+    ("holder", {**_HOLDER_OK, "min_lag_cells": 3},
+     "ConstraintViolationError", "spatial scales"),
+    ("holder", {**_HOLDER_OK, "min_replicates": 41},
+     "ConstraintViolationError", "replicates"),
+])
+def test_unhonoured_input_exits_2_before_solving(tmp_path, capsys,
+                                                 monkeypatch, command, over,
+                                                 error, fragment):
+    calls = _count_solves(monkeypatch)
     cfg = _sim_cfg(tmp_path, replicates=40, n_samples=600, **over)
     rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
-    assert err["error"] == "ConstraintViolationError"
+    assert err["error"] == error and fragment in err["message"]
     assert calls == []
 
 

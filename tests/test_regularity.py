@@ -58,19 +58,12 @@ def test_theoretical_exponents_monotone(rho, eta, bump):
     assert k1 >= g1 - 1e-12 and k2 >= g2 - 1e-12
 
 
-def _path_from_series(series, dt, replicate_id=0):
-    grid = Grid(1, 1, 1.0)
-    frames = tuple(Field(grid, np.array([v])) for v in series)
-    times = tuple(dt * k for k in range(len(series)))
-    return PathSolution(frames, times, replicate_id)
-
-
 def test_temporal_estimate_linear_drift():
     dt = 1e-3
     n = 257
     series = dt * np.arange(n)
-    paths = [_path_from_series(series, dt)]
-    est = estimate_temporal(paths, 0, min_replicates=1)
+    times = dt * np.arange(n)
+    est = estimate_temporal(series[None], times, min_replicates=1)
     assert est.value == pytest.approx(1.0, abs=0.01)
 
 
@@ -78,42 +71,36 @@ def test_temporal_estimate_brownian_calibration():
     dt = 1e-3
     n_steps, n_rep = 1024, 200
     rng = np.random.default_rng(8)
-    paths = []
+    series = []
     for r in range(n_rep):
         incs = rng.normal(0, np.sqrt(dt), n_steps)
-        series = np.concatenate([[0.0], np.cumsum(incs)])
-        paths.append(_path_from_series(series, dt, r))
-    est = estimate_temporal(paths, 0, min_replicates=200)
+        series.append(np.concatenate([[0.0], np.cumsum(incs)]))
+    times = dt * np.arange(n_steps + 1)
+    est = estimate_temporal(np.stack(series), times, min_replicates=200)
     assert abs(est.value - 0.5) < 0.05
     assert est.ci_low < 0.5 < est.ci_high
 
 
 def test_temporal_estimate_needs_scales():
     dt = 0.01
-    paths = [_path_from_series(np.arange(9) * dt, dt)]
+    times = np.arange(9) * dt
     with pytest.raises(ConstraintViolationError):
-        estimate_temporal(paths, 0, min_replicates=1)
+        estimate_temporal(times[None], times, min_replicates=1)
 
 
 def test_temporal_estimate_needs_uniform_frames():
-    grid = Grid(1, 1, 1.0)
-    frames = tuple(Field(grid, np.array([float(k)])) for k in range(4))
-    path = PathSolution(frames, (0.0, 0.1, 0.3, 0.35), 0)
+    series = np.arange(4.0)[None]
     with pytest.raises(ConstraintViolationError):
-        estimate_temporal([path], 0, min_replicates=1)
-
-
-def _flat_time_path(field_values, grid, n_frames=2, dt=0.5):
-    frames = tuple(Field(grid, field_values) for _ in range(n_frames))
-    times = tuple(dt * k for k in range(n_frames))
-    return PathSolution(frames, times, 0)
+        estimate_temporal(series, (0.0, 0.1, 0.3, 0.35), min_replicates=1)
+    times = np.arange(257) * 1e-3
+    with pytest.raises(ConstraintViolationError):
+        estimate_temporal(times[None], times + 0.5, min_replicates=1)
 
 
 def test_spatial_estimate_smooth_field():
     grid = Grid(1, 256, 2 * np.pi)
     x = grid.axis_coordinates()
-    paths = [_flat_time_path(np.sin(x), grid)]
-    est = estimate_spatial(paths, 0.5, min_replicates=1)
+    est = estimate_spatial(np.sin(x)[None], grid, min_replicates=1)
     assert est.value >= 0.95
 
 
@@ -121,50 +108,65 @@ def test_spatial_estimate_rough_field_calibration():
     # iid cells: increment variance is lag-independent, exponent 0
     grid = Grid(1, 512, 8.0)
     rng = np.random.default_rng(3)
-    paths = [_flat_time_path(rng.normal(size=512), grid) for _ in range(50)]
-    est = estimate_spatial(paths, 0.0, min_replicates=1)
+    fields = np.stack([rng.normal(size=512) for _ in range(50)])
+    est = estimate_spatial(fields, grid, min_replicates=1)
     assert abs(est.value) < 0.05
 
 
 def test_spatial_estimate_needs_stored_time():
+    # the spatial estimate reads the frames at one stored time: frame_at
+    # (and the holder command before any solve) rejects any other time
     grid = Grid(1, 256, 2 * np.pi)
-    paths = [_flat_time_path(np.sin(grid.axis_coordinates()), grid)]
+    frame = Field(grid, np.sin(grid.axis_coordinates()))
+    path = PathSolution((frame, frame), (0.0, 0.5), 0)
+    assert path.frame_at(0.5) is frame
     with pytest.raises(ConfigurationError):
-        estimate_spatial(paths, 0.25, min_replicates=1)  # frames at 0, 0.5
+        path.frame_at(0.25)
 
 
 def test_spatial_estimate_needs_grid_resolution():
     grid = Grid(1, 16, 1.0)
-    paths = [_flat_time_path(np.zeros(16) + np.arange(16), grid)]
+    fields = (np.zeros(16) + np.arange(16))[None]
     with pytest.raises(ConstraintViolationError):
-        estimate_spatial(paths, 0.0, min_replicates=1)
+        estimate_spatial(fields, grid, min_replicates=1)
 
 
 def test_replicate_floor_enforced():
     dt = 1e-3
-    paths = [_path_from_series(np.arange(257) * dt, dt)]
+    times = np.arange(257) * dt
     with pytest.raises(ConstraintViolationError):
-        estimate_temporal(paths, 0)
+        estimate_temporal(times[None], times)
 
 
 def test_empty_ensemble_rejected():
-    # a floor of 0 replicates still needs one path to read the grid from
+    # a floor of 0 replicates still needs one replicate to estimate from
+    times = np.arange(257) * 1e-3
+    grid = Grid(1, 256, 2 * np.pi)
     with pytest.raises(ConstraintViolationError):
-        estimate_temporal([], 0, min_replicates=0)
+        estimate_temporal(np.empty((0, 257)), times, min_replicates=0)
     with pytest.raises(ConstraintViolationError):
-        estimate_spatial([], 0.0, min_replicates=0)
+        estimate_spatial(np.empty((0, 256)), grid, min_replicates=0)
+
+
+def test_estimates_reject_misshapen_arrays():
+    times = np.arange(257) * 1e-3
+    grid = Grid(1, 256, 2 * np.pi)
+    for series in (times, np.stack([times[:-1]] * 2)):
+        with pytest.raises(ConstraintViolationError):
+            estimate_temporal(series, times, min_replicates=1)
+    for fields in (np.zeros(256), np.zeros((2, 128))):
+        with pytest.raises(ConstraintViolationError):
+            estimate_spatial(fields, grid, min_replicates=1)
 
 
 def test_build_report_combines():
     dt = 1e-3
     series = dt * np.arange(257)
-    paths = [_path_from_series(series, dt)]
-    tem = estimate_temporal(paths, 0, min_replicates=1)
+    tem = estimate_temporal(series[None], dt * np.arange(257),
+                            min_replicates=1)
     grid = Grid(1, 256, 2 * np.pi)
-    spa = estimate_spatial(
-        [_flat_time_path(np.sin(grid.axis_coordinates()), grid)],
-        0.5, min_replicates=1,
-    )
+    spa = estimate_spatial(np.sin(grid.axis_coordinates())[None], grid,
+                           min_replicates=1)
     idx = FractionalIndex([2.0], [0.0])
     rep = build_report(tem, spa, idx, 0.9, 0.51)
     assert rep.gamma1_max == pytest.approx(min(0.9 * 0.5, (1 - 0.51) / 2))
