@@ -35,8 +35,8 @@ from .fields import FractionalIndex, Grid, write_array_binary
 from .regularity import (_check_ensemble, _check_window_inputs,
                          _spatial_offsets, _temporal_window, build_report,
                          estimate_spatial, estimate_temporal)
-from .solver import (Coefficient, SolverConfig, _frame_index, _stored_times,
-                     solve, solve_picard)
+from .solver import (Coefficient, SolverConfig, _frame_index,
+                     _require_exp_euler, _stored_times, solve, solve_picard)
 from .spectral_measure import (
     SpectralMeasure,
     admissibility,
@@ -305,14 +305,6 @@ def _run_simulate(cfg, outdir: Path, args):
     entries = _per_replicate(one, n_rep, args.threads)
     _dump_json(outdir / "frames_index.json", {"replicates": entries})
     return 0
-
-
-def _require_exp_euler(config, command):
-    """``command`` solves with ``solve``; a Picard scheme would be ignored."""
-    if config.scheme != "exp_euler":
-        raise ConfigurationError(
-            f"{command} runs the exp_euler scheme only, got {config.scheme!r}"
-        )
 
 
 def _run_holder(cfg, outdir: Path, args):

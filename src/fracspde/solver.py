@@ -15,13 +15,16 @@ so a step is
 
     u_hat <- psi_h * (u_hat + F[dt * b(u_k) + sigma(u_k) * dM_k])
 
-followed by one ``irfftn`` for the checked (and possibly stored) frame;
+followed by an ``irfftn`` for the checked (and possibly stored) frame;
 psi_h (``fields._real_multiplier`` of the symbol), the noise synthesis
 and the blow-up ceiling are cached on the SolverConfig.
 A constant coefficient acts in frequency space: constant sigma adds the
 noise spectrum directly and constant b adds dt*b*n^d to the zero mode, so
 with both constant a step makes no forward transform and no coefficient
-call.
+call, and the frames of a whole noise block are transformed back by one
+batched ``irfftn`` and checked together (still every step's frame; the
+first failing step is the one reported).  A coefficient that acts on the
+frame needs it every step, so that path transforms and checks per step.
 
 Determinism: (config, replicate_id) fixes every noise stream, so results
 are bit-identical regardless of scheduling.
@@ -257,16 +260,21 @@ def smooth_initial(u0, idx: FractionalIndex, t: float, grid: Grid) -> Field:
     return apply_semigroup(_as_initial_field(u0, grid), idx, t)
 
 
-def _check_frame(values, ceiling, step, replicate_id):
-    sup = float(np.abs(values).max())  # NaN or inf if any value is
+def _check_frames(stack, ceiling, first_step, replicate_id):
+    """BlowUpError at the first frame of ``stack`` (row i is the frame
+    after ``first_step + i`` steps) that is non-finite or above ``ceiling``."""
+    if np.abs(stack).max() <= ceiling:  # False if any value is NaN
+        return
+    sup = np.abs(stack).reshape(len(stack), -1).max(axis=1)
+    first = int(np.argmax(~(sup <= ceiling)))
+    step, sup = first_step + first, float(sup[first])
     if not math.isfinite(sup):
         raise BlowUpError(f"non-finite values at step {step}", step,
                           replicate_id)
-    if sup > ceiling:
-        raise BlowUpError(
-            f"sup-norm {sup:.3e} exceeded stability ceiling at step {step}",
-            step, replicate_id,
-        )
+    raise BlowUpError(
+        f"sup-norm {sup:.3e} exceeded stability ceiling at step {step}",
+        step, replicate_id,
+    )
 
 
 def _stored(step: int, config: SolverConfig) -> bool:
@@ -278,6 +286,14 @@ def _stored_times(config: SolverConfig) -> tuple:
     """Times of the frames ``solve`` stores: the floats it records."""
     return tuple(k * config.dt for k in range(config.n_steps + 1)
                  if _stored(k, config))
+
+
+def _require_exp_euler(config: SolverConfig, caller: str):
+    """``caller`` solves with ``solve``; a Picard scheme would be ignored."""
+    if config.scheme != "exp_euler":
+        raise ConfigurationError(
+            f"{caller} runs the exp_euler scheme only, got {config.scheme!r}"
+        )
 
 
 def _constant_value(coef: Coefficient):
@@ -305,34 +321,58 @@ def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
     has_noise = not config.sigma.is_zero
     # constant coefficients act in frequency space, the others on the frame
     sigma_on_frame = has_noise and sigma_const is None
+    on_frame = b_const is None or sigma_on_frame
     if has_noise:
         blocks = noise.blocks(config.noise_stream(replicate_id), n)
 
     u = _wrap(np.asarray(config.u0.values, dtype=float), grid)
     u_hat = _rfft(u, grid)
+    zero, b_mode = (0,) * grid.d, dt * (b_const or 0.0) * u.size
     frames = [Field(grid, _centre(u, grid), _skip_copy=True)]
     times = [0.0]
-    for k in range(n):
-        j = k % noise.block_steps
-        if has_noise and j == 0:
+
+    def keep(k, values):
+        if _stored(k, config):
+            frames.append(Field(grid, _centre(values, grid), _skip_copy=True))
+            times.append(k * dt)
+
+    for start in range(0, n, noise.block_steps):
+        count = min(noise.block_steps, n - start)
+        if has_noise:
             dm_hat = next(blocks)
             if sigma_on_frame:
                 dm = _irfft(dm_hat, grid)
-        if b_const is None or sigma_on_frame:
-            forcing = dt * config.b(u) if b_const is None else 0.0
-            if sigma_on_frame:
-                forcing = forcing + config.sigma(u) * dm[j]
-            u_hat = u_hat + _rfft(forcing, grid)
-        if b_const:
-            u_hat[(0,) * grid.d] += dt * b_const * u.size
-        if has_noise and not sigma_on_frame:
-            u_hat = u_hat + sigma_const * dm_hat[j]
-        u_hat = psi_h * u_hat
-        u = _irfft(u_hat, grid)
-        _check_frame(u, ceiling, k + 1, replicate_id)
-        if _stored(k + 1, config):
-            frames.append(Field(grid, _centre(u, grid), _skip_copy=True))
-            times.append((k + 1) * dt)
+        if on_frame:  # every step needs its frame: transform and check it
+            for j in range(count):
+                forcing = dt * config.b(u) if b_const is None else 0.0
+                if sigma_on_frame:
+                    forcing = forcing + config.sigma(u) * dm[j]
+                u_hat = u_hat + _rfft(forcing, grid)
+                if b_const:
+                    u_hat[zero] += b_mode
+                if has_noise and not sigma_on_frame:
+                    u_hat = u_hat + sigma_const * dm_hat[j]
+                u_hat = psi_h * u_hat
+                u = _irfft(u_hat, grid)
+                _check_frames(u[np.newaxis], ceiling, start + j + 1,
+                              replicate_id)
+                keep(start + j + 1, u)
+        else:  # both constant: step the block in frequency space, then
+            # transform and check all its frames at once.  Steps past a
+            # blow-up, which a step-by-step run never reaches, must not
+            # warn; a non-finite frame is reported by the check.
+            states = np.empty((count,) + u_hat.shape, dtype=u_hat.dtype)
+            with np.errstate(over="ignore", invalid="ignore"):
+                for j in range(count):
+                    if b_const:
+                        u_hat[zero] += b_mode
+                    if has_noise:
+                        u_hat = u_hat + sigma_const * dm_hat[j]
+                    u_hat = states[j] = psi_h * u_hat
+                block = _irfft(states, grid)
+            _check_frames(block, ceiling, start + 1, replicate_id)
+            for j in range(count):
+                keep(start + j + 1, block[j])
     return PathSolution(tuple(frames), tuple(times), replicate_id)
 
 
@@ -375,7 +415,8 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
             w = semigroup(w + dt * config.b(current[k])
                              + config.sigma(current[k]) * increments[k])
             frame = flow[k + 1] + w
-            _check_frame(frame, config._ceiling, k + 1, replicate_id)
+            _check_frames(frame[np.newaxis], config._ceiling, k + 1,
+                          replicate_id)
             residual = max(residual,
                            float(np.abs(frame - current[k + 1]).max()))
             new.append(frame)
@@ -427,8 +468,10 @@ def moment_estimate(config: SolverConfig, p: float,
     """max over (frame, x) of the empirical p-th absolute moment.
 
     Runs ``n_replicates`` >= MIN_MOMENT_REPLICATES independent trajectories
-    and bootstraps the replicate axis for the confidence interval.
+    and bootstraps the replicate axis for the confidence interval.  Only
+    the exp_euler scheme is run (ConfigurationError otherwise).
     """
+    _require_exp_euler(config, "moment_estimate")
     if p < 2:
         raise ConstraintViolationError("moment order must be >= 2")
     if n_replicates < MIN_MOMENT_REPLICATES:

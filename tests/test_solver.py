@@ -185,6 +185,18 @@ def test_blow_up_reported_with_step():
     assert exc.value.replicate_id == 3
 
 
+def test_constant_coefficient_blow_up_reported_with_step():
+    cfg = SolverConfig(
+        idx=FractionalIndex([1.5], [0.3]), measure=WHITE,
+        grid=Grid(1, 64, 8.0), b=Coefficient.constant(3e6),
+        sigma=Coefficient.constant(1.0), u0=0.0, dt=0.1, T=1.0,
+    )
+    with pytest.raises(BlowUpError) as exc:
+        solve(cfg, 3)
+    assert exc.value.step == 4
+    assert exc.value.replicate_id == 3
+
+
 def test_frame_stride_keeps_endpoints():
     cfg = _config(frame_stride=7)
     path = solve(cfg, 0)
@@ -366,6 +378,48 @@ def test_symbol_lattice_built_once_per_config(monkeypatch):
                               paths[1].frames[-1].values)
 
 
+def _block_config(**kw):
+    # 1024 grid points: noise blocks of 64 steps, so 150 steps span three
+    kw = dict(grid=Grid(1, 1024, 16.0), b=Coefficient.constant(0.5),
+              sigma=Coefficient.constant(1.0), u0=0.0, dt=1e-3, T=0.15) | kw
+    cfg = _config(**kw)
+    assert cfg._synthesizer.block_steps == 64 and cfg.n_steps == 150
+    return cfg
+
+
+def test_constant_coefficient_frames_across_blocks_and_strides():
+    every, sevens, last = (solve(_block_config(frame_stride=s), 2)
+                           for s in (1, 7, 10**9))
+    assert every.times == tuple(k * 1e-3 for k in range(151))
+    assert sevens.times == tuple(k * 1e-3 for k in range(0, 151, 7)) + (0.15,)
+    assert last.times == (0.0, 0.15)
+    for path in (sevens, last):
+        assert np.array_equal(path.frames[-1].values, every.frames[-1].values)
+    for k, frame in zip(range(0, 151, 7), sevens.frames):
+        assert np.array_equal(frame.values, every.frames[k].values)
+
+
+@pytest.mark.parametrize("b, sigma, transforms", [
+    (Coefficient.constant(0.5), Coefficient.constant(1.0), 3),  # per block
+    (Coefficient.linear(-0.5), Coefficient.constant(1.0), 150),  # per step
+    (Coefficient.constant(0.5), Coefficient.affine(0.3, 1.0), 150 + 3),
+])
+def test_frames_transformed_per_block_only_with_constant_coefficients(
+        monkeypatch, b, sigma, transforms):
+    import fracspde.solver
+
+    calls = []
+    original = fracspde.solver._irfft
+
+    def counting(spectrum, grid):
+        calls.append(spectrum.shape)
+        return original(spectrum, grid)
+
+    monkeypatch.setattr(fracspde.solver, "_irfft", counting)
+    solve(_block_config(b=b, sigma=sigma, frame_stride=10**9), 0)
+    assert len(calls) == transforms
+
+
 # -- moments ----------------------------------------------------------------------
 
 def test_moment_estimate_deterministic_decay():
@@ -394,6 +448,17 @@ def test_moment_estimate_stable_under_doubling():
     a = moment_estimate(cfg, 2.0, 500)
     b = moment_estimate(cfg, 2.0, 1000)
     assert abs(a.value - b.value) / b.value < 0.10
+
+
+def test_moment_estimate_rejects_picard_scheme(monkeypatch):
+    import fracspde.solver
+
+    calls = []
+    monkeypatch.setattr(fracspde.solver, "solve",
+                        lambda *args: calls.append(args))
+    with pytest.raises(ConfigurationError, match="exp_euler"):
+        moment_estimate(_config(scheme="picard"), 2.0, 100)
+    assert calls == []
 
 
 def test_moment_estimate_requires_replicates():
