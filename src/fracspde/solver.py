@@ -183,6 +183,8 @@ class SolverConfig:
             raise ConstraintViolationError(f"unknown scheme {self.scheme!r}")
         if self.frame_stride < 1:
             raise ConstraintViolationError("frame_stride must be >= 1")
+        if self.picard_max_iter < 1:
+            raise ConstraintViolationError("picard_max_iter must be >= 1")
         if not (math.isfinite(self.picard_tol) and self.picard_tol > 0):
             raise ConstraintViolationError("picard_tol must be finite and > 0")
         if self.idx.d != self.grid.d or self.measure.d != self.grid.d:
@@ -326,7 +328,8 @@ def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
         blocks = noise.blocks(config.noise_stream(replicate_id), n)
 
     u = _wrap(np.asarray(config.u0.values, dtype=float), grid)
-    u_hat = _rfft(u, grid)
+    with np.errstate(over="ignore"):  # an inf here fails the first check
+        u_hat = _rfft(u, grid)
     zero, b_mode = (0,) * grid.d, dt * (b_const or 0.0) * u.size
     frames = [Field(grid, _centre(u, grid), _skip_copy=True)]
     times = [0.0]
@@ -344,16 +347,19 @@ def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
                 dm = _irfft(dm_hat, grid)
         if on_frame:  # every step needs its frame: transform and check it
             for j in range(count):
-                forcing = dt * config.b(u) if b_const is None else 0.0
-                if sigma_on_frame:
-                    forcing = forcing + config.sigma(u) * dm[j]
-                u_hat = u_hat + _rfft(forcing, grid)
-                if b_const:
-                    u_hat[zero] += b_mode
-                if has_noise and not sigma_on_frame:
-                    u_hat = u_hat + sigma_const * dm_hat[j]
-                u_hat = psi_h * u_hat
-                u = _irfft(u_hat, grid)
+                # a transform of a frame near the ceiling may overflow; the
+                # check reports the non-finite frame that results
+                with np.errstate(over="ignore", invalid="ignore"):
+                    forcing = dt * config.b(u) if b_const is None else 0.0
+                    if sigma_on_frame:
+                        forcing = forcing + config.sigma(u) * dm[j]
+                    u_hat = u_hat + _rfft(forcing, grid)
+                    if b_const:
+                        u_hat[zero] += b_mode
+                    if has_noise and not sigma_on_frame:
+                        u_hat = u_hat + sigma_const * dm_hat[j]
+                    u_hat = psi_h * u_hat
+                    u = _irfft(u_hat, grid)
                 _check_frames(u[np.newaxis], ceiling, start + j + 1,
                               replicate_id)
                 keep(start + j + 1, u)
@@ -412,9 +418,10 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
         new = [flow[0]]
         residual = 0.0
         for k in range(n):
-            w = semigroup(w + dt * config.b(current[k])
-                             + config.sigma(current[k]) * increments[k])
-            frame = flow[k + 1] + w
+            with np.errstate(over="ignore", invalid="ignore"):
+                w = semigroup(w + dt * config.b(current[k])
+                                 + config.sigma(current[k]) * increments[k])
+                frame = flow[k + 1] + w
             _check_frames(frame[np.newaxis], config._ceiling, k + 1,
                           replicate_id)
             residual = max(residual,

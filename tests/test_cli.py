@@ -294,6 +294,7 @@ def test_malformed_input_exits_2_with_json(tmp_path, capsys, command, over,
     ("density", {"rho_grid": []}),
     ("simulate", {"scheme": "picard", "picard_tol": -1.0}),
     ("simulate", {"scheme": "picard", "picard_tol": 0.0}),
+    ("simulate", {"scheme": "picard", "picard_max_iter": 0}),
 ])
 def test_out_of_range_setting_exits_2_before_solving(tmp_path, capsys,
                                                      monkeypatch, command,
@@ -406,6 +407,8 @@ def _fuzzed_simulate_config(draw):
             cfg[key] = draw(_BAD)
             continue
         outer, preset = nested[key]
+        if not isinstance(cfg[outer], dict):
+            continue  # the whole section is already a bad value
         if preset:
             cfg[outer] = {"preset": preset}
         cfg[outer][key] = draw(_BAD)

@@ -197,6 +197,22 @@ def test_constant_coefficient_blow_up_reported_with_step():
     assert exc.value.replicate_id == 3
 
 
+@pytest.mark.parametrize("scheme", ["exp_euler", "picard"])
+def test_transform_overflow_reported_as_blow_up(scheme):
+    # the frames stay finite but a step's forward transform overflows
+    cfg = _config(b=Coefficient.linear(100.0), u0=5e305, scheme=scheme)
+    runner = solve if scheme == "exp_euler" else solve_picard
+    with pytest.raises(BlowUpError, match="non-finite") as exc:
+        runner(cfg, 2)
+    assert exc.value.replicate_id == 2
+
+
+@pytest.mark.parametrize("max_iter", [0, -1])
+def test_config_requires_a_picard_sweep(max_iter):
+    with pytest.raises(ConstraintViolationError):
+        _config(scheme="picard", picard_max_iter=max_iter)
+
+
 def test_frame_stride_keeps_endpoints():
     cfg = _config(frame_stride=7)
     path = solve(cfg, 0)
