@@ -265,10 +265,11 @@ def smooth_initial(u0, idx: FractionalIndex, t: float, grid: Grid) -> Field:
 def _check_frames(stack, ceiling, first_step, replicate_id):
     """BlowUpError at the first frame of ``stack`` (row i is the frame
     after ``first_step + i`` steps) that is non-finite or above ``ceiling``."""
-    if np.abs(stack).max() <= ceiling:  # False if any value is NaN
+    peak = np.abs(stack).max()  # NaN or inf if any value is
+    if peak <= ceiling and math.isfinite(peak):  # the ceiling may be inf
         return
     sup = np.abs(stack).reshape(len(stack), -1).max(axis=1)
-    first = int(np.argmax(~(sup <= ceiling)))
+    first = int(np.argmax(~(np.isfinite(sup) & (sup <= ceiling))))
     step, sup = first_step + first, float(sup[first])
     if not math.isfinite(sup):
         raise BlowUpError(f"non-finite values at step {step}", step,
@@ -327,58 +328,51 @@ def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
     if has_noise:
         blocks = noise.blocks(config.noise_stream(replicate_id), n)
 
-    u = _wrap(np.asarray(config.u0.values, dtype=float), grid)
-    with np.errstate(over="ignore"):  # an inf here fails the first check
-        u_hat = _rfft(u, grid)
-    zero, b_mode = (0,) * grid.d, dt * (b_const or 0.0) * u.size
-    frames = [Field(grid, _centre(u, grid), _skip_copy=True)]
-    times = [0.0]
-
     def keep(k, values):
         if _stored(k, config):
             frames.append(Field(grid, _centre(values, grid), _skip_copy=True))
             times.append(k * dt)
 
-    for start in range(0, n, noise.block_steps):
-        count = min(noise.block_steps, n - start)
-        if has_noise:
-            dm_hat = next(blocks)
-            if sigma_on_frame:
-                dm = _irfft(dm_hat, grid)
-        if on_frame:  # every step needs its frame: transform and check it
+    # An overflow leaves a non-finite frame, which the check reports; a
+    # batched block also steps past a blow-up that the check then reports.
+    # Neither may warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _wrap(np.asarray(config.u0.values, dtype=float), grid)
+        u_hat = _rfft(u, grid)
+        zero, b_mode = (0,) * grid.d, dt * (b_const or 0.0) * u.size
+        frames = [Field(grid, _centre(u, grid), _skip_copy=True)]
+        times = [0.0]
+        for start in range(0, n, noise.block_steps):
+            count = min(noise.block_steps, n - start)
+            if has_noise:
+                dm_hat = next(blocks)
+                if sigma_on_frame:
+                    dm = _irfft(dm_hat, grid)
+            if not on_frame:  # both constant: the block stays in frequency
+                states = np.empty((count,) + u_hat.shape, dtype=u_hat.dtype)
             for j in range(count):
-                # a transform of a frame near the ceiling may overflow; the
-                # check reports the non-finite frame that results
-                with np.errstate(over="ignore", invalid="ignore"):
+                if on_frame:
                     forcing = dt * config.b(u) if b_const is None else 0.0
                     if sigma_on_frame:
                         forcing = forcing + config.sigma(u) * dm[j]
                     u_hat = u_hat + _rfft(forcing, grid)
-                    if b_const:
-                        u_hat[zero] += b_mode
-                    if has_noise and not sigma_on_frame:
-                        u_hat = u_hat + sigma_const * dm_hat[j]
-                    u_hat = psi_h * u_hat
+                if b_const:
+                    u_hat[zero] += b_mode
+                if has_noise and not sigma_on_frame:
+                    u_hat = u_hat + sigma_const * dm_hat[j]
+                u_hat = psi_h * u_hat
+                if on_frame:  # the next step needs this frame
                     u = _irfft(u_hat, grid)
-                _check_frames(u[np.newaxis], ceiling, start + j + 1,
-                              replicate_id)
-                keep(start + j + 1, u)
-        else:  # both constant: step the block in frequency space, then
-            # transform and check all its frames at once.  Steps past a
-            # blow-up, which a step-by-step run never reaches, must not
-            # warn; a non-finite frame is reported by the check.
-            states = np.empty((count,) + u_hat.shape, dtype=u_hat.dtype)
-            with np.errstate(over="ignore", invalid="ignore"):
-                for j in range(count):
-                    if b_const:
-                        u_hat[zero] += b_mode
-                    if has_noise:
-                        u_hat = u_hat + sigma_const * dm_hat[j]
-                    u_hat = states[j] = psi_h * u_hat
+                    _check_frames(u[np.newaxis], ceiling, start + j + 1,
+                                  replicate_id)
+                    keep(start + j + 1, u)
+                else:
+                    states[j] = u_hat
+            if not on_frame:  # transform and check the block's frames at once
                 block = _irfft(states, grid)
-            _check_frames(block, ceiling, start + 1, replicate_id)
-            for j in range(count):
-                keep(start + j + 1, block[j])
+                _check_frames(block, ceiling, start + 1, replicate_id)
+                for j in range(count):
+                    keep(start + j + 1, block[j])
     return PathSolution(tuple(frames), tuple(times), replicate_id)
 
 

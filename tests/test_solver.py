@@ -16,6 +16,7 @@ from fracspde.solver import (
     Coefficient,
     PathSolution,
     SolverConfig,
+    _check_frames,
     moment_estimate,
     smooth_initial,
     solve,
@@ -195,6 +196,30 @@ def test_constant_coefficient_blow_up_reported_with_step():
         solve(cfg, 3)
     assert exc.value.step == 4
     assert exc.value.replicate_id == 3
+
+
+@pytest.mark.parametrize("sigma", [0.0, 1.0])
+def test_infinite_frame_reported_under_infinite_ceiling(sigma):
+    # |u0| near the float limit makes the ceiling inf; the first frame's
+    # zero mode overflows to inf without any NaN, and is still a blow-up
+    cfg = SolverConfig(
+        idx=GAUSS, measure=WHITE, grid=Grid(1, 2, 8.0),
+        b=Coefficient.constant(1e308), sigma=Coefficient.constant(sigma),
+        u0=1e303, dt=1.0, T=3.0,
+    )
+    assert cfg._ceiling == np.inf
+    with pytest.raises(BlowUpError, match="non-finite values at step 1$"):
+        solve(cfg, 4)
+
+
+def test_frame_check_reports_first_non_finite_row():
+    stack = np.array([[1.0, -2.0], [np.inf, 0.0], [np.nan, 0.0]])
+    with pytest.raises(BlowUpError, match="non-finite values at step 6$") as exc:
+        _check_frames(stack, np.inf, 5, 1)
+    assert (exc.value.step, exc.value.replicate_id) == (6, 1)
+    with pytest.raises(BlowUpError, match="ceiling at step 5$"):
+        _check_frames(stack, 1.5, 5, 1)
+    _check_frames(stack[:1], 2.0, 5, 1)
 
 
 @pytest.mark.parametrize("scheme", ["exp_euler", "picard"])
