@@ -30,7 +30,8 @@ from . import __version__
 from .density import (_check_bound_inputs, kde, sample_law,
                       variance_bound_check)
 from .errors import (ConfigurationError, DivergenceError, FracspdeError,
-                     NumericalError, ValidationError)
+                     NumericalConsistencyError, NumericalError,
+                     ValidationError)
 from .fields import FractionalIndex, Grid, write_array_binary
 from .regularity import (_check_ensemble, _check_window_inputs,
                          _spatial_offsets, _temporal_window, build_report,
@@ -81,6 +82,19 @@ def _reading(what):
         yield
     except (TypeError, ValueError) as exc:
         raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
+@contextmanager
+def _in_float_range(what):
+    """Report a float overflow or invalid operation in ``what`` as a
+    numerical failure: far from 0 (u0 near 1e300) a squared spread or
+    increment can overflow."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise NumericalConsistencyError(
+            f"{what} left the float range: {exc}") from exc
 
 
 def _parse_seed(cfg, override=None) -> int:
@@ -253,7 +267,8 @@ def _run_kernel(cfg, outdir: Path, args):
     vals = field.values
     if idx.d == 1:
         flipped = vals[1:][::-1]
-        report["max_asymmetry"] = float(np.abs(vals[1:] - flipped).max())
+        report["max_asymmetry"] = float(np.abs(vals[1:] - flipped).max(
+            initial=0.0))
     if args.format == "csv":
         write_kernel_csv(outdir / "kernel.csv", field, idx, t, diag)
     else:
@@ -297,10 +312,10 @@ def _run_simulate(cfg, outdir: Path, args):
     def one(rep):
         path = runner(config, rep)
         fname = outdir / f"frames_{rep:04d}.bin"
-        write_array_binary(fname, np.stack([f.values for f in path.frames]))
+        write_array_binary(fname, path.values)
         return {"replicate": rep, "file": fname.name,
                 "times": list(path.times),
-                "final_sup": float(np.abs(path.frames[-1].values).max())}
+                "final_sup": float(np.abs(path.values[-1]).max())}
 
     entries = _per_replicate(one, n_rep, args.threads)
     _dump_json(outdir / "frames_index.json", {"replicates": entries})
@@ -323,23 +338,26 @@ def _run_holder(cfg, outdir: Path, args):
     _check_window_inputs(rho, eta)
     # what the estimators would refuse, refused before any solve
     times = _stored_times(config)
-    _frame_index(times, t_probe)
+    row = _frame_index(times, t_probe)
     _check_ensemble(n_rep, min_rep)
     _temporal_window(times, min_lag_steps)
     _spatial_offsets(config.grid, min_lag_cells)
 
     def probes(rep):
+        # copies: a view of one row would keep the whole path alive
         path = solve(config, rep)
-        return path.values_at(x_probe), path.frame_at(t_probe).values
+        return path.values_at(x_probe), path.values[row].copy()
 
     series, fields = zip(*_per_replicate(probes, n_rep, args.threads))
-    temporal = estimate_temporal(
-        series, times, min_replicates=min_rep, min_lag_steps=min_lag_steps,
-    )
-    spatial = estimate_spatial(
-        fields, config.grid, min_replicates=min_rep,
-        min_lag_cells=min_lag_cells,
-    )
+    with _in_float_range("the Hölder estimate"):
+        temporal = estimate_temporal(
+            series, times, min_replicates=min_rep,
+            min_lag_steps=min_lag_steps,
+        )
+        spatial = estimate_spatial(
+            fields, config.grid, min_replicates=min_rep,
+            min_lag_cells=min_lag_cells,
+        )
     report = build_report(temporal, spatial, config.idx, rho, eta)
     _dump_json(outdir / "holder_report.json", report.to_dict())
     if args.format == "csv":
@@ -365,7 +383,9 @@ def _run_density(cfg, outdir: Path, args):
             cfg, "rho_grid", np.geomspace(1e-3, min(t, 1.0), 24).tolist())
     _check_bound_inputs(t, (theta1, theta2), rho_grid)
     samples = sample_law(config, t, x, n)
-    estimate = kde(samples)
+    with _in_float_range("the density estimate"):
+        estimate = kde(samples)
+        mean, variance = np.mean(samples), np.var(samples, ddof=1)
     bounds = variance_bound_check(config.idx, config.measure, t,
                                   (theta1, theta2), rho_grid,
                                   eta_star=eta_star)
@@ -384,8 +404,8 @@ def _run_density(cfg, outdir: Path, args):
         "degenerate": estimate.degenerate,
         "eta_star": eta_star,
         "variance_bounds": bounds.to_dict(),
-        "sample_mean": float(np.mean(samples)),
-        "sample_variance": float(np.var(samples, ddof=1)),
+        "sample_mean": float(mean),
+        "sample_variance": float(variance),
     })
     return 0
 

@@ -79,11 +79,11 @@ def sample_law(config: SolverConfig, t: float, x, n: int) -> np.ndarray:
                                "[-10, 10]; it must stay strictly positive")
     if not t > 0:
         raise ConfigurationError(f"no frame stored at t={t} in (0, T]")
-    _frame_index(_stored_times(config), t)
+    row = _frame_index(_stored_times(config), t)
     probe = (x,) if np.isscalar(x) else tuple(x)
     out = np.empty(n)
     for i in range(n):
-        out[i] = solve(config, i).frame_at(t).values[probe]
+        out[i] = solve(config, i).values[row][probe]
     return out
 
 

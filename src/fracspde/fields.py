@@ -16,10 +16,11 @@ inverts it; the pair round-trips to machine precision.
 Layouts, all owned here: physical fields are centred (origin at index
 n//2 per axis); ``_wrap``/``_centre`` move them to and from FFT order, and
 ``_rfft``/``_irfft`` keep half spectra (``rfftn`` over the trailing
-``grid.d`` axes; leading axes are a batch).  A lattice symbol psi acts on
-half spectra as ``_real_multiplier(psi)`` = (psi(-k) + conj psi(k)) / 2,
-what the real part of the complex route applies; it is not psi on Nyquist
-planes where psi is not Hermitian.  ``_apply_symbol`` applies it.
+``grid.d`` axes, called axis by axis; leading axes are a batch).  A
+lattice symbol psi acts on half spectra as ``_real_multiplier(psi)`` =
+(psi(-k) + conj psi(k)) / 2, what the real part of the complex route
+applies; it is not psi on Nyquist planes where psi is not Hermitian.
+``_apply_symbol`` applies it.
 """
 
 from __future__ import annotations
@@ -132,6 +133,15 @@ class Grid:
             raise ConstraintViolationError("n_per_dim must be >= 1")
         if not (math.isfinite(self.box_length) and self.box_length > 0):
             raise ConstraintViolationError("box_length must be finite and > 0")
+        # the transforms scale by box_length**d and a spike by 1/cell_volume
+        with np.errstate(over="ignore"):
+            box, cell = np.float64([self.box_length, self.spacing]) ** self.d
+        if not (box < math.inf and cell > 0):
+            raise ConstraintViolationError(
+                f"box_length**d or the cell volume of a {self.d}-d box of "
+                f"{self.box_length} with {self.n_per_dim} points per axis "
+                "is out of the float range"
+            )
 
     @property
     def spacing(self) -> float:
@@ -255,14 +265,22 @@ def _centre(values: np.ndarray, grid: Grid) -> np.ndarray:
 
 
 def _rfft(values: np.ndarray, grid: Grid) -> np.ndarray:
-    """Half spectrum of real values in FFT order; leading axes are a batch."""
-    return np.fft.rfftn(values, axes=tuple(range(-grid.d, 0)))
+    """Half spectrum of real values in FFT order; leading axes are a batch.
+
+    The calls ``rfftn`` makes over the trailing ``grid.d`` axes, in its
+    order, without its wrapper (the same bytes, a few µs less a call)."""
+    spectrum = np.fft.rfft(values, axis=-1)
+    for axis in range(-2, -grid.d - 1, -1):
+        spectrum = np.fft.fft(spectrum, axis=axis)
+    return spectrum
 
 
 def _irfft(spectrum: np.ndarray, grid: Grid) -> np.ndarray:
-    """Real values in FFT order of half spectra: the inverse of ``_rfft``."""
-    return np.fft.irfftn(spectrum, s=grid.shape,
-                         axes=tuple(range(-grid.d, 0)))
+    """Real values in FFT order of half spectra: the inverse of ``_rfft``,
+    made of the calls ``irfftn`` makes, in its order."""
+    for axis in range(-grid.d, -1):
+        spectrum = np.fft.ifft(spectrum, axis=axis)
+    return np.fft.irfft(spectrum, grid.n_per_dim, axis=-1)
 
 
 def _real_multiplier(symbol: np.ndarray) -> np.ndarray:

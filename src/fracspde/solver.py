@@ -15,16 +15,21 @@ so a step is
 
     u_hat <- psi_h * (u_hat + F[dt * b(u_k) + sigma(u_k) * dM_k])
 
-followed by an ``irfftn`` for the checked (and possibly stored) frame;
+followed by an ``_irfft`` for the checked (and possibly stored) frame;
 psi_h (``fields._real_multiplier`` of the symbol), the noise synthesis
 and the blow-up ceiling are cached on the SolverConfig.
 A constant coefficient acts in frequency space: constant sigma adds the
 noise spectrum directly and constant b adds dt*b*n^d to the zero mode, so
 with both constant a step makes no forward transform and no coefficient
 call, and the frames of a whole noise block are transformed back by one
-batched ``irfftn`` and checked together (still every step's frame; the
+batched ``_irfft`` and checked together (still every step's frame; the
 first failing step is the one reported).  A coefficient that acts on the
 frame needs it every step, so that path transforms and checks per step.
+
+Either way a noise block ends with its frames in FFT order, one row per
+step.  Its stored rows are centred by one ``_centre`` into the path's
+``(F, *grid.shape)`` array, which ``PathSolution`` holds as ``values``;
+no per-frame Field is built while stepping.
 
 Determinism: (config, replicate_id) fixes every noise stream, so results
 are bit-identical regardless of scheduling.
@@ -32,7 +37,9 @@ are bit-identical regardless of scheduling.
 
 from __future__ import annotations
 
+import bisect
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -151,9 +158,9 @@ class SolverConfig:
     """Full problem statement for one simulation.
 
     Checked at construction: positive steps, a horizon T that is a whole
-    number of steps, Lipschitz coefficients, and admissibility of the
-    measure at eta = 1 for the given index (the well-posedness condition
-    of the scheme).
+    number of steps, Lipschitz coefficients, admissibility of the measure
+    at eta = 1 for the given index (the well-posedness condition of the
+    scheme), and a finite u0 whose blow-up ceiling is finite.
     """
 
     idx: FractionalIndex
@@ -193,6 +200,14 @@ class SolverConfig:
             )
         require_admissible(self.measure, self.idx)
         object.__setattr__(self, "u0", _as_initial_field(self.u0, self.grid))
+        if not np.isfinite(self.u0.values).all():
+            raise ConstraintViolationError("u0 must be finite everywhere")
+        if not math.isfinite(self._ceiling):
+            limit = sys.float_info.max / BLOWUP_FACTOR
+            raise ConstraintViolationError(
+                f"sup |u0| must be below {limit:.3e}, or the blow-up "
+                f"ceiling {BLOWUP_FACTOR:g} * |u0| overflows"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -217,31 +232,45 @@ class SolverConfig:
 
 @dataclass(frozen=True, eq=False)
 class PathSolution:
-    """Stored frames of one simulated trajectory."""
+    """Stored frames of one simulated trajectory.
 
-    frames: tuple
+    ``values`` holds the frames as one read-only ``(F, *grid.shape)``
+    array, row i being the centred frame at ``times[i]``.  Rows (and the
+    ``frames`` Fields) are views of it: copy one to keep it past the path.
+    """
+
+    values: np.ndarray
+    grid: Grid
     times: tuple
     replicate_id: int
 
     def __post_init__(self):
-        if len(self.frames) != len(self.times):
+        values = np.asarray(self.values).view()
+        values.setflags(write=False)
+        object.__setattr__(self, "values", values)
+        if values.shape[1:] != self.grid.shape:
+            raise ConstraintViolationError(
+                f"frame shape {values.shape[1:]} != grid shape "
+                f"{self.grid.shape}"
+            )
+        if len(values) != len(self.times):
             raise ConstraintViolationError("frames/times length mismatch")
-        if np.any(np.diff(self.times) <= 0) or self.times[0] != 0:
+        if (not len(self.times) or self.times[0] != 0
+                or np.any(np.diff(self.times) <= 0)):
             raise ConstraintViolationError(
                 "times must be strictly increasing from 0"
             )
-        g = self.frames[0].grid
-        if any(f.grid != g for f in self.frames):
-            raise ConstraintViolationError("frames must share one grid")
 
-    @property
-    def grid(self) -> Grid:
-        return self.frames[0].grid
+    @cached_property
+    def frames(self) -> tuple:
+        """One read-only Field per stored frame, each a view of a row."""
+        return tuple(Field(self.grid, row, _skip_copy=True)
+                     for row in self.values)
 
     def values_at(self, probe) -> np.ndarray:
-        """Time series of the field at one grid index."""
+        """Time series of the field at one grid index (a copy)."""
         probe = (probe,) if np.isscalar(probe) else tuple(probe)
-        return np.array([f.values[probe] for f in self.frames])
+        return self.values[(slice(None),) + probe].copy()
 
     def frame_at(self, t: float) -> Field:
         """The frame stored at time ``t``; ConfigurationError if none is."""
@@ -280,15 +309,14 @@ def _check_frames(stack, ceiling, first_step, replicate_id):
     )
 
 
-def _stored(step: int, config: SolverConfig) -> bool:
-    """Whether the frame after ``step`` steps is stored (stride or last)."""
-    return step % config.frame_stride == 0 or step == config.n_steps
+def _stored_steps(config: SolverConfig) -> tuple:
+    """Steps after which a frame is stored: each stride and the last."""
+    return (*range(0, config.n_steps, config.frame_stride), config.n_steps)
 
 
 def _stored_times(config: SolverConfig) -> tuple:
     """Times of the frames ``solve`` stores: the floats it records."""
-    return tuple(k * config.dt for k in range(config.n_steps + 1)
-                 if _stored(k, config))
+    return tuple(k * config.dt for k in _stored_steps(config))
 
 
 def _require_exp_euler(config: SolverConfig, caller: str):
@@ -327,11 +355,8 @@ def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
     on_frame = b_const is None or sigma_on_frame
     if has_noise:
         blocks = noise.blocks(config.noise_stream(replicate_id), n)
-
-    def keep(k, values):
-        if _stored(k, config):
-            frames.append(Field(grid, _centre(values, grid), _skip_copy=True))
-            times.append(k * dt)
+    steps = _stored_steps(config)
+    values = np.empty((len(steps),) + grid.shape)
 
     # An overflow leaves a non-finite frame, which the check reports; a
     # batched block also steps past a blow-up that the check then reports.
@@ -340,15 +365,17 @@ def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
         u = _wrap(np.asarray(config.u0.values, dtype=float), grid)
         u_hat = _rfft(u, grid)
         zero, b_mode = (0,) * grid.d, dt * (b_const or 0.0) * u.size
-        frames = [Field(grid, _centre(u, grid), _skip_copy=True)]
-        times = [0.0]
+        values[0] = _centre(u, grid)
+        row = 1
         for start in range(0, n, noise.block_steps):
             count = min(noise.block_steps, n - start)
             if has_noise:
                 dm_hat = next(blocks)
                 if sigma_on_frame:
                     dm = _irfft(dm_hat, grid)
-            if not on_frame:  # both constant: the block stays in frequency
+            if on_frame:  # the block's frames in FFT order
+                block = np.empty((count,) + grid.shape)
+            else:  # both constant: the block stays in frequency
                 states = np.empty((count,) + u_hat.shape, dtype=u_hat.dtype)
             for j in range(count):
                 if on_frame:
@@ -362,18 +389,20 @@ def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
                     u_hat = u_hat + sigma_const * dm_hat[j]
                 u_hat = psi_h * u_hat
                 if on_frame:  # the next step needs this frame
-                    u = _irfft(u_hat, grid)
+                    block[j] = u = _irfft(u_hat, grid)
                     _check_frames(u[np.newaxis], ceiling, start + j + 1,
                                   replicate_id)
-                    keep(start + j + 1, u)
                 else:
                     states[j] = u_hat
             if not on_frame:  # transform and check the block's frames at once
                 block = _irfft(states, grid)
                 _check_frames(block, ceiling, start + 1, replicate_id)
-                for j in range(count):
-                    keep(start + j + 1, block[j])
-    return PathSolution(tuple(frames), tuple(times), replicate_id)
+            stop = bisect.bisect_right(steps, start + count, row)
+            if stop > row:  # the block's stored rows, centred at once
+                kept = [k - start - 1 for k in steps[row:stop]]
+                values[row:stop] = _centre(block[kept], grid)
+                row = stop
+    return PathSolution(values, grid, _stored_times(config), replicate_id)
 
 
 def solve_picard(config: SolverConfig, replicate_id: int = 0,
@@ -432,12 +461,9 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
             residuals,
         )
 
-    path = PathSolution(
-        tuple(Field(grid, _centre(current[j], grid), _skip_copy=True)
-              for j in range(n + 1) if _stored(j, config)),
-        _stored_times(config),
-        replicate_id,
-    )
+    kept = [current[k] for k in _stored_steps(config)]
+    path = PathSolution(_centre(np.stack(kept), grid), grid,
+                        _stored_times(config), replicate_id)
     return (path, residuals) if return_trace else path
 
 
@@ -481,8 +507,7 @@ def moment_estimate(config: SolverConfig, p: float,
         )
     powers = []
     for rep in range(n_replicates):
-        path = solve(config, rep)
-        powers.append(np.abs(np.stack([f.values for f in path.frames])) ** p)
+        powers.append(np.abs(solve(config, rep).values) ** p)
     stack = np.stack(powers).reshape(n_replicates, -1)
     value = float(stack.mean(axis=0).max())
     lo, hi = _bootstrap_interval(stack, np.max)

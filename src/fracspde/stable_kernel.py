@@ -121,8 +121,11 @@ def leakage_estimate(idx: FractionalIndex, t: float, grid: Grid) -> float:
             total += math.erfc(half / (2 * math.sqrt(t)))
         else:
             cm, cp = tail_coefficients(a, dl)
-            r = half * t ** (-1.0 / a)
-            total += (cm + cp) / (a * r**a)
+            # in float64, a huge r**a gives a tail of 0 and r**a = 0 a
+            # tail of inf, which the cap at 1 takes, where floats raise
+            with np.errstate(over="ignore", divide="ignore"):
+                r = half * np.float64(t) ** (-1.0 / a)
+                total += (cm + cp) / (a * r**a)
     return float(min(total, 1.0))
 
 

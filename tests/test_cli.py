@@ -188,6 +188,38 @@ def test_holder_command(tmp_path):
                 == (tmp_path / "p" / name).read_bytes())
 
 
+def test_holder_keeps_copies_not_views_of_each_path(tmp_path, monkeypatch):
+    # a view of one row would keep a replicate's whole path alive
+    import fracspde.cli
+
+    paths, kept = [], {}
+    solve = fracspde.cli.solve
+
+    def solving(config, rep):
+        paths.append(solve(config, rep))
+        return paths[-1]
+
+    def keeping(name):
+        estimate = getattr(fracspde.cli, name)
+
+        def wrapped(arrays, *args, **kwargs):
+            kept[name] = list(arrays)
+            return estimate(arrays, *args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(fracspde.cli, "solve", solving)
+    for name in ("estimate_temporal", "estimate_spatial"):
+        monkeypatch.setattr(fracspde.cli, name, keeping(name))
+    cfg = _sim_cfg(tmp_path, **_HOLDER_OK, replicates=3)
+    assert main(["holder", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert len(paths) == 3
+    for path, series, field in zip(paths, kept["estimate_temporal"],
+                                   kept["estimate_spatial"]):
+        assert np.array_equal(field, path.values[-1])
+        assert not np.shares_memory(field, path.values)
+        assert not np.shares_memory(series, path.values)
+
+
 def test_integral_float_count_is_read(tmp_path):
     cfg = _sim_cfg(tmp_path, replicates=2.0, frame_stride=5.0)
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o")])
@@ -295,6 +327,7 @@ def test_malformed_input_exits_2_with_json(tmp_path, capsys, command, over,
     ("simulate", {"scheme": "picard", "picard_tol": -1.0}),
     ("simulate", {"scheme": "picard", "picard_tol": 0.0}),
     ("simulate", {"scheme": "picard", "picard_max_iter": 0}),
+    ("simulate", {"u0": {"preset": "constant", "value": 1e303}}),
 ])
 def test_out_of_range_setting_exits_2_before_solving(tmp_path, capsys,
                                                      monkeypatch, command,
@@ -354,53 +387,114 @@ def test_unhonoured_input_exits_2_before_solving(tmp_path, capsys,
     assert calls == []
 
 
+_FAR_FROM_ZERO = {"u0": {"preset": "constant", "value": 1e300},
+                  "grid": {"n_per_dim": 32, "box_length": 0.5}}
+
+
+@pytest.mark.parametrize("command,over,rc,error", [
+    ("kernel", {"t": 1.0, "grid": {"n_per_dim": 1, "box_length": 0.5}},
+     0, None),
+    ("kernel", {"t": 1.0, "alpha": [1.5],
+                "grid": {"n_per_dim": 1, "box_length": 1e300}}, 0, None),
+    ("kernel", {"t": 1.0, "alpha": [2.0, 2.0],
+                "grid": {"n_per_dim": 1, "box_length": 1e300}},
+     2, "ConstraintViolationError"),
+    ("holder", {**_FAR_FROM_ZERO, "frame_stride": 1, "T": 1.28,
+                "sigma": {"preset": "affine", "slope": 0.5, "value": 1.0}},
+     3, "NumericalConsistencyError"),
+    ("density", {**_FAR_FROM_ZERO, "T": 0.01, "n_samples": 500},
+     3, "NumericalConsistencyError"),
+])
+def test_float_range_edges_keep_the_contract(tmp_path, capsys, command,
+                                             over, rc, error):
+    # a one-point grid, a box whose volume overflows, and increments or a
+    # sample spread whose squares overflow: each once escaped as a raw
+    # ValueError, OverflowError or RuntimeWarning
+    cfg = _sim_cfg(tmp_path, **over)
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == rc
+    if error:
+        assert json.loads(capsys.readouterr().err)["error"] == error
+
+
 # wrong in type or range, never so large that the run itself grows
 _BAD = st.sampled_from([None, True, "1", "nan", [], {}, -1, 0, 2.5,
                         float("nan"), float("inf")])
 
 
 @st.composite
-def _fuzzed_simulate_config(draw):
-    """A small simulate config (<= 32 points, <= 4 steps); up to two
+def _fuzzed_config(draw, command):
+    """A small config for ``command`` (<= 32 points, <= 4 steps, or 256
+    for ``holder``, and at most 3 replicates or 500 samples); up to two
     settings are replaced by a value of the wrong type or range and up to
     one is dropped."""
     def pick(*options):
         return draw(st.sampled_from(options))
 
-    dt = pick(0.01, 0.005, 0.02)
+    # holder and density reach their reports only from a valid solver
+    # config, so their index and scheme are valid more often
+    reports = command in ("holder", "density")
     alpha = pick([2.0], [1.5], [1.2], [0.7], [2.0, 2.0], [1.5, 1.8])
+    delta = pick(0.0, 0.2, -0.3)
+    n_per_dim = draw(st.integers(1, 32))
     cfg = {
         "alpha": alpha,
-        "delta": [pick(0.0, 0.2, -0.3)] * len(alpha),
-        "grid": {"n_per_dim": draw(st.integers(1, 32)),
+        "delta": [pick(delta, 0.0) if reports else delta] * len(alpha),
+        # holder needs 32 points for its four spatial scales
+        "grid": {"n_per_dim": pick(n_per_dim, 32) if command == "holder"
+                 else n_per_dim,
                  "box_length": pick(0.5, 8.0, 1e-3, 1e300)},
-        "measure": pick({"kind": "white"}, {"kind": "riesz", "gamma": 0.5},
-                        {"kind": "riesz", "gamma": 1.2},
-                        {"kind": "bessel", "beta": 1.0},
-                        {"kind": "free_field", "mass": 1.0},
-                        {"kind": "tabulated", "radii": [0.0, 4.0],
-                         "values": [1.0, 1.0]}),
-        "b": pick({"preset": "constant", "value": 0.5},
-                  {"preset": "sine", "amplitude": 1.0, "frequency": 2.0},
-                  {"preset": "linear", "slope": -1.0}),
-        "sigma": pick({"preset": "constant", "value": 1.0},
-                      {"preset": "affine", "slope": 0.5, "value": 1.0}),
-        "u0": pick({"preset": "zero"}, {"preset": "constant", "value": 2.0},
-                   {"preset": "cosine", "frequency": 3.0},
-                   {"preset": "gaussian_bump", "width": 0.5},
-                   {"preset": "constant", "value": 1e300}),
-        "dt": dt,
-        "T": dt * draw(st.integers(1, 4)),
-        "scheme": pick("exp_euler", "picard"),
-        "picard_tol": pick(1e-12, 1e-3),
-        "picard_max_iter": pick(1, 50),
-        "replicates": pick(1, 2, 2.0),
-        "frame_stride": pick(1, 2),
-        "seed": pick(0, 5, 2**32 + 1),
     }
+    nested = {"box_length": ("grid", None), "n_per_dim": ("grid", None)}
+    measure = pick({"kind": "white"}, {"kind": "riesz", "gamma": 0.5},
+                   {"kind": "riesz", "gamma": 1.2},
+                   {"kind": "bessel", "beta": 1.0},
+                   {"kind": "free_field", "mass": 1.0},
+                   {"kind": "tabulated", "radii": [0.0, 4.0],
+                    "values": [1.0, 1.0]})
+    if command == "kernel":
+        cfg["t"] = pick(1.0, 1e-3, 50.0)
+    elif command == "measure":
+        cfg.update(measure=measure, eta=pick(0.5, [0.25, 0.75], [1.0]),
+                   T=pick(1.0, 0.1))
+    else:
+        dt = pick(0.01, 0.005, 0.02)
+        steps = pick(4, 256) if command == "holder" else pick(1, 2, 3, 4)
+        cfg.update({
+            "measure": measure,
+            "b": pick({"preset": "constant", "value": 0.5},
+                      {"preset": "sine", "amplitude": 1.0, "frequency": 2.0},
+                      {"preset": "linear", "slope": -1.0}),
+            "sigma": pick({"preset": "constant", "value": 1.0},
+                          {"preset": "affine", "slope": 0.5, "value": 1.0}),
+            "u0": pick({"preset": "zero"},
+                       {"preset": "constant", "value": 2.0},
+                       {"preset": "cosine", "frequency": 3.0},
+                       {"preset": "gaussian_bump", "width": 0.5},
+                       {"preset": "constant", "value": 1e300}),
+            "dt": dt,
+            "T": dt * steps,
+            "scheme": pick("exp_euler", "picard",
+                           *["exp_euler"] * (2 if reports else 0)),
+            "picard_tol": pick(1e-12, 1e-3),
+            "picard_max_iter": pick(1, 50),
+            "frame_stride": pick(1, 2),
+            "seed": pick(0, 5, 2**32 + 1),
+        })
+        nested.update(value=("u0", "constant"), width=("u0", "gaussian_bump"))
+    if command == "simulate":
+        cfg["replicates"] = pick(1, 2, 2.0)
+    if command == "holder":
+        cfg.update(replicates=pick(1, 2, 2.0, 3),
+                   min_replicates=pick(1, 2), rho=pick(0.9, 0.5),
+                   eta=pick(0.5, 0.3), x_probe=[pick(0, 3)] * len(alpha),
+                   t_probe=cfg["T"] / pick(1, 2),
+                   min_lag_steps=pick(2, 3), min_lag_cells=pick(1, 2))
+    if command == "density":
+        cfg.update(n_samples=pick(1, 500), t=cfg["T"] / pick(1, 2),
+                   x=[pick(0, 3)] * len(alpha),
+                   thetas=pick([1.0, 0.5], [1.2, 0.2]),
+                   rho_grid=pick([1e-3, 1e-2], [0.005, 0.01, 0.02]))
     keys = sorted(cfg)
-    nested = {"box_length": ("grid", None), "n_per_dim": ("grid", None),
-              "value": ("u0", "constant"), "width": ("u0", "gaussian_bump")}
     for key in draw(st.sets(st.sampled_from(keys + sorted(nested)),
                             max_size=2)):
         if key not in nested:
@@ -417,17 +511,31 @@ def _fuzzed_simulate_config(draw):
     return cfg
 
 
-@settings(max_examples=60, deadline=None)
-@given(cfg=_fuzzed_simulate_config())
-def test_simulate_fuzz_exits_with_contract(cfg):
+def _exits_with_contract(command, cfg):
+    """``command`` on ``cfg`` exits 0, 2 or 3, with a JSON error on stderr
+    when it fails."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cfg.json"
         path.write_text(json.dumps(cfg))
         err = io.StringIO()
         with contextlib.redirect_stderr(err):
-            rc = main(["simulate", "--config", str(path),
+            rc = main([command, "--config", str(path),
                        "--out", str(Path(tmp) / "o")])
     assert rc in (0, 2, 3)
     if rc:
         report = json.loads(err.getvalue())
         assert set(report) == {"error", "message"}
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=_fuzzed_config("simulate"))
+def test_simulate_fuzz_exits_with_contract(cfg):
+    _exits_with_contract("simulate", cfg)
+
+
+@pytest.mark.parametrize("command", ["holder", "density", "kernel",
+                                     "measure"])
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_command_fuzz_exits_with_contract(command, data):
+    _exits_with_contract(command, data.draw(_fuzzed_config(command)))

@@ -9,6 +9,8 @@ from fracspde.fields import (
     Grid,
     read_array_binary,
     read_field_binary,
+    _irfft,
+    _rfft,
     to_frequency,
     to_physical,
     write_array_binary,
@@ -73,6 +75,16 @@ def test_grid_rejects_bad_parameters():
 def test_grid_rejects_non_finite_box_length(box_length):
     with pytest.raises(ConstraintViolationError):
         Grid(1, 16, box_length)
+
+
+@pytest.mark.parametrize("d,n,box_length", [
+    (2, 1, 1e300), (3, 32, 1e150), (2, 1, 1e-300),
+])
+def test_grid_rejects_volumes_out_of_float_range(d, n, box_length):
+    # box_length**d overflows or the cell volume underflows to 0
+    with pytest.raises(ConstraintViolationError, match="float range"):
+        Grid(d, n, box_length)
+    Grid(1, n, box_length)
 
 
 def test_field_shape_checked():
@@ -140,3 +152,22 @@ def test_array_binary_roundtrip(tmp_path):
     path = tmp_path / "a.bin"
     write_array_binary(path, arr)
     assert np.array_equal(read_array_binary(path), arr)
+
+
+@pytest.mark.parametrize("batch", [(), (3,)])
+@pytest.mark.parametrize("d,n", [(1, 256), (1, 33), (2, 16), (2, 7),
+                                 (3, 8), (3, 5)])
+def test_half_spectrum_transforms_equal_rfftn_byte_for_byte(d, n, batch):
+    # _rfft/_irfft make rfftn/irfftn's per-axis calls directly, so any
+    # difference in order or arguments shows as a changed byte
+    grid = Grid(d, n, 3.0)
+    axes = tuple(range(-d, 0))
+    values = np.random.default_rng(d * n).standard_normal(batch + grid.shape)
+    spectrum = _rfft(values, grid)
+    reference = np.fft.rfftn(values, axes=axes)
+    assert spectrum.shape == reference.shape
+    assert spectrum.tobytes() == reference.tobytes()
+    back = _irfft(spectrum, grid)
+    reference = np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
+    assert back.shape == reference.shape == values.shape
+    assert back.tobytes() == reference.tobytes()

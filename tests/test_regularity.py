@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracspde.errors import ConfigurationError, ConstraintViolationError
-from fracspde.fields import Field, FractionalIndex, Grid
+from fracspde.fields import FractionalIndex, Grid
 from fracspde.regularity import (
     build_report,
     estimate_spatial,
@@ -117,9 +117,12 @@ def test_spatial_estimate_needs_stored_time():
     # the spatial estimate reads the frames at one stored time: frame_at
     # (and the holder command before any solve) rejects any other time
     grid = Grid(1, 256, 2 * np.pi)
-    frame = Field(grid, np.sin(grid.axis_coordinates()))
-    path = PathSolution((frame, frame), (0.0, 0.5), 0)
-    assert path.frame_at(0.5) is frame
+    x = grid.axis_coordinates()
+    path = PathSolution(np.stack([np.sin(x), np.cos(x)]), grid, (0.0, 0.5),
+                        0)
+    frame = path.frame_at(0.5)
+    assert frame is path.frames[1]
+    assert np.array_equal(frame.values, np.cos(x))
     with pytest.raises(ConfigurationError):
         path.frame_at(0.25)
 

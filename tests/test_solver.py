@@ -198,18 +198,16 @@ def test_constant_coefficient_blow_up_reported_with_step():
     assert exc.value.replicate_id == 3
 
 
-@pytest.mark.parametrize("sigma", [0.0, 1.0])
-def test_infinite_frame_reported_under_infinite_ceiling(sigma):
-    # |u0| near the float limit makes the ceiling inf; the first frame's
-    # zero mode overflows to inf without any NaN, and is still a blow-up
-    cfg = SolverConfig(
-        idx=GAUSS, measure=WHITE, grid=Grid(1, 2, 8.0),
-        b=Coefficient.constant(1e308), sigma=Coefficient.constant(sigma),
-        u0=1e303, dt=1.0, T=3.0,
-    )
-    assert cfg._ceiling == np.inf
-    with pytest.raises(BlowUpError, match="non-finite values at step 1$"):
-        solve(cfg, 4)
+@pytest.mark.parametrize("u0", [
+    float("nan"), float("inf"), -float("inf"), 1e303, -2e302,
+    lambda x: np.where(x > 0, np.inf, 0.0),
+], ids=["nan", "inf", "-inf", "1e303", "-2e302", "inf-half"])
+def test_config_rejects_non_finite_u0_or_ceiling(u0):
+    # not a blow-up at step 1: a non-finite u0, or one whose ceiling
+    # 1e6 * max(1, |u0|) overflows, is invalid input
+    with pytest.raises(ConstraintViolationError, match="u0"):
+        _config(u0=u0)
+    assert np.isfinite(_config(u0=1e302)._ceiling)
 
 
 def test_frame_check_reports_first_non_finite_row():
@@ -224,8 +222,9 @@ def test_frame_check_reports_first_non_finite_row():
 
 @pytest.mark.parametrize("scheme", ["exp_euler", "picard"])
 def test_transform_overflow_reported_as_blow_up(scheme):
-    # the frames stay finite but a step's forward transform overflows
-    cfg = _config(b=Coefficient.linear(100.0), u0=5e305, scheme=scheme)
+    # the frames stay finite, below the ceiling 1e308, but a step's forward
+    # transform (a sum of 256 values near 1e306) overflows
+    cfg = _config(b=Coefficient.linear(100.0), u0=1e302, scheme=scheme)
     runner = solve if scheme == "exp_euler" else solve_picard
     with pytest.raises(BlowUpError, match="non-finite") as exc:
         runner(cfg, 2)
@@ -314,11 +313,28 @@ def test_picard_nonconvergence_carries_trace():
 
 def test_path_solution_validation():
     grid = Grid(1, 8, 1.0)
-    f = Field.constant(grid, 0.0)
+    two = np.zeros((2, 8))
     with pytest.raises(ConstraintViolationError):
-        PathSolution((f, f), (0.0, 0.0), 0)  # times not increasing
+        PathSolution(two, grid, (0.0, 0.0), 0)  # times not increasing
     with pytest.raises(ConstraintViolationError):
-        PathSolution((f,), (0.5,), 0)  # must start at 0
+        PathSolution(two[:1], grid, (0.5,), 0)  # must start at 0
+    with pytest.raises(ConstraintViolationError):
+        PathSolution(two, grid, (0.0,), 0)  # rows/times mismatch
+    with pytest.raises(ConstraintViolationError):
+        PathSolution(np.zeros((2, 4)), grid, (0.0, 0.5), 0)  # not the grid
+    with pytest.raises(ConstraintViolationError):
+        PathSolution(np.zeros((0, 8)), grid, (), 0)  # no frame
+
+
+def test_path_rows_are_read_only_views_and_probes_are_copies():
+    grid = Grid(1, 8, 1.0)
+    rows = np.arange(16.0).reshape(2, 8)
+    path = PathSolution(rows, grid, (0.0, 0.5), 0)
+    assert not path.values.flags.writeable
+    assert np.shares_memory(path.frames[1].values, path.values)
+    series = path.values_at(3)
+    assert np.array_equal(series, [3.0, 11.0])
+    assert not np.shares_memory(series, path.values)
 
 
 @pytest.mark.parametrize("idx,measure,grid", [
