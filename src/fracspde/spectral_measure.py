@@ -20,7 +20,10 @@ families, for white noise at any alpha and for band-limited (tabulated)
 densities, which are finite at every eta; everything else goes through
 dyadic-annulus quadrature with power-law tail extrapolation: integrate
 over shells W in [2^k, 2^(k+1)), fit the log-contribution slope over the
-top shells, and read convergence off the slope sign.
+top shells, and read convergence off the slope sign.  Shells are
+evaluated in batches, with integrands applied elementwise to node arrays
+of any shape; a kept shell that is not finite raises
+NumericalConsistencyError.
 """
 
 from __future__ import annotations
@@ -72,6 +75,7 @@ _REL_TOL = 1e-10  # three shells this small relative to the total end a scan
 _K_RANGE = range(-340, 340)  # the shells 2^k a scan may visit
 _CRITICAL_ETA_TOL = 0.01  # tail-slope shift at which critical_eta stops
 _EDGE_CHUNK = 32  # shell edges bisected together: bounds the temporaries
+_BATCH_NODES = 2**14  # most quadrature nodes of the shells evaluated at once
 
 
 @dataclass(frozen=True)
@@ -302,7 +306,7 @@ class _NodeGeometry:
 
     def levels(self, r, axis_weights):
         """T(xi) = sum_i w_i |xi_i|^alpha_i on nodes; r has shape
-        (n_dirs, n_r)."""
+        (..., n_dirs, n_r)."""
         # w is a scalar or one weight per axis; the radial path's single
         # node column reads the first of its d equal weights
         ca = np.asarray(axis_weights, dtype=float) * self.comps_alpha
@@ -320,8 +324,11 @@ def _node_geometry(alpha: tuple, radial: bool) -> _NodeGeometry:
 def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
     """Shell-by-shell contributions of several integrands.
 
-    integrands: list of (axis_weights, g) with g vectorized over level
-    values.  Returns (ks, contribs[n_int, n_k], band_limited).
+    integrands: list of (axis_weights, g), g elementwise on level arrays of
+    any shape.  Consecutive shells are evaluated as one batch of at most
+    _BATCH_NODES nodes, and a scan keeps exactly the shells up to its stop;
+    a kept shell that is not finite raises NumericalConsistencyError.
+    Returns (ks, contribs[n_int, n_k], band_limited).
     """
     # the angular factor integrates out when alpha == 2 on every axis and
     # every integrand weighs the axes alike
@@ -335,33 +342,35 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
     band = measure.band_limit
     # log-radii of a tabulated density's kinks inside its band
     ln_kinks = np.log([r for r in measure.radii[:-1] if r > 0])
+    n_dirs = len(geom.comps)
+    max_batch = max(1, _BATCH_NODES
+                    // (n_dirs * (ln_kinks.size + 1) * n_radial))
 
-    def shell(k):
-        r1, r2 = geom.edge_radii(k), geom.edge_radii(k + 1)
-        if band < math.inf:
-            r1, r2 = np.minimum(r1, band), np.minimum(r2, band)
-        with np.errstate(divide="ignore"):
-            ln1, ln2 = np.log(r1)[:, None], np.log(r2)[:, None]
+    def shells(k_lo, k_hi):
+        """(contribs[shell, integrand], clipped[shell]) of k_lo <= k < k_hi."""
+        edges = np.array([geom.edge_radii(k) for k in range(k_lo, k_hi + 1)])
+        ln = np.log(np.minimum(edges, band))[..., None]
+        ln1, ln2 = ln[:-1], ln[1:]  # (shell, direction, 1)
         if ln_kinks.size:
             # the kinks clipped into [r1, r2] split each direction into
             # Gauss pieces; a piece of zero width adds exactly 0
             ln = np.concatenate([ln1, np.clip(ln_kinks, ln1, ln2), ln2],
-                                axis=1)
-            ln1, ln2 = ln[:, :-1], ln[:, 1:]
-        h = 0.5 * (ln2 - ln1)  # (direction, piece)
-        if not np.any(h > 0):
-            return np.zeros(len(integrands)), True
+                                axis=-1)
+            ln1, ln2 = ln[..., :-1], ln[..., 1:]
+        h = 0.5 * (ln2 - ln1)  # (shell, direction, piece)
         s = h[..., None] * (gl_x + 1) + ln1[..., None]
-        r = np.exp(s).reshape(len(r1), -1)
+        r = np.exp(s).reshape(len(h), n_dirs, -1)
         dens = measure.radial_density(r) * r**d  # r^(d-1) plus log jacobian
-        base = (h[..., None] * gl_w).reshape(len(r1), -1) * dens
-        out = np.empty(len(integrands))
+        base = (h[..., None] * gl_w).reshape(r.shape) * dens
+        out = np.empty((len(h), len(integrands)))
         for j, (w, g) in enumerate(integrands):
             vals = g(geom.levels(r, w))
-            out[j] = float(((base * vals).sum(axis=1)
-                            * geom.sphere_weights).sum())
-        clipped = band < math.inf and bool(np.any(r2 >= band))
-        return out, clipped
+            out[:, j] = ((base * vals).sum(axis=-1)
+                         * geom.sphere_weights).sum(axis=-1)
+        empty = ~np.any(h > 0, axis=(1, 2))  # e.g. wholly past the band
+        out[empty] = 0.0
+        clipped = np.any(edges[1:] >= band, axis=1) & (band < math.inf)
+        return out, empty | clipped
 
     ks, contribs = [], []
     band_limited = False
@@ -372,32 +381,52 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
         k = 0 if direction > 0 else -1
         quiet = rising = 0
         prev = None
+        batch = 8
         while k in _K_RANGE:
-            c, clipped = shell(k)
-            ks.append(k)
-            contribs.append(c)
-            total = total + np.abs(c)
-            small = np.all(c <= _REL_TOL * np.maximum(total, 1e-300))
-            if clipped and not small:
-                band_limited = True
-            if clipped:
-                break
-            quiet = quiet + 1 if small else 0
-            if quiet >= 3:
-                break
-            # a long run of growing shells is already conclusive divergence
-            if direction > 0 and prev is not None:
-                rising = rising + 1 if np.all(c >= prev) else 0
-                if rising >= 40:
+            n = min(batch, max_batch, _K_RANGE.stop - k if direction > 0
+                    else k + 1 - _K_RANGE.start)
+            if n_dirs > 1:
+                # shells past the stop must not bisect a new edge chunk:
+                # stay in the chunk of the first shell's far edge
+                row = (k + (direction > 0) - _K_RANGE.start) % _EDGE_CHUNK
+                n = min(n, _EDGE_CHUNK - row if direction > 0 else row + 1)
+            lo = k if direction > 0 else k - n + 1
+            with np.errstate(all="ignore"):  # a batch runs past the stop
+                c, clipped = shells(lo, lo + n)
+            if direction < 0:
+                c, clipped = c[::-1], clipped[::-1]
+            totals = np.cumsum(np.vstack([total, np.abs(c)]), axis=0)
+            small = np.all(c <= _REL_TOL * np.maximum(totals[1:], 1e-300),
+                           axis=1)
+            before = np.vstack([c[:1] if prev is None else prev, c[:-1]])
+            grows = np.all(c >= before, axis=1)
+            for i in range(n):  # the one-shell stop rule, shell by shell
+                if not np.isfinite(c[i]).all():
+                    raise NumericalConsistencyError(
+                        f"non-finite contribution {c[i]} of shell "
+                        f"2^{k + direction * i}")
+                band_limited |= bool(clipped[i] and not small[i])
+                quiet = quiet + 1 if small[i] else 0
+                # a long run of growing shells is already conclusive divergence
+                if direction > 0 and (i or prev is not None):
+                    rising = rising + 1 if grows[i] else 0
+                stop = clipped[i] or quiet >= 3 or rising >= 40
+                if stop:
                     break
-            prev = c
-            k += direction
+            n = i + 1
+            ks.extend(range(k, k + direction * n, direction))
+            contribs.append(c[:n])
+            total, prev = totals[n], c[n - 1]
+            if stop:
+                return
+            k += direction * n
+            batch *= 2
 
     scan(+1)
     scan(-1)
     order = np.argsort(ks)
     ks = np.asarray(ks)[order]
-    contribs = np.asarray(contribs)[order].T
+    contribs = np.concatenate(contribs)[order].T
     return ks, contribs, band_limited
 
 
@@ -443,7 +472,9 @@ def _tail_verdict(ks, c, band_limited, what):
 
 def spectral_integral(measure, idx, g, axis_weights=1.0, *,
                       n_radial: int = N_RADIAL) -> float:
-    """int m(|xi|) g(T(xi)) dxi for a single integrand."""
+    """int m(|xi|) g(T(xi)) dxi for a single integrand, g elementwise on
+    level arrays of any shape; a non-finite shell raises
+    NumericalConsistencyError."""
     ks, c, _ = _dyadic_contributions(measure, idx, [(axis_weights, g)],
                                      n_radial=n_radial)
     return _extrapolated_sum(ks, c[0], measure.band_limit)

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from fracspde.errors import (
@@ -9,7 +10,9 @@ from fracspde.errors import (
     ConstraintViolationError,
     DivergenceError,
     InconclusiveError,
+    NumericalConsistencyError,
 )
+from fracspde import spectral_measure as sm
 from fracspde.fields import FractionalIndex, Grid
 from fracspde.spectral_measure import (
     AdmissibilityReport,
@@ -260,6 +263,246 @@ def test_node_geometry_built_once_per_alpha(monkeypatch):
     assert built == [((1.5, 1.2), False)]
     assert bisected == first  # later calls bisect nothing
     assert len(set(first)) == len(first)  # each edge chunk bisected once
+
+
+# -- batched shell scan ---------------------------------------------------------
+#
+# Oracle: the scan the quadrature used before shells were evaluated in
+# batches.  One shell per call, each stop rule checked after its shell.
+
+def _one_shell_scan(measure, idx, integrands, *, n_radial=sm.N_RADIAL):
+    radial = all(a == 2.0 for a in idx.alpha) and all(
+        np.ptp(np.broadcast_to(np.asarray(w, dtype=float), (idx.d,))) == 0
+        for w, _ in integrands
+    )
+    geom = sm._node_geometry(idx.alpha, radial)
+    d = measure.d
+    gl_x, gl_w = sm._leggauss(n_radial)
+    band = measure.band_limit
+    ln_kinks = np.log([r for r in measure.radii[:-1] if r > 0])
+
+    def shell(k):
+        r1, r2 = geom.edge_radii(k), geom.edge_radii(k + 1)
+        if band < math.inf:
+            r1, r2 = np.minimum(r1, band), np.minimum(r2, band)
+        with np.errstate(divide="ignore"):
+            ln1, ln2 = np.log(r1)[:, None], np.log(r2)[:, None]
+        if ln_kinks.size:
+            ln = np.concatenate([ln1, np.clip(ln_kinks, ln1, ln2), ln2],
+                                axis=1)
+            ln1, ln2 = ln[:, :-1], ln[:, 1:]
+        h = 0.5 * (ln2 - ln1)
+        if not np.any(h > 0):
+            return np.zeros(len(integrands)), True
+        s = h[..., None] * (gl_x + 1) + ln1[..., None]
+        r = np.exp(s).reshape(len(r1), -1)
+        dens = measure.radial_density(r) * r**d
+        base = (h[..., None] * gl_w).reshape(len(r1), -1) * dens
+        out = np.empty(len(integrands))
+        for j, (w, g) in enumerate(integrands):
+            vals = g(geom.levels(r, w))
+            out[j] = float(((base * vals).sum(axis=1)
+                            * geom.sphere_weights).sum())
+        clipped = band < math.inf and bool(np.any(r2 >= band))
+        return out, clipped
+
+    ks, contribs = [], []
+    band_limited = False
+    total = np.zeros(len(integrands))
+
+    def scan(direction):
+        nonlocal band_limited, total
+        k = 0 if direction > 0 else -1
+        quiet = rising = 0
+        prev = None
+        while k in sm._K_RANGE:
+            c, clipped = shell(k)
+            ks.append(k)
+            contribs.append(c)
+            total = total + np.abs(c)
+            small = np.all(c <= sm._REL_TOL * np.maximum(total, 1e-300))
+            if clipped and not small:
+                band_limited = True
+            if clipped:
+                break
+            quiet = quiet + 1 if small else 0
+            if quiet >= 3:
+                break
+            if direction > 0 and prev is not None:
+                rising = rising + 1 if np.all(c >= prev) else 0
+                if rising >= 40:
+                    break
+            prev = c
+            k += direction
+
+    scan(+1)
+    scan(-1)
+    order = np.argsort(ks)
+    ks = np.asarray(ks)[order]
+    contribs = np.asarray(contribs)[order].T
+    return ks, contribs, band_limited
+
+
+def _assert_scan_matches_oracle(measure, idx, integrands):
+    """Byte-identical shells, or a raise where the oracle kept a
+    non-finite shell."""
+    with np.errstate(all="ignore"):
+        want = _one_shell_scan(measure, idx, integrands)
+    if not np.isfinite(want[1]).all():
+        with pytest.raises(NumericalConsistencyError, match="non-finite"):
+            sm._dyadic_contributions(measure, idx, integrands)
+        return want
+    got = sm._dyadic_contributions(measure, idx, integrands)
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1].shape == want[1].shape
+    assert got[1].tobytes() == want[1].tobytes()
+    assert got[2] == want[2]
+    return want
+
+
+def _admissibility_set(eta):
+    return lambda idx: [sm._admissibility_integrand(idx, eta)]
+
+
+def _cumulative_set(T):
+    def integrands(idx):
+        kappa = idx.min_damping
+        return [
+            (np.ones(idx.d), lambda s: T / (1 + 2 * T * s)),
+            sm._cumulative_integrand(idx, T),
+            (np.ones(idx.d), lambda s: 2 * T / (1 + 2 * T * kappa * s)),
+        ]
+    return integrands
+
+
+KINKED = ([0.0, 1.0, 2.0, 4.0], [1.0, 1.0, 0.5, 0.0])
+SCAN_MATRIX = {
+    "1d-skewed": (SpectralMeasure.riesz(0.5, 1),
+                  FractionalIndex([1.5], [0.5]), _admissibility_set(0.6)),
+    "1d-alpha<1": (SpectralMeasure.bessel(0.8, 1),
+                   FractionalIndex([0.7], [-0.2]), _cumulative_set(0.25)),
+    "radial-d2": (SpectralMeasure.bessel(1.0, 2), GAUSS2,
+                  _admissibility_set(0.6)),
+    "radial-d3": (SpectralMeasure.free_field(1.0, 3),
+                  FractionalIndex([2.0] * 3, [0.0] * 3),
+                  _admissibility_set(0.7)),
+    "radial-d4": (SpectralMeasure.riesz(1.5, 4),
+                  FractionalIndex([2.0] * 4, [0.0] * 4),
+                  _admissibility_set(0.9)),
+    "aniso-2d": (SpectralMeasure.bessel(1.0, 2),
+                 FractionalIndex([1.5, 1.2], [0.3, 0.1]),
+                 _admissibility_set(0.8)),
+    "aniso-3d": (SpectralMeasure.white(3),
+                 FractionalIndex([1.5, 1.2, 0.8], [0.3, 0.1, -0.2]),
+                 _cumulative_set(1.0)),
+    "tabulated-band-limited": (SpectralMeasure.tabulated(*KINKED, 1),
+                               FractionalIndex([1.5], [0.3]),
+                               _admissibility_set(1.0)),
+    "tabulated-radial-d2": (SpectralMeasure.tabulated(*KINKED, 2), GAUSS2,
+                            _admissibility_set(0.7)),
+    "tabulated-too-short": (
+        SpectralMeasure.tabulated(np.linspace(0, 4.0, 16), np.ones(16), 1),
+        GAUSS1, _admissibility_set(0.9)),
+    "divergent-rising": (SpectralMeasure.white(2), GAUSS2,
+                         _admissibility_set(0.6)),
+    "cumulative-aniso-2d": (SpectralMeasure.bessel(2.0, 2),
+                            FractionalIndex([1.5, 0.5], [0.4, 0.3]),
+                            _cumulative_set(0.5)),
+    "alpha-0.3125-bessel-3": (SpectralMeasure.bessel(3.0, 1),
+                              FractionalIndex([0.3125], [-0.3125]),
+                              _admissibility_set(1.0)),
+}
+
+
+@pytest.mark.parametrize("case", list(SCAN_MATRIX))
+def test_batched_scan_matches_one_shell_scan(case):
+    measure, idx, integrands = SCAN_MATRIX[case]
+    ks, c, band_limited = _assert_scan_matches_oracle(measure, idx,
+                                                      integrands(idx))
+    assert np.isfinite(c).all()
+    if measure.kind != "tabulated":
+        assert not band_limited
+    if case == "tabulated-too-short":
+        assert band_limited
+    if case == "divergent-rising":
+        # stopped by 40 growing shells, well inside the k range
+        assert ks[-1] < sm._K_RANGE.stop - 1
+        assert (np.diff(c[0][-41:]) >= 0).all()
+
+
+@st.composite
+def _scan_case(draw):
+    d = draw(st.sampled_from([1, 2]))
+    alpha = [draw(st.sampled_from([0.3125, 0.5, 0.8, 1.2, 1.5, 1.9, 2.0]))
+             for _ in range(d)]
+    idx = FractionalIndex(alpha, [draw(st.floats(-0.9, 0.9)) * min(a, 2 - a)
+                                  for a in alpha])
+    kind = draw(st.sampled_from(["white", "riesz", "bessel", "free_field",
+                                 "tabulated"]))
+    if kind == "white":
+        measure = SpectralMeasure.white(d)
+    elif kind == "riesz":
+        measure = SpectralMeasure.riesz(draw(st.floats(0.1, d - 0.05)), d)
+    elif kind == "bessel":
+        measure = SpectralMeasure.bessel(draw(st.floats(0.2, 4.0)), d)
+    elif kind == "free_field":
+        measure = SpectralMeasure.free_field(draw(st.floats(0.2, 3.0)), d)
+    else:
+        radii = np.cumsum(draw(st.lists(st.floats(0.1, 20.0), min_size=1,
+                                        max_size=4)))
+        values = draw(st.lists(st.floats(0.0, 2.0), min_size=len(radii) + 1,
+                               max_size=len(radii) + 1))
+        measure = SpectralMeasure.tabulated([0.0, *radii], values, d)
+    if draw(st.booleans()):
+        integrands = _admissibility_set(draw(st.floats(0.05, 1.0)))
+    else:
+        integrands = _cumulative_set(draw(st.floats(0.01, 4.0)))
+    return measure, idx, integrands(idx)
+
+
+@settings(max_examples=50, deadline=None)
+@given(case=_scan_case())
+def test_batched_scan_matches_one_shell_scan_property(case):
+    _assert_scan_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("alpha", [(1.5, 1.2), (1.5, 1.2, 0.8)])
+def test_batched_scan_bisects_only_the_oracles_edge_chunks(alpha):
+    # a batch that runs past the stop must not reach an edge chunk the
+    # one-shell scan never reaches.  Anisotropic 3-d shells are evaluated
+    # one at a time; in 2-d the scan stops at k = 40 (edges to 41)
+    # and k = -11, where unbounded batches would reach edges 50 and -22
+    idx = FractionalIndex(alpha, [0.3, 0.1, -0.2][:len(alpha)])
+    measure = SpectralMeasure.white(len(alpha))
+    integrands = _cumulative_set(1.0)(idx)
+    chunks = []
+    for scan in (_one_shell_scan, sm._dyadic_contributions):
+        sm._node_geometry.cache_clear()
+        scan(measure, idx, integrands)
+        chunks.append(sorted(sm._node_geometry(alpha, False)._edge_chunks))
+    sm._node_geometry.cache_clear()
+    assert chunks[0] == chunks[1]
+    assert len(chunks[0]) >= 2
+
+
+@pytest.mark.parametrize("beta", [3.0, 0.76])
+def test_admissibility_of_a_small_alpha_index_is_quiet(beta):
+    # radii grow as 2^(3.2 k) here.  At beta = 0.76 the scan stops at
+    # k = 135, and its batch runs on to shells where r^2 overflows: the
+    # batch must neither warn nor keep them
+    m = SpectralMeasure.bessel(beta, 1)
+    idx = FractionalIndex([0.3125], [-0.3125])
+    rep = admissibility(m, idx, 1.0)
+    ks, c, _ = _one_shell_scan(m, idx, [sm._admissibility_integrand(idx, 1.0)])
+    assert rep.admissible and math.isfinite(rep.integral_value)
+    assert rep.integral_value == sm._extrapolated_sum(ks, c[0])
+
+
+def test_spectral_integral_raises_on_a_non_finite_shell():
+    m = SpectralMeasure.bessel(1.0, 1)
+    idx = FractionalIndex([1.5], [0.0])
+    with pytest.raises(NumericalConsistencyError, match="non-finite"):
+        spectral_integral(m, idx, lambda s: np.full_like(s, np.nan))
 
 
 def test_tabulated_band_too_short_is_inconclusive():
