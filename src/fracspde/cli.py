@@ -21,7 +21,7 @@ import argparse
 import json
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -32,12 +32,18 @@ from .density import (_check_bound_inputs, kde, sample_law,
 from .errors import (ConfigurationError, DivergenceError, FracspdeError,
                      NumericalConsistencyError, NumericalError,
                      ValidationError)
-from .fields import FractionalIndex, Grid, write_array_binary
+from .fields import (FractionalIndex, Grid, _write_dump_entries,
+                     _write_dump_header)
 from .regularity import (_check_ensemble, _check_window_inputs,
                          _spatial_offsets, _temporal_window, build_report,
                          estimate_spatial, estimate_temporal)
-from .solver import (Coefficient, SolverConfig, _frame_index,
-                     _require_exp_euler, _stored_times, solve, solve_picard)
+from .solver import (Coefficient, SolverConfig, _chunks, _frame_index,
+                     _require_exp_euler, _step_rows, _stored_times,
+                     solve_picard)
+# not called here since chunks are stepped together; kept as names of this
+# module, which benchmarks/spans.py rebinds to trace them
+from .fields import write_array_binary  # noqa: F401
+from .solver import solve  # noqa: F401
 from .spectral_measure import (
     SpectralMeasure,
     admissibility,
@@ -296,28 +302,49 @@ def _run_measure(cfg, outdir: Path, args):
     return 0
 
 
-def _per_replicate(fn, n_rep, threads):
-    """``[fn(rep) for rep in range(n_rep)]``, on ``threads`` threads."""
+def _per_chunk(fn, chunks, threads):
+    """The items of ``fn(ids)`` for each chunk of replicate ``ids``, in
+    order; the chunks run on ``threads`` threads."""
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(n_rep)))
-    return [fn(rep) for rep in range(n_rep)]
+            results = list(pool.map(fn, chunks))
+    else:
+        results = [fn(ids) for ids in chunks]
+    return [item for result in results for item in result]
 
 
 def _run_simulate(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
     n_rep = _parse_int(cfg, "replicates", 1, minimum=1)
-    runner = solve_picard if config.scheme == "picard" else solve
+    times = list(_stored_times(config))
 
-    def one(rep):
-        path = runner(config, rep)
-        fname = outdir / f"frames_{rep:04d}.bin"
-        write_array_binary(fname, path.values)
-        return {"replicate": rep, "file": fname.name,
-                "times": list(path.times),
-                "final_sup": float(np.abs(path.values[-1]).max())}
+    def paths(ids):
+        # each block's rows go straight to the replicates' frame files
+        if config.scheme == "picard":  # its chunks hold one replicate
+            blocks = [(0, solve_picard(config, ids[0]).values[np.newaxis])]
+        else:
+            blocks = _step_rows(config, ids)
+        files = [outdir / f"frames_{rep:04d}.bin" for rep in ids]
+        try:
+            with ExitStack() as stack:
+                dumps = [stack.enter_context(open(f, "wb")) for f in files]
+                for fh in dumps:
+                    _write_dump_header(fh, (len(times),) + config.grid.shape)
+                for _first, rows in blocks:
+                    for fh, frames in zip(dumps, rows):
+                        _write_dump_entries(fh, frames)
+        except BaseException:  # no partial frame file is left behind
+            for f in files:
+                f.unlink(missing_ok=True)
+            raise
+        # the last block's last rows are the final frames
+        final_sup = np.abs(rows[:, -1]).reshape(len(ids), -1).max(axis=1)
+        return [{"replicate": rep, "file": f.name, "times": times,
+                 "final_sup": float(sup)}
+                for rep, f, sup in zip(ids, files, final_sup)]
 
-    entries = _per_replicate(one, n_rep, args.threads)
+    entries = _per_chunk(paths, _chunks(config, n_rep, args.threads),
+                         args.threads)
     _dump_json(outdir / "frames_index.json", {"replicates": entries})
     return 0
 
@@ -343,12 +370,22 @@ def _run_holder(cfg, outdir: Path, args):
     _temporal_window(times, min_lag_steps)
     _spatial_offsets(config.grid, min_lag_cells)
 
-    def probes(rep):
-        # copies: a view of one row would keep the whole path alive
-        path = solve(config, rep)
-        return path.values_at(x_probe), path.values[row].copy()
+    at_probe = (slice(None), slice(None)) + (
+        (x_probe,) if np.isscalar(x_probe) else tuple(x_probe))
 
-    series, fields = zip(*_per_replicate(probes, n_rep, args.threads))
+    def probes(ids):
+        # copies of what the estimators read: a view would keep a chunk's
+        # frames alive
+        series = np.empty((len(ids), len(times)))
+        fields = np.empty((len(ids),) + config.grid.shape)
+        for first, rows in _step_rows(config, ids):
+            series[:, first:first + rows.shape[1]] = rows[at_probe]
+            if first <= row < first + rows.shape[1]:
+                fields[...] = rows[:, row - first]
+        return zip(series, fields)
+
+    chunks = _chunks(config, n_rep, args.threads)
+    series, fields = zip(*_per_chunk(probes, chunks, args.threads))
     with _in_float_range("the Hölder estimate"):
         temporal = estimate_temporal(
             series, times, min_replicates=min_rep,
@@ -379,8 +416,10 @@ def _run_density(cfg, outdir: Path, args):
         x = _parse_probe(cfg, "x", config.grid)
         theta1, theta2 = _parse_floats(
             cfg, "thetas", [1.0, max(1.0 - eta_star, 0.05)])
-        rho_grid = _parse_floats(
-            cfg, "rho_grid", np.geomspace(1e-3, min(t, 1.0), 24).tolist())
+        # no default grid below t = 0: the check below rejects the empty one
+        default_rho = (np.geomspace(1e-3, min(t, 1.0), 24).tolist()
+                       if t > 0 else [])
+        rho_grid = _parse_floats(cfg, "rho_grid", default_rho)
     _check_bound_inputs(t, (theta1, theta2), rho_grid)
     samples = sample_law(config, t, x, n)
     with _in_float_range("the density estimate"):

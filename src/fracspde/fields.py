@@ -306,12 +306,23 @@ _MAGIC = b"FSPD"
 def write_array_binary(path, values):
     """Dump a real array: magic, uint64 ndim, uint64 dims, little-endian f64
     entries in row-major order."""
-    vals = np.ascontiguousarray(np.real(values), dtype="<f8")
+    values = np.real(values)
     with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(struct.pack("<Q", vals.ndim))
-        fh.write(struct.pack(f"<{vals.ndim}Q", *vals.shape))
-        fh.write(vals.tobytes())
+        _write_dump_header(fh, values.shape)
+        _write_dump_entries(fh, values)
+
+
+def _write_dump_header(fh, shape):
+    """The header of an array dump of ``shape``; the entries follow it."""
+    fh.write(_MAGIC)
+    fh.write(struct.pack("<Q", len(shape)))
+    fh.write(struct.pack(f"<{len(shape)}Q", *shape))
+
+
+def _write_dump_entries(fh, values):
+    """Append ``values`` to a dump: consecutive calls with consecutive
+    leading rows write the entries of the whole array."""
+    fh.write(np.ascontiguousarray(values, dtype="<f8").tobytes())
 
 
 def read_array_binary(path) -> np.ndarray:

@@ -17,11 +17,16 @@ real FFTs.  In the half-spectrum layout of ``fields._rfft`` the increment is
 
 and ``irfftn`` of that is dM, real by construction.
 
-Increments are drawn in blocks of consecutive steps of one replicate, at
-most BLOCK_ELEMENTS grid values per block: each step's white array comes
-from its own stream, and the block is transformed by one batched
-``rfftn``.  The solver adds the spectra directly when sigma is constant and
-transforms the block back with one batched ``irfftn`` otherwise.
+Increments are drawn in blocks of consecutive steps of R replicates
+stepped together, with a leading row axis: a block is an ``(R, steps,
+*grid.shape)`` white array of at most BLOCK_ELEMENTS values, so it spans
+about BLOCK_ELEMENTS // (R * grid points) steps (see
+``_Synthesizer.block_steps``).  It is drawn replicate-major, each
+(replicate, step) white array from its own stream, and transformed by one
+batched ``rfftn``.  The solver adds the spectra directly when sigma is
+constant and transforms the block back with one batched ``irfftn``
+otherwise.  Neither the row count nor the block length changes a byte of
+any increment.
 
 Randomness is counter-style: each (master_seed, replicate, step) triple
 names a disjoint, reproducible Philox stream, so replicates and steps can
@@ -202,22 +207,39 @@ class _Synthesizer:
         scale = (np.sqrt(dt) * (2 * np.pi / grid.box_length) ** (grid.d / 2)
                  * grid.n_per_dim ** (grid.d / 2))
         self.weight = scale * _real_multiplier(np.sqrt(dens))
-        self.grid = grid
-        self.block_steps = max(1, BLOCK_ELEMENTS // dens.size)
+        self.grid, self.points = grid, dens.size
 
-    def spectra(self, rng_stream: RngStream, steps) -> np.ndarray:
-        """Half spectra of the increments at ``steps`` of one replicate,
-        stacked along a leading axis; one stream per step."""
-        white = np.empty((len(steps),) + self.grid.shape)
-        for row, k in zip(white, steps):
-            rng_stream.for_step(k).generator().standard_normal(out=row)
+    def block_steps(self, rows: int) -> int:
+        """Steps per block when ``rows`` replicates are drawn together.
+
+        At most BLOCK_ELEMENTS grid values, and a block never crosses a
+        key chunk: below KEY_CHUNK steps its length is a power of 2, above
+        it a multiple of KEY_CHUNK.  So each (replicate, key chunk) is
+        drawn in one run of blocks, which the 64-entry key cache holds for
+        up to 64 rows.
+        """
+        steps = max(1, BLOCK_ELEMENTS // (rows * self.points))
+        if steps >= KEY_CHUNK:
+            return steps - steps % KEY_CHUNK
+        return 1 << (steps.bit_length() - 1)
+
+    def spectra(self, rng_streams, steps) -> np.ndarray:
+        """Half spectra of the increments at ``steps``, one row per stream:
+        shape ``(len(rng_streams), len(steps), *half)``.  Drawn
+        replicate-major, one stream per (replicate, step)."""
+        white = np.empty((len(rng_streams), len(steps)) + self.grid.shape)
+        for rows, stream in zip(white, rng_streams):
+            for row, k in zip(rows, steps):
+                stream.for_step(k).generator().standard_normal(out=row)
         return self.weight * np.conj(_rfft(white, self.grid))
 
-    def blocks(self, rng_stream: RngStream, n_steps: int):
-        """Spectra of steps 0..n_steps-1, ``block_steps`` steps at a time."""
-        for start in range(0, n_steps, self.block_steps):
-            stop = min(start + self.block_steps, n_steps)
-            yield self.spectra(rng_stream, range(start, stop))
+    def blocks(self, rng_streams, n_steps: int):
+        """Spectra of steps 0..n_steps-1 of each stream, ``block_steps``
+        steps at a time."""
+        size = self.block_steps(len(rng_streams))
+        for start in range(0, n_steps, size):
+            stop = min(start + size, n_steps)
+            yield self.spectra(rng_streams, range(start, stop))
 
 
 def sample_increment(grid: Grid, measure: SpectralMeasure, dt: float,
@@ -235,8 +257,8 @@ def sample_increment(grid: Grid, measure: SpectralMeasure, dt: float,
     rng_stream : stream identity (master seed, replicate, step).
     """
     synth = _Synthesizer(grid, measure, dt)
-    spectrum = synth.spectra(rng_stream, [rng_stream.step_id])
-    values = _centre(_irfft(spectrum[0], grid), grid)
+    spectrum = synth.spectra([rng_stream], [rng_stream.step_id])
+    values = _centre(_irfft(spectrum[0, 0], grid), grid)
     return NoiseIncrement(Field(grid, values, _skip_copy=True), dt)
 
 

@@ -26,13 +26,27 @@ batched ``_irfft`` and checked together (still every step's frame; the
 first failing step is the one reported).  A coefficient that acts on the
 frame needs it every step, so that path transforms and checks per step.
 
-Either way a noise block ends with its frames in FFT order, one row per
-step.  Its stored rows are centred by one ``_centre`` into the path's
-``(F, *grid.shape)`` array, which ``PathSolution`` holds as ``values``;
-no per-frame Field is built while stepping.
+Replicates are stepped in chunks by ``_step_rows``: the state of R
+replicates is one ``(R, *grid.shape)`` array (its half spectrum ``(R,
+*half)``), and every operation above runs on it with the row axis
+leading, so each numpy call does the chunk's work at once.  Each row's
+arithmetic, its order and its FFT calls are those of a one-row run, so
+a row's bytes depend on neither the chunk nor its size.  A noise block
+spans about BLOCK_ELEMENTS // (R * grid points) steps
+(``_Synthesizer.block_steps``).  ``solve`` is the one-row call;
+``moment_estimate`` and the CLI split replicates with ``_chunks``, whose
+chunks hold at most CHUNK_ELEMENTS stored values and MAX_CHUNK_ROWS rows.
+A failing row keeps stepping, and the chunk raises the BlowUpError a
+replicate-by-replicate loop would raise.
+
+Either way a noise block ends with its frames in FFT order, ``(R,
+steps, *grid.shape)``.  Its stored rows are centred by one ``_centre``
+and yielded; ``solve`` copies them into the path's ``(F, *grid.shape)``
+array, which ``PathSolution`` holds as ``values``; no per-frame Field is
+built while stepping.
 
 Determinism: (config, replicate_id) fixes every noise stream, so results
-are bit-identical regardless of scheduling.
+are bit-identical regardless of scheduling and chunking.
 """
 
 from __future__ import annotations
@@ -72,6 +86,8 @@ BLOWUP_FACTOR = 1e6
 TIME_RTOL = 1e-9  # relative tolerance for matching step and frame times
 MIN_MOMENT_REPLICATES = 100
 BOOT_RESAMPLES, BOOT_SEED = 200, 0  # every bootstrap interval uses these
+CHUNK_ELEMENTS = 2**20  # most stored frame values a chunk of replicates holds
+MAX_CHUNK_ROWS = 64  # replicates per chunk: the size of the Philox key cache
 
 
 @dataclass(frozen=True)
@@ -291,22 +307,33 @@ def smooth_initial(u0, idx: FractionalIndex, t: float, grid: Grid) -> Field:
     return apply_semigroup(_as_initial_field(u0, grid), idx, t)
 
 
+def _blow_ups(stack, ceiling, first_step, replicate_ids) -> dict:
+    """{row: BlowUpError} for each row of ``stack`` (``(R, k, *grid)``,
+    frame j of row r the frame of ``replicate_ids[r]`` after ``first_step +
+    j`` steps) with a frame that is non-finite or above ``ceiling``, at the
+    first such frame of the row."""
+    peak = np.abs(stack).max()  # NaN or inf if any value is
+    if peak <= ceiling and math.isfinite(peak):  # the ceiling may be inf
+        return {}
+    sup = np.abs(stack).reshape(stack.shape[:2] + (-1,)).max(axis=2)
+    bad = ~(np.isfinite(sup) & (sup <= ceiling))
+    errors = {}
+    for r in np.flatnonzero(bad.any(axis=1)):
+        first = int(np.argmax(bad[r]))
+        step, peak = first_step + first, float(sup[r, first])
+        errors[int(r)] = BlowUpError(
+            f"non-finite values at step {step}" if not math.isfinite(peak)
+            else f"sup-norm {peak:.3e} exceeded stability ceiling at step "
+                 f"{step}", step, replicate_ids[r])
+    return errors
+
+
 def _check_frames(stack, ceiling, first_step, replicate_id):
     """BlowUpError at the first frame of ``stack`` (row i is the frame
     after ``first_step + i`` steps) that is non-finite or above ``ceiling``."""
-    peak = np.abs(stack).max()  # NaN or inf if any value is
-    if peak <= ceiling and math.isfinite(peak):  # the ceiling may be inf
-        return
-    sup = np.abs(stack).reshape(len(stack), -1).max(axis=1)
-    first = int(np.argmax(~(np.isfinite(sup) & (sup <= ceiling))))
-    step, sup = first_step + first, float(sup[first])
-    if not math.isfinite(sup):
-        raise BlowUpError(f"non-finite values at step {step}", step,
-                          replicate_id)
-    raise BlowUpError(
-        f"sup-norm {sup:.3e} exceeded stability ceiling at step {step}",
-        step, replicate_id,
-    )
+    errors = _blow_ups(stack[np.newaxis], ceiling, first_step, (replicate_id,))
+    if errors:
+        raise errors[0]
 
 
 def _stored_steps(config: SolverConfig) -> tuple:
@@ -332,18 +359,18 @@ def _constant_value(coef: Coefficient):
     return coef.params[0] if coef.name == "constant" else None
 
 
-def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
-    """Exponential-Euler trajectory for one replicate.
+def _step_rows(config: SolverConfig, replicate_ids):
+    """Step the replicates ``replicate_ids`` together, row r of an ``(R,
+    *grid.shape)`` state being ``replicate_ids[r]``.
 
-    Deterministic in (config, replicate_id).  With b = sigma = 0 the
-    linear part is integrated exactly, so frames coincide with the
-    smoothed initial condition to round-off.  Every step's frame is
-    checked; the stepping state stays in half-spectrum layout.
-
-    Raises
-    ------
-    BlowUpError
-        If any frame becomes non-finite or leaves the stability envelope.
+    Yields ``(first, rows)`` for the initial frame and for each noise block
+    that stores frames: ``rows`` is ``(R, k, *grid.shape)``, the centred
+    frames stored after steps ``_stored_steps(config)[first:first + k]``.
+    The arithmetic of every row is that of a one-row run, so each row's
+    bytes do not depend on the other rows.  Every step's frames are
+    checked; BlowUpError is the one a replicate-by-replicate loop raises:
+    the first failing row's, at its first failing step.  A row that has
+    failed keeps stepping, until the first row fails or the end.
     """
     grid, dt, n = config.grid, config.dt, config.n_steps
     psi_h, noise, ceiling = config._psi_h, config._synthesizer, config._ceiling
@@ -353,56 +380,112 @@ def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
     # constant coefficients act in frequency space, the others on the frame
     sigma_on_frame = has_noise and sigma_const is None
     on_frame = b_const is None or sigma_on_frame
+    rows = len(replicate_ids)
+    block_steps = noise.block_steps(rows)
     if has_noise:
-        blocks = noise.blocks(config.noise_stream(replicate_id), n)
+        blocks = noise.blocks(
+            [config.noise_stream(rep) for rep in replicate_ids], n)
     steps = _stored_steps(config)
-    values = np.empty((len(steps),) + grid.shape)
+    errors = {}  # row -> its first BlowUpError
 
-    # An overflow leaves a non-finite frame, which the check reports; a
-    # batched block also steps past a blow-up that the check then reports.
-    # Neither may warn.
+    u = _wrap(np.asarray(config.u0.values, dtype=float), grid)
+    zero, b_mode = (Ellipsis,) + (0,) * grid.d, dt * (b_const or 0.0) * u.size
+    yield 0, np.broadcast_to(_centre(u, grid), (rows, 1) + grid.shape)
+    u = np.repeat(u[np.newaxis], rows, axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        u = _wrap(np.asarray(config.u0.values, dtype=float), grid)
         u_hat = _rfft(u, grid)
-        zero, b_mode = (0,) * grid.d, dt * (b_const or 0.0) * u.size
-        values[0] = _centre(u, grid)
-        row = 1
-        for start in range(0, n, noise.block_steps):
-            count = min(noise.block_steps, n - start)
+    row = 1
+    for start in range(0, n, block_steps):
+        count = min(block_steps, n - start)
+        # An overflow leaves a non-finite frame, which the check reports;
+        # a batched block, or a failed row, steps past a blow-up.  Neither
+        # may warn.
+        with np.errstate(over="ignore", invalid="ignore"):
             if has_noise:
                 dm_hat = next(blocks)
                 if sigma_on_frame:
                     dm = _irfft(dm_hat, grid)
             if on_frame:  # the block's frames in FFT order
-                block = np.empty((count,) + grid.shape)
+                block = np.empty((rows, count) + grid.shape)
             else:  # both constant: the block stays in frequency
-                states = np.empty((count,) + u_hat.shape, dtype=u_hat.dtype)
+                states = np.empty((rows, count) + u_hat.shape[1:],
+                                  dtype=u_hat.dtype)
             for j in range(count):
                 if on_frame:
                     forcing = dt * config.b(u) if b_const is None else 0.0
                     if sigma_on_frame:
-                        forcing = forcing + config.sigma(u) * dm[j]
+                        forcing = forcing + config.sigma(u) * dm[:, j]
                     u_hat = u_hat + _rfft(forcing, grid)
                 if b_const:
                     u_hat[zero] += b_mode
                 if has_noise and not sigma_on_frame:
-                    u_hat = u_hat + sigma_const * dm_hat[j]
+                    u_hat = u_hat + sigma_const * dm_hat[:, j]
                 u_hat = psi_h * u_hat
                 if on_frame:  # the next step needs this frame
-                    block[j] = u = _irfft(u_hat, grid)
-                    _check_frames(u[np.newaxis], ceiling, start + j + 1,
-                                  replicate_id)
+                    block[:, j] = u = _irfft(u_hat, grid)
+                    found = _blow_ups(u[:, np.newaxis], ceiling,
+                                      start + j + 1, replicate_ids)
+                    errors = found | errors
+                    if 0 in errors:
+                        raise errors[0]
                 else:
-                    states[j] = u_hat
+                    states[:, j] = u_hat
             if not on_frame:  # transform and check the block's frames at once
                 block = _irfft(states, grid)
-                _check_frames(block, ceiling, start + 1, replicate_id)
-            stop = bisect.bisect_right(steps, start + count, row)
-            if stop > row:  # the block's stored rows, centred at once
-                kept = [k - start - 1 for k in steps[row:stop]]
-                values[row:stop] = _centre(block[kept], grid)
-                row = stop
-    return PathSolution(values, grid, _stored_times(config), replicate_id)
+                errors = _blow_ups(block, ceiling, start + 1,
+                                   replicate_ids) | errors
+                if 0 in errors:
+                    raise errors[0]
+        stop = bisect.bisect_right(steps, start + count, row)
+        if stop > row:  # the block's stored rows, centred at once
+            kept = [k - start - 1 for k in steps[row:stop]]
+            yield row, _centre(block[:, kept], grid)
+            row = stop
+    if errors:
+        raise errors[min(errors)]
+
+
+def _stored_values(config: SolverConfig, replicate_ids) -> np.ndarray:
+    """``(R, F, *grid.shape)`` stored frames of ``replicate_ids``, stepped
+    together by ``_step_rows``."""
+    values = np.empty((len(replicate_ids), len(_stored_steps(config)))
+                      + config.grid.shape)
+    for first, rows in _step_rows(config, replicate_ids):
+        values[:, first:first + rows.shape[1]] = rows
+    return values
+
+
+def _chunks(config: SolverConfig, n_replicates: int, threads: int = 1):
+    """Replicate ids ``0..n_replicates-1`` split into the chunks that are
+    stepped together.  A chunk holds at most CHUNK_ELEMENTS stored values,
+    and ``threads`` chunks at once at most MAX_CHUNK_ROWS replicates.  A
+    Picard run solves one replicate at a time.
+    """
+    per_row = len(_stored_steps(config)) * config.u0.values.size
+    size = max(1, min(MAX_CHUNK_ROWS // threads, CHUNK_ELEMENTS // per_row))
+    if config.scheme == "picard":
+        size = 1
+    return [range(lo, min(lo + size, n_replicates))
+            for lo in range(0, n_replicates, size)]
+
+
+def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
+    """Exponential-Euler trajectory for one replicate.
+
+    Deterministic in (config, replicate_id).  With b = sigma = 0 the
+    linear part is integrated exactly, so frames coincide with the
+    smoothed initial condition to round-off.  Every step's frame is
+    checked; the stepping state stays in half-spectrum layout.  This is
+    the one-row call of the chunk stepper ``_step_rows``.
+
+    Raises
+    ------
+    BlowUpError
+        If any frame becomes non-finite or leaves the stability envelope.
+    """
+    values = _stored_values(config, (replicate_id,))[0]
+    return PathSolution(values, config.grid, _stored_times(config),
+                        replicate_id)
 
 
 def solve_picard(config: SolverConfig, replicate_id: int = 0,
@@ -422,8 +505,9 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
     """
     grid, dt, psi_h = config.grid, config.dt, config._psi_h
     n = config.n_steps
-    blocks = config._synthesizer.blocks(config.noise_stream(replicate_id), n)
-    increments = np.concatenate([_irfft(s, grid) for s in blocks])
+    blocks = config._synthesizer.blocks([config.noise_stream(replicate_id)],
+                                        n)
+    increments = np.concatenate([_irfft(s[0], grid) for s in blocks])
 
     def semigroup(values):
         return _irfft(psi_h * _rfft(values, grid), grid)
@@ -505,10 +589,9 @@ def moment_estimate(config: SolverConfig, p: float,
         raise ConfigurationError(
             f"need >= {MIN_MOMENT_REPLICATES} replicates, got {n_replicates}"
         )
-    powers = []
-    for rep in range(n_replicates):
-        powers.append(np.abs(solve(config, rep).values) ** p)
-    stack = np.stack(powers).reshape(n_replicates, -1)
+    stack = np.concatenate([np.abs(_stored_values(config, ids)) ** p
+                            for ids in _chunks(config, n_replicates)])
+    stack = stack.reshape(n_replicates, -1)
     value = float(stack.mean(axis=0).max())
     lo, hi = _bootstrap_interval(stack, np.max)
     return MomentEstimate(p, value, lo, hi, n_replicates)

@@ -155,7 +155,14 @@ class SpectralMeasure:
                 out = self.riesz_constant * r ** (self.gamma - self.d)
             return out
         if self.kind == "bessel":
-            return (2 * np.pi) ** (-self.d) * (1 + r**2) ** (-self.beta / 2)
+            scale = (2 * np.pi) ** (-self.d)
+            with np.errstate(over="ignore", divide="ignore"):
+                r2 = r**2
+                out = scale * (1 + r2) ** (-self.beta / 2)
+                overflowed = ~np.isfinite(r2)  # r past ~1.3e154
+                if overflowed.any():  # there the density is its limit
+                    out = np.where(overflowed, scale * r ** -self.beta, out)
+            return out
         if self.kind == "free_field":
             return (2 * np.pi) ** (-self.d / 2) / (r**2 + self.mass**2)
         return np.interp(r, self.radii, self.values,

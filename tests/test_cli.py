@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import fracspde.cli
 from fracspde.cli import main
 from fracspde.fields import read_array_binary
 
@@ -16,6 +17,10 @@ def _write(tmp_path, name, payload):
     p = tmp_path / name
     p.write_text(json.dumps(payload))
     return str(p)
+
+
+def _solver_config(path):
+    return fracspde.cli._parse_solver_config(json.loads(Path(path).read_text()))
 
 
 def _kernel_cfg(tmp_path, **over):
@@ -39,6 +44,10 @@ def _sim_cfg(tmp_path, **over):
     }
     cfg.update(over)
     return _write(tmp_path, "sim.json", cfg)
+
+
+# a holder config whose windows fit (4 temporal and 4 spatial scales)
+_HOLDER_OK = {"frame_stride": 1, "T": 1.28}
 
 
 def test_kernel_command_reports_pass(tmp_path):
@@ -107,6 +116,79 @@ def test_simulate_reproducible_and_thread_independent(tmp_path):
         a = (tmp_path / "a" / name).read_bytes()
         assert a == (tmp_path / "b" / name).read_bytes()
         assert a == (tmp_path / "c" / name).read_bytes()
+
+
+def _outputs(outdir):
+    return {f.name: f.read_bytes() for f in sorted(outdir.iterdir())}
+
+
+@pytest.mark.parametrize("command, over", [
+    ("simulate", {"replicates": 8, "b": {"preset": "sine", "amplitude": 0.3},
+                  "sigma": {"preset": "affine", "slope": 0.2, "value": 1.0}}),
+    ("simulate", {"replicates": 8}),
+    ("holder", {**_HOLDER_OK, "replicates": 8, "min_replicates": 8}),
+])
+def test_chunked_outputs_equal_one_replicate_at_a_time(tmp_path, monkeypatch,
+                                                       command, over):
+    import fracspde.solver
+
+    cfg = _sim_cfg(tmp_path, **over)
+    run = ["--config", cfg, "--format", "csv"]
+    monkeypatch.setattr(fracspde.solver, "MAX_CHUNK_ROWS", 1)
+    assert main([command, *run, "--out", str(tmp_path / "one")]) == 0
+    monkeypatch.undo()
+    # 3 rows a chunk: 8 replicates are chunks of 3, 3 and 2
+    stored = 3 * (129 if command == "holder" else 3) * 64
+    monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS", stored)
+    expected = _outputs(tmp_path / "one")
+    assert len(expected) == (10 if command == "simulate" else 3)
+    for threads in ("1", "2", "3"):
+        out = tmp_path / threads
+        assert main([command, *run, "--out", str(out),
+                     "--threads", threads]) == 0
+        assert _outputs(out) == expected
+
+
+def test_chunked_simulate_reports_the_serial_blow_up(tmp_path, monkeypatch,
+                                                     capsys):
+    import fracspde.solver
+    from fracspde.errors import BlowUpError
+
+    # replicates 0-9 fail at steps 73, 47, 29, 70, 71, 57, -, -, -, 48
+    over = {"alpha": [1.5], "delta": [0.3], "measure": {"kind": "white"},
+            "grid": {"n_per_dim": 16, "box_length": 8.0},
+            "sigma": {"preset": "constant", "value": 6e5}, "T": 2.0,
+            "replicates": 10, "seed": 3, "frame_stride": 10**9}
+    cfg = _sim_cfg(tmp_path, **over)
+    config = _solver_config(cfg)
+    with pytest.raises(BlowUpError) as serial:
+        fracspde.solver.solve(config, 0)
+    monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS", 3 * 2 * 16)
+    for threads in ("1", "2"):
+        rc = main(["simulate", "--config", cfg, "--out",
+                   str(tmp_path / threads), "--threads", threads])
+        assert rc == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "BlowUpError", "message": str(serial.value)}
+        assert not (tmp_path / threads / "frames_0000.bin").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_each_replicate_key_chunk_is_built_once(tmp_path, threads):
+    # 100 replicates x 200 steps span two key chunks of 128 steps; chunks
+    # of at most 64 rows over all threads drawn replicate-major keep every
+    # (replicate, key chunk) in the 64-entry key cache while it is drawn
+    from fracspde.noise import _philox_keys
+
+    cfg = _sim_cfg(tmp_path, grid={"n_per_dim": 12, "box_length": 8.0},
+                   dt=0.01, T=2.0, replicates=100, frame_stride=10**9)
+    _philox_keys.cache_clear()
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--threads", threads])
+    info = _philox_keys.cache_info()
+    _philox_keys.cache_clear()
+    assert rc == 0
+    assert (info.misses, info.hits + info.misses) == (100 * 2, 100 * 200)
 
 
 def test_simulate_beyond_key_table_seed_is_thread_independent(tmp_path):
@@ -189,15 +271,16 @@ def test_holder_command(tmp_path):
 
 
 def test_holder_keeps_copies_not_views_of_each_path(tmp_path, monkeypatch):
-    # a view of one row would keep a replicate's whole path alive
+    # a view of a chunk's rows would keep its frames alive
     import fracspde.cli
 
-    paths, kept = [], {}
-    solve = fracspde.cli.solve
+    yielded, kept = [], {}
+    step_rows = fracspde.cli._step_rows
 
-    def solving(config, rep):
-        paths.append(solve(config, rep))
-        return paths[-1]
+    def stepping(config, ids):
+        for first, rows in step_rows(config, ids):
+            yielded.append(rows)
+            yield first, rows
 
     def keeping(name):
         estimate = getattr(fracspde.cli, name)
@@ -207,17 +290,23 @@ def test_holder_keeps_copies_not_views_of_each_path(tmp_path, monkeypatch):
             return estimate(arrays, *args, **kwargs)
         return wrapped
 
-    monkeypatch.setattr(fracspde.cli, "solve", solving)
+    monkeypatch.setattr(fracspde.cli, "_step_rows", stepping)
+    monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS", 2 * 129 * 64)
     for name in ("estimate_temporal", "estimate_spatial"):
         monkeypatch.setattr(fracspde.cli, name, keeping(name))
     cfg = _sim_cfg(tmp_path, **_HOLDER_OK, replicates=3)
     assert main(["holder", "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert len(paths) == 3
-    for path, series, field in zip(paths, kept["estimate_temporal"],
-                                   kept["estimate_spatial"]):
+    assert len(kept["estimate_temporal"]) == len(kept["estimate_spatial"]) == 3
+    assert {rows.shape[0] for rows in yielded} == {2, 1}  # two chunks
+    config = _solver_config(cfg)
+    for rep, series, field in zip(range(3), kept["estimate_temporal"],
+                                  kept["estimate_spatial"]):
+        path = fracspde.solver.solve(config, rep)
         assert np.array_equal(field, path.values[-1])
-        assert not np.shares_memory(field, path.values)
-        assert not np.shares_memory(series, path.values)
+        assert np.array_equal(series, path.values_at(32))
+        for rows in yielded:
+            assert not np.shares_memory(field, rows)
+            assert not np.shares_memory(series, rows)
 
 
 def test_integral_float_count_is_read(tmp_path):
@@ -328,6 +417,8 @@ def test_malformed_input_exits_2_with_json(tmp_path, capsys, command, over,
     ("simulate", {"scheme": "picard", "picard_tol": 0.0}),
     ("simulate", {"scheme": "picard", "picard_max_iter": 0}),
     ("simulate", {"u0": {"preset": "constant", "value": 1e303}}),
+    ("density", {"t": -1.0, "rho_grid": [0.001, 0.01]}),
+    ("density", {"t": 0.0}),
 ])
 def test_out_of_range_setting_exits_2_before_solving(tmp_path, capsys,
                                                      monkeypatch, command,
@@ -342,9 +433,11 @@ def test_out_of_range_setting_exits_2_before_solving(tmp_path, capsys,
 
 
 def _count_solves(monkeypatch):
-    """The list each ``solve`` call of the CLI and of ``density`` adds to."""
+    """The list each stepped chunk, ``solve`` of ``density`` and Picard
+    solve of the CLI adds to, when its first step runs."""
     import fracspde.cli
     import fracspde.density
+    import fracspde.solver
 
     calls = []
 
@@ -354,13 +447,30 @@ def _count_solves(monkeypatch):
             return fn(*args, **kwargs)
         return wrapped
 
-    for module in (fracspde.cli, fracspde.density):
-        monkeypatch.setattr(module, "solve", counting(module.solve))
+    def stepping(fn):
+        def wrapped(*args, **kwargs):
+            calls.append(fn.__name__)
+            yield from fn(*args, **kwargs)
+        return wrapped
+
+    for module in (fracspde.cli, fracspde.solver):
+        monkeypatch.setattr(module, "_step_rows", stepping(module._step_rows))
+    monkeypatch.setattr(fracspde.density, "solve",
+                        counting(fracspde.density.solve))
+    monkeypatch.setattr(fracspde.cli, "solve_picard",
+                        counting(fracspde.cli.solve_picard))
     return calls
 
 
-# a holder config whose windows fit (4 temporal and 4 spatial scales)
-_HOLDER_OK = {"frame_stride": 1, "T": 1.28}
+def test_solve_counter_sees_every_command_that_steps(tmp_path, monkeypatch):
+    # the guard of the two tests above counts what these runs do
+    calls = _count_solves(monkeypatch)
+    for command, over in [("simulate", {}), ("simulate", {"scheme": "picard"}),
+                          ("holder", _HOLDER_OK), ("density", {})]:
+        cfg = _sim_cfg(tmp_path, replicates=40, n_samples=2, **over)
+        main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+        assert calls, command
+        calls.clear()
 
 
 @pytest.mark.parametrize("command,over,error,fragment", [

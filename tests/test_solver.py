@@ -1,4 +1,5 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from fracspde.solver import (
     PathSolution,
     SolverConfig,
     _check_frames,
+    _chunks,
+    _stored_values,
     moment_estimate,
     smooth_initial,
     solve,
@@ -440,7 +443,7 @@ def _block_config(**kw):
     kw = dict(grid=Grid(1, 1024, 16.0), b=Coefficient.constant(0.5),
               sigma=Coefficient.constant(1.0), u0=0.0, dt=1e-3, T=0.15) | kw
     cfg = _config(**kw)
-    assert cfg._synthesizer.block_steps == 64 and cfg.n_steps == 150
+    assert cfg._synthesizer.block_steps(1) == 64 and cfg.n_steps == 150
     return cfg
 
 
@@ -477,6 +480,152 @@ def test_frames_transformed_per_block_only_with_constant_coefficients(
     assert len(calls) == transforms
 
 
+# -- chunks of replicates stepped together ------------------------------------
+
+_COEFFICIENTS = [Coefficient.constant(0.0), Coefficient.constant(0.5),
+                 Coefficient.linear(-0.5), Coefficient.affine(0.2, 1.0),
+                 Coefficient.sine(0.3, 2.0)]
+
+
+@st.composite
+def _chunked_runs(draw):
+    """A config, replicate ids, a chunk size and a noise block budget."""
+    d = draw(st.sampled_from([1, 2]))
+    n = draw(st.sampled_from([5, 6, 8, 9] if d == 2 else [7, 8, 16, 17]))
+    alpha = [draw(st.floats(1.2, 2.0)) for _ in range(d)]
+    delta = [draw(st.floats(-0.5, 0.5)) * min(a, 2 - a) for a in alpha]
+    measure = draw(st.sampled_from(
+        [SpectralMeasure.bessel(2.5, 2)] if d == 2 else
+        [WHITE, SpectralMeasure.riesz(0.5, 1),
+         SpectralMeasure.bessel(1.0, 1)]))
+    u0 = draw(st.sampled_from([0.0, lambda *xs: np.cos(xs[0])]))
+    cfg = SolverConfig(
+        idx=FractionalIndex(alpha, delta), measure=measure,
+        grid=Grid(d, n, 8.0), b=draw(st.sampled_from(_COEFFICIENTS)),
+        sigma=draw(st.sampled_from(_COEFFICIENTS)), u0=u0, dt=0.01,
+        T=0.01 * draw(st.integers(1, 40)), master_seed=draw(st.integers(0, 9)),
+        frame_stride=draw(st.sampled_from([1, 2, 7, 10**9])),
+    )
+    ids = draw(st.lists(st.integers(0, 40), min_size=1, max_size=7,
+                        unique=True))
+    size = draw(st.integers(1, len(ids)))
+    # a budget of n**d values is a block per step, so most runs span many
+    block_elements = draw(st.sampled_from([1, 3, 2**16 // n**d])) * n**d
+    return cfg, ids, size, block_elements
+
+
+@settings(max_examples=60, deadline=None)
+@given(_chunked_runs())
+def test_chunks_equal_per_replicate_solves_byte_for_byte(run):
+    import fracspde.noise
+
+    cfg, ids, size, block_elements = run
+    expected = {rep: solve(cfg, rep).values for rep in ids}
+    with mock.patch.object(fracspde.noise, "BLOCK_ELEMENTS", block_elements):
+        for lo in range(0, len(ids), size):
+            chunk = ids[lo:lo + size]
+            for rep, values in zip(chunk, _stored_values(cfg, chunk)):
+                assert values.tobytes() == expected[rep].tobytes()
+
+
+def _blow_up_config(sigma):
+    # multiplicative or huge additive noise: replicates fail at their own
+    # steps (serial first failures, replicates 0-9, in the comments below)
+    return SolverConfig(
+        idx=FractionalIndex([1.5], [0.3]), measure=WHITE,
+        grid=Grid(1, 16, 8.0), b=Coefficient.constant(0.0), sigma=sigma,
+        u0=0.0 if sigma.name == "constant" else 1.0, dt=0.01, T=2.0,
+        master_seed=3, frame_stride=10**9,
+    )
+
+
+def _serial_blow_ups(cfg, ids):
+    """{replicate: BlowUpError} of one ``solve`` per replicate."""
+    errors = {}
+    for rep in ids:
+        try:
+            solve(cfg, rep)
+        except BlowUpError as exc:
+            errors[rep] = exc
+    return errors
+
+
+@pytest.mark.parametrize("sigma, ids", [
+    # checked per step: None, 70, 97, 121, 112, 142, 82, 187, 131, 93
+    (Coefficient.linear(8.0), range(2, 10)),
+    (Coefficient.linear(8.0), [9, 2, 6, 0]),
+    # every replicate fails: 75, 45, 46, 49, 61, 54, 35, 61, 53, 47
+    (Coefficient.linear(10.0), range(10)),
+    # checked per block: 73, 47, 29, 70, 71, 57, None, None, None, 48
+    (Coefficient.constant(6e5), range(1, 6)),
+    (Coefficient.constant(6e5), range(6, 10)),
+])
+@pytest.mark.parametrize("block_elements", [2**16, 2**8])
+def test_chunk_raises_the_blow_up_of_the_serial_loop(sigma, ids,
+                                                     block_elements):
+    import fracspde.noise
+
+    cfg = _blow_up_config(sigma)
+    serial = _serial_blow_ups(cfg, ids)
+    first = serial[next(rep for rep in ids if rep in serial)]
+    # 2**8 values are blocks of 2 or 4 steps, so a later row's failure
+    # can show in an earlier block than the raised one's
+    with (mock.patch.object(fracspde.noise, "BLOCK_ELEMENTS", block_elements),
+          pytest.raises(BlowUpError) as exc):
+        _stored_values(cfg, list(ids))
+    assert (str(exc.value), exc.value.step, exc.value.replicate_id) == (
+        str(first), first.step, first.replicate_id)
+
+
+def test_chunk_blow_up_cases_have_a_later_replicate_failing_sooner():
+    # what makes the parity test above bite: in a chunk, a later row
+    # fails at an earlier step than the row whose error is raised
+    for sigma, ids in [(Coefficient.linear(8.0), range(2, 10)),
+                       (Coefficient.constant(6e5), range(1, 6))]:
+        serial = _serial_blow_ups(_blow_up_config(sigma), ids)
+        steps = [serial[rep].step for rep in ids if rep in serial]
+        assert min(steps[1:]) < steps[0]
+
+
+def test_chunk_stops_once_its_first_row_has_failed():
+    calls = []
+
+    def counting(u):
+        calls.append(u.shape)
+        return 10.0 * u
+
+    sigma = Coefficient(counting, 10.0)
+    cfg = _blow_up_config(sigma)
+    with pytest.raises(BlowUpError) as exc:
+        _stored_values(cfg, list(range(10)))
+    # replicate 0 fails at step 75: no later step runs
+    assert (exc.value.replicate_id, exc.value.step) == (0, 75)
+    assert calls == [(10, 16)] * 75
+
+
+@pytest.mark.parametrize("threads, paths, finals", [
+    (1, [15] * 4 + [4], [64, 36]),
+    (2, [15] * 4 + [4], [32] * 3 + [4]),
+    (3, [15] * 4 + [4], [21] * 4 + [16]),
+    (5, [12] * 5 + [4], [12] * 8 + [4]),
+])
+def test_chunk_rows_come_from_the_stored_value_budget(threads, paths, finals):
+    # 257 stored frames of 256 points: 15 rows fit 2**20 values; with the
+    # final frame only, at most 64 rows run at once over all threads
+    cfg = SolverConfig(
+        idx=FractionalIndex([1.5], [0.3]), measure=WHITE,
+        grid=Grid(1, 256, 16.0), b=Coefficient.sine(0.3),
+        sigma=Coefficient.affine(0.2, 1.0), u0=0.0, dt=1e-3, T=0.256,
+    )
+    chunks = _chunks(cfg, 64, threads)
+    assert [len(c) for c in chunks] == paths
+    assert [rep for c in chunks for rep in c] == list(range(64))
+    final_only = replace(cfg, frame_stride=10**9)
+    assert [len(c) for c in _chunks(final_only, 100, threads)] == finals
+    picard = replace(cfg, scheme="picard")
+    assert [len(c) for c in _chunks(picard, 3, threads)] == [1, 1, 1]
+
+
 # -- moments ----------------------------------------------------------------------
 
 def test_moment_estimate_deterministic_decay():
@@ -511,7 +660,7 @@ def test_moment_estimate_rejects_picard_scheme(monkeypatch):
     import fracspde.solver
 
     calls = []
-    monkeypatch.setattr(fracspde.solver, "solve",
+    monkeypatch.setattr(fracspde.solver, "_step_rows",
                         lambda *args: calls.append(args))
     with pytest.raises(ConfigurationError, match="exp_euler"):
         moment_estimate(_config(scheme="picard"), 2.0, 100)

@@ -118,6 +118,21 @@ def test_bessel_threshold():
     assert not admissibility(SpectralMeasure.bessel(1.0, 2), GAUSS2, 0.4).admissible
 
 
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bessel_density_keeps_its_power_law_where_r_squared_overflows(d):
+    # past r ~ 1.3e154, r**2 overflows; the density is still ~ r^-beta there
+    m = SpectralMeasure.bessel(0.5, d)
+    far = np.array([1.4e154, 1e200, 1e300, np.inf])
+    expected = (2 * np.pi) ** (-d) * far ** -0.5
+    assert np.allclose(m.radial_density(far), expected, rtol=1e-12, atol=0)
+    near = np.array([0.0, 0.5, 3.0, 1e100, 1.3e154])
+    closed_form = (2 * np.pi) ** (-d) * (1 + near**2) ** -0.25
+    assert m.radial_density(near).tobytes() == closed_form.tobytes()
+    assert m.radial_density(2.0) == (2 * np.pi) ** (-d) * 5.0 ** -0.25
+    mixed = m.radial_density(np.array([0.0, 1e200]))
+    assert mixed[0] == (2 * np.pi) ** (-d) and mixed[1] == expected[1]
+
+
 def test_white_noise_fractional_threshold():
     idx = FractionalIndex([1.5], [0.0])
     m = SpectralMeasure.white(1)
