@@ -29,17 +29,16 @@ import numpy as np
 from . import __version__
 from .density import (_check_bound_inputs, kde, sample_law,
                       variance_bound_check)
-from .errors import (ConfigurationError, DivergenceError, FracspdeError,
-                     NumericalConsistencyError, NumericalError,
-                     ValidationError)
+from .errors import (ConfigurationError, ConstraintViolationError,
+                     DivergenceError, FracspdeError, NumericalConsistencyError,
+                     NumericalError, ValidationError)
 from .fields import (FractionalIndex, Grid, _write_dump_entries,
                      _write_dump_header)
 from .regularity import (_check_ensemble, _check_window_inputs,
                          _spatial_offsets, _temporal_window, build_report,
                          estimate_spatial, estimate_temporal)
 from .solver import (Coefficient, SolverConfig, _chunks, _frame_index,
-                     _require_exp_euler, _step_rows, _stored_times,
-                     solve_picard)
+                     _step_rows, _stored_times, solve_picard)
 # not called here since chunks are stepped together; kept as names of this
 # module, which benchmarks/spans.py rebinds to trace them
 from .fields import write_array_binary  # noqa: F401
@@ -244,13 +243,24 @@ def _parse_solver_config(cfg, seed_override=None) -> SolverConfig:
             u0=_parse_u0(cfg),
             dt=_parse_float(cfg, "dt"),
             T=_parse_float(cfg, "T"),
-            scheme=cfg.get("scheme", "exp_euler"),
             picard_max_iter=_parse_int(cfg, "picard_max_iter", 200),
             picard_tol=_parse_float(cfg, "picard_tol", 1e-12),
             master_seed=_parse_seed(cfg, seed_override),
             frame_stride=_parse_int(cfg, "frame_stride", 1),
         )
     return SolverConfig(idx=idx, **fields)
+
+
+def _parse_scheme(cfg, command) -> str:
+    """``cfg["scheme"]``: "exp_euler" (the default; ``solve``'s stepper) or
+    "picard" (``solve_picard``), which ``simulate`` alone runs."""
+    scheme = cfg.get("scheme", "exp_euler")
+    if scheme not in ("exp_euler", "picard"):
+        raise ConstraintViolationError(f"unknown scheme {scheme!r}")
+    if scheme == "picard" and command != "simulate":
+        raise ConfigurationError(
+            f"{command} runs the exp_euler scheme only, got {scheme!r}")
+    return scheme
 
 
 def _write_manifest(outdir: Path, command, cfg, seed):
@@ -315,12 +325,13 @@ def _per_chunk(fn, chunks, threads):
 
 def _run_simulate(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
+    picard = _parse_scheme(cfg, "simulate") == "picard"
     n_rep = _parse_int(cfg, "replicates", 1, minimum=1)
     times = list(_stored_times(config))
 
     def paths(ids):
         # each block's rows go straight to the replicates' frame files
-        if config.scheme == "picard":  # its chunks hold one replicate
+        if picard:  # its chunks hold one replicate
             blocks = [(0, solve_picard(config, ids[0]).values[np.newaxis])]
         else:
             blocks = _step_rows(config, ids)
@@ -343,15 +354,16 @@ def _run_simulate(cfg, outdir: Path, args):
                  "final_sup": float(sup)}
                 for rep, f, sup in zip(ids, files, final_sup)]
 
-    entries = _per_chunk(paths, _chunks(config, n_rep, args.threads),
-                         args.threads)
+    chunks = ([range(rep, rep + 1) for rep in range(n_rep)] if picard
+              else _chunks(config, n_rep, args.threads))
+    entries = _per_chunk(paths, chunks, args.threads)
     _dump_json(outdir / "frames_index.json", {"replicates": entries})
     return 0
 
 
 def _run_holder(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
-    _require_exp_euler(config, "holder")
+    _parse_scheme(cfg, "holder")
     eta_star = critical_eta(config.measure, config.idx)
     n_rep = _parse_int(cfg, "replicates", 200, minimum=1)
     with _reading("holder settings"):
@@ -408,7 +420,7 @@ def _run_holder(cfg, outdir: Path, args):
 
 def _run_density(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
-    _require_exp_euler(config, "density")
+    _parse_scheme(cfg, "density")
     eta_star = critical_eta(config.measure, config.idx)
     n = _parse_int(cfg, "n_samples", 2000, minimum=1)
     with _reading("density settings"):

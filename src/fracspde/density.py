@@ -29,8 +29,7 @@ from .errors import (
     NumericalConsistencyError,
 )
 from .fields import FractionalIndex
-from .solver import (SolverConfig, _frame_index, _require_exp_euler,
-                     _stored_times, solve)
+from .solver import SolverConfig, _frame_index, _stored_times, solve
 from .spectral_measure import N_RADIAL, SpectralMeasure, spectral_integral
 from .spectral_measure import _cumulative_integrand
 
@@ -66,11 +65,9 @@ def sample_law(config: SolverConfig, t: float, x, n: int) -> np.ndarray:
 
     ``x`` is a grid index (int for d=1, tuple otherwise) and ``t`` a stored
     frame time.  Before any solve, ``n`` >= 1, ``t`` and the ellipticity of
-    sigma (> 0 on a probe range) are checked.  Deterministic given the
-    master seed.  Only the exp_euler scheme is run (ConfigurationError
-    otherwise).
+    sigma (> 0 on a probe range) are checked.  Each replicate is stepped by
+    ``solve`` (exponential Euler).  Deterministic given the master seed.
     """
-    _require_exp_euler(config, "sample_law")
     if n < 1:
         raise ConfigurationError(f"need n >= 1 samples, got {n}")
     low = float(np.min(config.sigma(_ELLIPTICITY_PROBE)))

@@ -59,6 +59,7 @@ __all__ = [
 
 BLOCK_ELEMENTS = 2**16  # most grid values drawn and transformed in one block
 KEY_CHUNK = 128  # steps per key table; a power of 2, so none crosses 2**32
+KEY_CACHE_SIZE = 64  # key tables kept; solver.MAX_CHUNK_ROWS is this many
 
 # numpy's SeedSequence: a pool of 4 uint32 words, hash-mixed with running
 # constants h <- h * MULT (constant i is xor-ed in, constant i + 1 multiplies)
@@ -91,7 +92,7 @@ def _mix(x, y):
     return result ^ result >> 16
 
 
-@functools.lru_cache(maxsize=64)
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
 def _philox_keys(master_seed: int, replicate_id: int,
                  chunk: int) -> np.ndarray:
     """Philox keys of steps ``chunk * KEY_CHUNK`` onward, one row each.
@@ -215,8 +216,8 @@ class _Synthesizer:
         At most BLOCK_ELEMENTS grid values, and a block never crosses a
         key chunk: below KEY_CHUNK steps its length is a power of 2, above
         it a multiple of KEY_CHUNK.  So each (replicate, key chunk) is
-        drawn in one run of blocks, which the 64-entry key cache holds for
-        up to 64 rows.
+        drawn in one run of blocks, which the key cache holds for up to
+        KEY_CACHE_SIZE rows.
         """
         steps = max(1, BLOCK_ELEMENTS // (rows * self.points))
         if steps >= KEY_CHUNK:

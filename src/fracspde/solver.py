@@ -8,7 +8,9 @@ where S_dt is the exact linear semigroup (diagonal in frequency), b is
 treated explicitly and the stochastic term uses the left-endpoint (Ito)
 evaluation.  The whole-path fixed-point scheme iterates the discrete
 integral map on a frozen noise realization; both schemes share the same
-discrete fixed point, so they cross-validate path by path.
+discrete fixed point, so they cross-validate path by path.  The function
+called is the scheme run (``solve`` or ``solve_picard``); a SolverConfig
+names none, and only ``solve_picard`` reads its Picard settings.
 
 The stepping state is the half spectrum (``fields._rfft``) of the field,
 so a step is
@@ -54,12 +56,14 @@ from __future__ import annotations
 import bisect
 import math
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .errors import (
+    AccuracyWarning,
     BlowUpError,
     ConfigurationError,
     ConstraintViolationError,
@@ -67,7 +71,7 @@ from .errors import (
 )
 from .fields import (Field, FractionalIndex, Grid, _centre, _irfft, _rfft,
                      _real_multiplier, _wrap)
-from .noise import RngStream, _Synthesizer
+from .noise import KEY_CACHE_SIZE, RngStream, _Synthesizer
 from .spectral_measure import SpectralMeasure, require_admissible
 from .stable_kernel import _symbol_lattice, apply_semigroup
 
@@ -87,7 +91,7 @@ TIME_RTOL = 1e-9  # relative tolerance for matching step and frame times
 MIN_MOMENT_REPLICATES = 100
 BOOT_RESAMPLES, BOOT_SEED = 200, 0  # every bootstrap interval uses these
 CHUNK_ELEMENTS = 2**20  # most stored frame values a chunk of replicates holds
-MAX_CHUNK_ROWS = 64  # replicates per chunk: the size of the Philox key cache
+MAX_CHUNK_ROWS = KEY_CACHE_SIZE  # rows per chunk, each with a cached key table
 
 
 @dataclass(frozen=True)
@@ -187,7 +191,6 @@ class SolverConfig:
     u0: object
     dt: float
     T: float
-    scheme: str = "exp_euler"
     picard_max_iter: int = 200
     picard_tol: float = 1e-12
     master_seed: int = 0
@@ -202,8 +205,6 @@ class SolverConfig:
             raise ConstraintViolationError(
                 f"T={self.T} is not a whole number of steps of dt={self.dt}"
             )
-        if self.scheme not in ("exp_euler", "picard"):
-            raise ConstraintViolationError(f"unknown scheme {self.scheme!r}")
         if self.frame_stride < 1:
             raise ConstraintViolationError("frame_stride must be >= 1")
         if self.picard_max_iter < 1:
@@ -346,14 +347,6 @@ def _stored_times(config: SolverConfig) -> tuple:
     return tuple(k * config.dt for k in _stored_steps(config))
 
 
-def _require_exp_euler(config: SolverConfig, caller: str):
-    """``caller`` solves with ``solve``; a Picard scheme would be ignored."""
-    if config.scheme != "exp_euler":
-        raise ConfigurationError(
-            f"{caller} runs the exp_euler scheme only, got {config.scheme!r}"
-        )
-
-
 def _constant_value(coef: Coefficient):
     """c for a ``Coefficient.constant(c)`` preset, None for any other."""
     return coef.params[0] if coef.name == "constant" else None
@@ -458,13 +451,10 @@ def _stored_values(config: SolverConfig, replicate_ids) -> np.ndarray:
 def _chunks(config: SolverConfig, n_replicates: int, threads: int = 1):
     """Replicate ids ``0..n_replicates-1`` split into the chunks that are
     stepped together.  A chunk holds at most CHUNK_ELEMENTS stored values,
-    and ``threads`` chunks at once at most MAX_CHUNK_ROWS replicates.  A
-    Picard run solves one replicate at a time.
+    and ``threads`` chunks at once at most MAX_CHUNK_ROWS replicates.
     """
     per_row = len(_stored_steps(config)) * config.u0.values.size
     size = max(1, min(MAX_CHUNK_ROWS // threads, CHUNK_ELEMENTS // per_row))
-    if config.scheme == "picard":
-        size = 1
     return [range(lo, min(lo + size, n_replicates))
             for lo in range(0, n_replicates, size)]
 
@@ -579,10 +569,9 @@ def moment_estimate(config: SolverConfig, p: float,
     """max over (frame, x) of the empirical p-th absolute moment.
 
     Runs ``n_replicates`` >= MIN_MOMENT_REPLICATES independent trajectories
-    and bootstraps the replicate axis for the confidence interval.  Only
-    the exp_euler scheme is run (ConfigurationError otherwise).
+    and bootstraps the replicate axis for the confidence interval, which
+    can miss the estimate (AccuracyWarning; the numbers are kept).
     """
-    _require_exp_euler(config, "moment_estimate")
     if p < 2:
         raise ConstraintViolationError("moment order must be >= 2")
     if n_replicates < MIN_MOMENT_REPLICATES:
@@ -594,4 +583,8 @@ def moment_estimate(config: SolverConfig, p: float,
     stack = stack.reshape(n_replicates, -1)
     value = float(stack.mean(axis=0).max())
     lo, hi = _bootstrap_interval(stack, np.max)
+    if not lo <= value <= hi:  # the bootstrapped max is biased upward
+        warnings.warn(f"moment estimate {value:.4g} lies outside its "
+                      f"bootstrap interval [{lo:.4g}, {hi:.4g}]",
+                      AccuracyWarning, stacklevel=2)
     return MomentEstimate(p, value, lo, hi, n_replicates)

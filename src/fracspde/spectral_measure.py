@@ -335,7 +335,9 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
     any shape.  Consecutive shells are evaluated as one batch of at most
     _BATCH_NODES nodes, and a scan keeps exactly the shells up to its stop;
     a kept shell that is not finite raises NumericalConsistencyError.
-    Returns (ks, contribs[n_int, n_k], band_limited).
+    Returns (ks, contribs[n_int, n_k], band_limited, unsettled): unsettled
+    is None when each scan stopped on quiet shells or at the band, else
+    where one stopped on growing shells or at the end of _K_RANGE.
     """
     # the angular factor integrates out when alpha == 2 on every axis and
     # every integrand weighs the axes alike
@@ -380,11 +382,11 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
         return out, empty | clipped
 
     ks, contribs = [], []
-    band_limited = False
+    band_limited, unsettled = False, None
     total = np.zeros(len(integrands))
 
     def scan(direction):
-        nonlocal band_limited, total
+        nonlocal band_limited, unsettled, total
         k = 0 if direction > 0 else -1
         quiet = rising = 0
         prev = None
@@ -425,16 +427,19 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
             contribs.append(c[:n])
             total, prev = totals[n], c[n - 1]
             if stop:
-                return
+                break
             k += direction * n
             batch *= 2
+        if not (stop and (clipped[i] or quiet >= 3)):
+            why = "40 growing shells" if stop else "the end of the shell range"
+            unsettled = unsettled or f"{why} at shell 2^{ks[-1]}"
 
     scan(+1)
     scan(-1)
     order = np.argsort(ks)
     ks = np.asarray(ks)[order]
     contribs = np.concatenate(contribs)[order].T
-    return ks, contribs, band_limited
+    return ks, contribs, band_limited, unsettled
 
 
 def _tail_slope(ks, c):
@@ -481,9 +486,13 @@ def spectral_integral(measure, idx, g, axis_weights=1.0, *,
                       n_radial: int = N_RADIAL) -> float:
     """int m(|xi|) g(T(xi)) dxi for a single integrand, g elementwise on
     level arrays of any shape; a non-finite shell raises
-    NumericalConsistencyError."""
-    ks, c, _ = _dyadic_contributions(measure, idx, [(axis_weights, g)],
-                                     n_radial=n_radial)
+    NumericalConsistencyError, and a scan that does not settle
+    DivergenceError."""
+    ks, c, _, unsettled = _dyadic_contributions(
+        measure, idx, [(axis_weights, g)], n_radial=n_radial)
+    if unsettled:
+        raise DivergenceError(
+            f"the spectral integral does not settle: {unsettled}")
     return _extrapolated_sum(ks, c[0], measure.band_limit)
 
 
@@ -566,7 +575,7 @@ def admissibility(measure: SpectralMeasure, idx: FractionalIndex, eta: float,
             "no closed-form criterion for this (measure, alpha) family"
         )
 
-    ks, c, band_limited = _dyadic_contributions(
+    ks, c, band_limited, _ = _dyadic_contributions(
         measure, idx, [_admissibility_integrand(idx, eta)]
     )
 
@@ -692,7 +701,7 @@ def cumulative_bound_check(idx: FractionalIndex, measure: SpectralMeasure,
         _cumulative_integrand(idx, T),
         (np.ones(idx.d), lambda s: 2 * T / (1 + 2 * T * kappa * s)),
     ]
-    ks, c, _ = _dyadic_contributions(measure, idx, integrands)
+    ks, c, _, _ = _dyadic_contributions(measure, idx, integrands)
     lower, mid, upper = (_extrapolated_sum(ks, c[j], measure.band_limit)
                          for j in range(3))
     slack = tol * max(abs(mid), 1.0)
@@ -735,7 +744,7 @@ def weighted_spectral_integral(idx: FractionalIndex, measure: SpectralMeasure,
         s = np.maximum(s, 1e-300)
         return s**p * (-np.expm1(-2 * kappa * T * s)) / (2 * kappa * s)
 
-    ks, c, band_limited = _dyadic_contributions(
+    ks, c, band_limited, _ = _dyadic_contributions(
         measure, idx, [(np.ones(idx.d), g)]
     )
     finite, conclusive, value, slope = _tail_verdict(

@@ -127,6 +127,7 @@ def _outputs(outdir):
                   "sigma": {"preset": "affine", "slope": 0.2, "value": 1.0}}),
     ("simulate", {"replicates": 8}),
     ("holder", {**_HOLDER_OK, "replicates": 8, "min_replicates": 8}),
+    ("simulate", {"replicates": 8, "scheme": "picard"}),
 ])
 def test_chunked_outputs_equal_one_replicate_at_a_time(tmp_path, monkeypatch,
                                                        command, over):
@@ -429,6 +430,19 @@ def test_out_of_range_setting_exits_2_before_solving(tmp_path, capsys,
     assert rc == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"] == "ConstraintViolationError"
+    assert calls == []
+
+
+@pytest.mark.parametrize("command", ["simulate", "holder", "density"])
+def test_unknown_scheme_exits_2_before_solving(tmp_path, capsys, monkeypatch,
+                                               command):
+    calls = _count_solves(monkeypatch)
+    cfg = _sim_cfg(tmp_path, replicates=40, n_samples=600, scheme="rk4")
+    rc = main([command, "--config", cfg, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "ConstraintViolationError",
+                   "message": "unknown scheme 'rk4'"}
     assert calls == []
 
 

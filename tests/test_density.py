@@ -60,17 +60,6 @@ def test_sample_law_requires_elliptic_sigma():
         sample_law(cfg, 0.1, 128, 10)
 
 
-def test_sample_law_rejects_picard_scheme(monkeypatch):
-    import fracspde.density
-
-    calls = []
-    monkeypatch.setattr(fracspde.density, "solve",
-                        lambda *args: calls.append(args))
-    with pytest.raises(ConfigurationError, match="exp_euler"):
-        sample_law(_config(scheme="picard"), 0.1, 128, 10)
-    assert calls == []
-
-
 def test_sample_law_time_must_hit_lattice():
     cfg = _config()
     with pytest.raises(ConfigurationError):

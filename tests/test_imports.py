@@ -35,3 +35,10 @@ def test_runtime_dependencies_name_no_scipy():
         project = tomllib.load(fh)["project"]
     assert not any(dep.lower().startswith("scipy")
                    for dep in project["dependencies"])
+
+
+def test_version_matches_pyproject():
+    tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        project = tomllib.load(fh)["project"]
+    assert fracspde.__version__ == project["version"]

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fracspde.errors import (
+    AccuracyWarning,
     BlowUpError,
     ConfigurationError,
     ConstraintViolationError,
@@ -80,7 +81,7 @@ def test_config_rejects_bad_steps():
 @pytest.mark.parametrize("tol", [float("nan"), -1.0, 0.0, float("inf")])
 def test_config_requires_finite_positive_picard_tol(tol):
     with pytest.raises(ConstraintViolationError):
-        _config(scheme="picard", picard_tol=tol)
+        _config(picard_tol=tol)
 
 
 def test_config_requires_admissible_measure():
@@ -223,12 +224,12 @@ def test_frame_check_reports_first_non_finite_row():
     _check_frames(stack[:1], 2.0, 5, 1)
 
 
-@pytest.mark.parametrize("scheme", ["exp_euler", "picard"])
-def test_transform_overflow_reported_as_blow_up(scheme):
+@pytest.mark.parametrize("runner", [solve, solve_picard],
+                         ids=["exp_euler", "picard"])
+def test_transform_overflow_reported_as_blow_up(runner):
     # the frames stay finite, below the ceiling 1e308, but a step's forward
     # transform (a sum of 256 values near 1e306) overflows
-    cfg = _config(b=Coefficient.linear(100.0), u0=1e302, scheme=scheme)
-    runner = solve if scheme == "exp_euler" else solve_picard
+    cfg = _config(b=Coefficient.linear(100.0), u0=1e302)
     with pytest.raises(BlowUpError, match="non-finite") as exc:
         runner(cfg, 2)
     assert exc.value.replicate_id == 2
@@ -237,7 +238,7 @@ def test_transform_overflow_reported_as_blow_up(scheme):
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_config_requires_a_picard_sweep(max_iter):
     with pytest.raises(ConstraintViolationError):
-        _config(scheme="picard", picard_max_iter=max_iter)
+        _config(picard_max_iter=max_iter)
 
 
 def test_frame_stride_keeps_endpoints():
@@ -276,7 +277,7 @@ def test_mean_zero_for_centered_additive_case():
 # -- fixed-point scheme -----------------------------------------------------------
 
 def test_picard_noise_free_converges_immediately():
-    cfg = _config(scheme="picard")
+    cfg = _config()
     path, trace = solve_picard(cfg, 0, return_trace=True)
     assert len(trace) == 1
     ref = solve(cfg, 0)
@@ -622,8 +623,6 @@ def test_chunk_rows_come_from_the_stored_value_budget(threads, paths, finals):
     assert [rep for c in chunks for rep in c] == list(range(64))
     final_only = replace(cfg, frame_stride=10**9)
     assert [len(c) for c in _chunks(final_only, 100, threads)] == finals
-    picard = replace(cfg, scheme="picard")
-    assert [len(c) for c in _chunks(picard, 3, threads)] == [1, 1, 1]
 
 
 # -- moments ----------------------------------------------------------------------
@@ -656,15 +655,20 @@ def test_moment_estimate_stable_under_doubling():
     assert abs(a.value - b.value) / b.value < 0.10
 
 
-def test_moment_estimate_rejects_picard_scheme(monkeypatch):
-    import fracspde.solver
-
-    calls = []
-    monkeypatch.setattr(fracspde.solver, "_step_rows",
-                        lambda *args: calls.append(args))
-    with pytest.raises(ConfigurationError, match="exp_euler"):
-        moment_estimate(_config(scheme="picard"), 2.0, 100)
-    assert calls == []
+def test_moment_estimate_warns_when_its_interval_misses_it():
+    # the max of bootstrapped means sits above the estimate here: it is
+    # 0.0496 against an interval [0.0528, 0.0921]
+    cfg = SolverConfig(
+        idx=FractionalIndex([1.5], [0.3]), measure=WHITE,
+        grid=Grid(1, 32, 8.0), b=Coefficient.constant(0.0),
+        sigma=Coefficient.constant(1.0), u0=0.0, dt=0.01, T=0.05,
+        master_seed=5,
+    )
+    with pytest.warns(AccuracyWarning, match="outside its bootstrap"):
+        est = moment_estimate(cfg, 4.0, 100)
+    assert not est.ci_low <= est.value <= est.ci_high
+    assert (est.value, est.ci_low) == pytest.approx((0.0496, 0.0528),
+                                                    abs=5e-5)
 
 
 def test_moment_estimate_requires_replicates():

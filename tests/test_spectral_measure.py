@@ -216,7 +216,7 @@ def test_riesz_dyadic_self_similarity():
     from fracspde.spectral_measure import _dyadic_contributions, _admissibility_integrand
     gamma, eta = 1.0, 0.8
     m = SpectralMeasure.riesz(gamma, 2)
-    ks, c, _ = _dyadic_contributions(m, GAUSS2,
+    ks, c, _, _ = _dyadic_contributions(m, GAUSS2,
                                      [_admissibility_integrand(GAUSS2, eta)])
     tail = c[0][-6:]
     ratios = tail[1:] / tail[:-1]
@@ -518,6 +518,30 @@ def test_spectral_integral_raises_on_a_non_finite_shell():
     idx = FractionalIndex([1.5], [0.0])
     with pytest.raises(NumericalConsistencyError, match="non-finite"):
         spectral_integral(m, idx, lambda s: np.full_like(s, np.nan))
+
+
+def test_spectral_integral_raises_where_the_shells_never_settle():
+    # constant shells at alpha = beta = 0.5: the upward scan runs to the
+    # end of the shell range, where it once summed to a finite 75.157
+    from fracspde.density import cumulative_variance
+    idx = FractionalIndex([0.5], [0.0])
+    m = SpectralMeasure.bessel(0.5, 1)
+    w, g = sm._cumulative_integrand(idx, 1.0)
+    with pytest.raises(DivergenceError, match=r"end of the shell range at "
+                                              r"shell 2\^339"):
+        spectral_integral(m, idx, g, w)
+    with pytest.raises(DivergenceError, match=r"2\^339"):
+        cumulative_variance(idx, m, 1.0)
+
+
+def test_spectral_integral_raises_on_growing_shells():
+    # (1+s)^-0.1 against white noise at alpha = 0.5 grows shell on shell:
+    # the scan stops on its run of growing shells, once summed to 9.4e22
+    idx = FractionalIndex([0.5], [0.0])
+    with pytest.raises(DivergenceError, match=r"growing shells at shell "
+                                              r"2\^40"):
+        spectral_integral(SpectralMeasure.white(1), idx,
+                          lambda s: (1 + s) ** -0.1)
 
 
 def test_tabulated_band_too_short_is_inconclusive():
