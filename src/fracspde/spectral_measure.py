@@ -336,8 +336,9 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
     _BATCH_NODES nodes, and a scan keeps exactly the shells up to its stop;
     a kept shell that is not finite raises NumericalConsistencyError.
     Returns (ks, contribs[n_int, n_k], band_limited, unsettled): unsettled
-    is None when each scan stopped on quiet shells or at the band, else
-    where one stopped on growing shells or at the end of _K_RANGE.
+    is None when each scan stopped on quiet shells or at the band, or ran
+    to the end of _K_RANGE on shells decaying geometrically enough for
+    _extrapolated_sum to add the rest; else it names where a scan stopped.
     """
     # the angular factor integrates out when alpha == 2 on every axis and
     # every integrand weighs the axes alike
@@ -387,6 +388,7 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
 
     def scan(direction):
         nonlocal band_limited, unsettled, total
+        first = len(contribs)
         k = 0 if direction > 0 else -1
         quiet = rising = 0
         prev = None
@@ -430,7 +432,12 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
                 break
             k += direction * n
             batch *= 2
-        if not (stop and (clipped[i] or quiet >= 3)):
+        if stop:
+            settled = clipped[i] or quiet >= 3
+        else:  # the shells kept so far, ordered outward
+            settled = all(map(_geometric_tail,
+                              np.concatenate(contribs[first:]).T))
+        if not settled:
             why = "40 growing shells" if stop else "the end of the shell range"
             unsettled = unsettled or f"{why} at shell 2^{ks[-1]}"
 
@@ -449,6 +456,16 @@ def _tail_slope(ks, c):
         return None
     sel = np.where(pos)[0][-_TAIL_FIT_SHELLS:]
     return float(np.polyfit(ks[sel], np.log2(c[sel]), 1)[0])
+
+
+def _geometric_tail(c):
+    """Whether shells c, ordered outward, end in a decay that
+    _extrapolated_sum extends: the last ratio below 0.999 and a tail
+    slope below CONVERGENT_SLOPE."""
+    pos = np.where(c > 0)[0]
+    slope = _tail_slope(np.arange(len(c)), c)
+    return (slope is not None and slope < CONVERGENT_SLOPE
+            and c[pos[-1]] < 0.999 * c[pos[-2]])
 
 
 def _extrapolated_sum(ks, c, band_limit=math.inf):

@@ -544,6 +544,28 @@ def test_spectral_integral_raises_on_growing_shells():
                           lambda s: (1 + s) ** -0.1)
 
 
+@pytest.mark.parametrize("measure, alpha, closed_form", [
+    # shells scale as r^0.05 toward 0: the downward scan reaches 2^-340
+    (SpectralMeasure.riesz(0.05, 1), 2.0,
+     lambda m, c: m.radial_density(np.array([1.0]))[0]
+     * math.gamma(0.025) * c ** -0.025),
+    # shells scale as r^-0.05 toward infinity: the upward scan reaches 2^339
+    (SpectralMeasure.white(1), 1.05,
+     lambda m, c: m.radial_density(np.array([1.0]))[0]
+     * 2 * math.gamma(1 + 1 / 1.05) * c ** (-1 / 1.05)),
+], ids=["riesz-0.05", "white-alpha-1.05"])
+def test_spectral_integral_extends_a_slow_geometric_tail(measure, alpha,
+                                                         closed_form):
+    # a scan that runs off the shell range on a geometric decay settles:
+    # the extrapolated sum equals int m(|xi|) exp(-c |xi|^alpha) dxi
+    from fracspde.density import cumulative_variance
+    idx = FractionalIndex([alpha], [0.0])
+    c = 2 * 0.5 * idx.damping
+    assert variance_rate(idx, measure, 0.5) == pytest.approx(
+        closed_form(measure, c), rel=1e-8)
+    assert math.isfinite(cumulative_variance(idx, measure, 1.0))
+
+
 def test_tabulated_band_too_short_is_inconclusive():
     radii = np.linspace(0, 4.0, 16)
     m = SpectralMeasure.tabulated(radii, np.ones_like(radii), 1)
