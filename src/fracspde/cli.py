@@ -32,13 +32,13 @@ from .density import (_check_bound_inputs, kde, sample_law,
 from .errors import (ConfigurationError, ConstraintViolationError,
                      DivergenceError, FracspdeError, NumericalConsistencyError,
                      NumericalError, ValidationError)
-from .fields import (FractionalIndex, Grid, _write_dump_entries,
+from .fields import (FractionalIndex, Grid, _grid_point, _write_dump_entries,
                      _write_dump_header)
 from .regularity import (_check_ensemble, _check_window_inputs,
                          _spatial_offsets, _temporal_window, build_report,
                          estimate_spatial, estimate_temporal)
 from .solver import (Coefficient, SolverConfig, _chunks, _frame_index,
-                     _step_rows, _stored_times, solve_picard)
+                     _step_rows, solve_picard)
 # not called here since chunks are stepped together; kept as names of this
 # module, which benchmarks/spans.py rebinds to trace them
 from .fields import write_array_binary  # noqa: F401
@@ -168,11 +168,11 @@ def _gaussian_bump(h):
 def _parse_probe(cfg, key, grid: Grid):
     """Grid point ``cfg[key]`` (default: the centre), an index per axis."""
     value = cfg.get(key, [grid.n_per_dim // 2] * grid.d)
-    probe = [value] if np.isscalar(value) else list(value)
-    if len(probe) != grid.d or not all(
-            type(i) is int and 0 <= i < grid.n_per_dim for i in probe):
-        raise ValidationError(f"{key}={value!r} is not a point of the grid")
-    return probe[0] if grid.d == 1 else tuple(probe)
+    try:
+        probe = _grid_point(value, grid, key)
+    except ConfigurationError as exc:  # reported as every malformed setting
+        raise ValidationError(str(exc)) from None
+    return probe[0] if grid.d == 1 else probe
 
 
 def _parse_int(cfg, key, default=None, minimum=None) -> int:
@@ -327,7 +327,7 @@ def _run_simulate(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
     picard = _parse_scheme(cfg, "simulate") == "picard"
     n_rep = _parse_int(cfg, "replicates", 1, minimum=1)
-    times = list(_stored_times(config))
+    times = list(config._stored_times)
 
     def paths(ids):
         # each block's rows go straight to the replicates' frame files
@@ -376,7 +376,7 @@ def _run_holder(cfg, outdir: Path, args):
         eta = _parse_float(cfg, "eta", eta_star)
     _check_window_inputs(rho, eta)
     # what the estimators would refuse, refused before any solve
-    times = _stored_times(config)
+    times = config._stored_times
     row = _frame_index(times, t_probe)
     _check_ensemble(n_rep, min_rep)
     _temporal_window(times, min_lag_steps)

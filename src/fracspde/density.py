@@ -28,8 +28,8 @@ from .errors import (
     EllipticityError,
     NumericalConsistencyError,
 )
-from .fields import FractionalIndex
-from .solver import SolverConfig, _frame_index, _stored_times, solve
+from .fields import FractionalIndex, _grid_point
+from .solver import SolverConfig, _frame_index, solve
 from .spectral_measure import N_RADIAL, SpectralMeasure, spectral_integral
 from .spectral_measure import _cumulative_integrand
 
@@ -64,20 +64,21 @@ def sample_law(config: SolverConfig, t: float, x, n: int) -> np.ndarray:
     """n independent replicate values of the solution at (t, x).
 
     ``x`` is a grid index (int for d=1, tuple otherwise) and ``t`` a stored
-    frame time.  Before any solve, ``n`` >= 1, ``t`` and the ellipticity of
-    sigma (> 0 on a probe range) are checked.  Each replicate is stepped by
-    ``solve`` (exponential Euler).  Deterministic given the master seed.
+    frame time.  Before any solve, ``n`` >= 1, ``x`` (a point of the grid,
+    ``fields._grid_point``), ``t`` and the ellipticity of sigma (> 0 on a
+    probe range) are checked.  Each replicate is stepped by ``solve``
+    (exponential Euler).  Deterministic given the master seed.
     """
     if n < 1:
         raise ConfigurationError(f"need n >= 1 samples, got {n}")
+    probe = _grid_point(x, config.grid)
     low = float(np.min(config.sigma(_ELLIPTICITY_PROBE)))
     if not low > 0:
         raise EllipticityError(f"diffusion coefficient dips to {low:.3e} on "
                                "[-10, 10]; it must stay strictly positive")
     if not t > 0:
         raise ConfigurationError(f"no frame stored at t={t} in (0, T]")
-    row = _frame_index(_stored_times(config), t)
-    probe = (x,) if np.isscalar(x) else tuple(x)
+    row = _frame_index(config._stored_times, t)
     out = np.empty(n)
     for i in range(n):
         out[i] = solve(config, i).values[row][probe]

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstraintViolationError
+from .errors import ConfigurationError, ConstraintViolationError
 
 __all__ = [
     "FractionalIndex",
@@ -252,6 +252,21 @@ def to_physical(field: Field) -> Field:
     g = field.grid
     vals = _centre(np.fft.fftn(field.values), g) / g.box_length**g.d
     return Field(g, vals, PHYSICAL, _skip_copy=True)
+
+
+def _grid_point(x, grid: Grid, name: str = "x") -> tuple:
+    """The grid index ``x`` (an integer in 1-d, one per axis) as a tuple
+    of ints.  ConfigurationError unless each is a non-bool integer, numpy
+    integers included, in [0, n_per_dim): a negative index is not wrapped."""
+    point = (tuple(x) if isinstance(x, (tuple, list)) or getattr(x, "ndim", 0)
+             else (x,))
+    if len(point) != grid.d or not all(
+            (type(i) is int or isinstance(i, np.integer))
+            and 0 <= i < grid.n_per_dim for i in point):
+        raise ConfigurationError(
+            f"{name}={x!r} is not a point of the {grid.d}-d grid with "
+            f"{grid.n_per_dim} points per axis")
+    return tuple(map(int, point))
 
 
 def _wrap(values: np.ndarray, grid: Grid) -> np.ndarray:

@@ -35,7 +35,15 @@ stream is ``Philox(SeedSequence(master_seed, spawn_key=(replicate,
 step)))``.  For ids below 2**32 its Philox key is read from a table that
 runs numpy's SeedSequence hash-mix (after M. O'Neill's ``seed_seq``) over
 a chunk of steps at once, so no SeedSequence is built per step; the draws
-are the same bytes.
+are the same bytes.  Philox is handed that key and an explicit zero
+counter, the shared read-only ``_ZERO_COUNTER``: numpy turns its default
+scalar counter 0 into an array with a Python loop, more than half the cost
+of a Philox.  The bit-generator state is the same.  On a 2-core x86
+machine with numpy 2.4.6, ``Philox`` took 5.6 us with the default and
+2.5 us with the array, and a whole ``generator()`` call (stream ids, key
+row, Philox, Generator) 9.8 us before and 4.3 us after.  Each (replicate,
+step) still gets its own Generator: one ``RngStream.generator`` call per
+replicate-step.
 """
 
 from __future__ import annotations
@@ -60,6 +68,11 @@ __all__ = [
 BLOCK_ELEMENTS = 2**16  # most grid values drawn and transformed in one block
 KEY_CHUNK = 128  # steps per key table; a power of 2, so none crosses 2**32
 KEY_CACHE_SIZE = 64  # key tables kept; solver.MAX_CHUNK_ROWS is this many
+
+# Philox's counter at the start of every stream; numpy copies it into the
+# bit generator's state
+_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
+_ZERO_COUNTER.flags.writeable = False
 
 # numpy's SeedSequence: a pool of 4 uint32 words, hash-mixed with running
 # constants h <- h * MULT (constant i is xor-ed in, constant i + 1 multiplies)
@@ -168,13 +181,21 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """A new Generator on the Philox stream of
         ``SeedSequence(master_seed, spawn_key=(replicate_id, step_id))``."""
-        ids = (self.master_seed, self.replicate_id, self.step_id)
-        if all(map(_table_id, ids)):
-            master, rep, step = map(int, ids)
-            chunk, row = divmod(step, KEY_CHUNK)
-            key = _philox_keys(master, rep, chunk)[row]
+        master, rep, step = ids = (self.master_seed, self.replicate_id,
+                                   self.step_id)
+        # plain ints, the usual ids, take one test: all in [0, 2**32)
+        if type(master) is type(rep) is type(step) is int:
+            keyed = not (master | rep | step) >> 32
+        elif all(map(_table_id, ids)):
+            master, rep, step, keyed = *map(int, ids), True
+        else:
+            keyed = False
+        if keyed:
+            key = _philox_keys(master, rep, step // KEY_CHUNK)[
+                step % KEY_CHUNK]
             seed = _philox_key_type()(key)
-            return np.random.Generator(np.random.Philox(seed))
+            return np.random.Generator(
+                np.random.Philox(seed, counter=_ZERO_COUNTER))
         seq = np.random.SeedSequence(
             entropy=self.master_seed,
             spawn_key=(self.replicate_id, self.step_id),
@@ -182,7 +203,11 @@ class RngStream:
         return np.random.Generator(np.random.Philox(seq))
 
     def for_step(self, step_id: int) -> "RngStream":
-        return RngStream(self.master_seed, self.replicate_id, step_id)
+        # a copy with one field changed: the frozen __init__ sets each
+        # field through object.__setattr__, which costs more
+        stream = object.__new__(RngStream)
+        stream.__dict__.update(self.__dict__, step_id=step_id)
+        return stream
 
 
 @dataclass(frozen=True)

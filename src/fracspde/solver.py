@@ -18,8 +18,9 @@ so a step is
     u_hat <- psi_h * (u_hat + F[dt * b(u_k) + sigma(u_k) * dM_k])
 
 followed by an ``_irfft`` for the checked (and possibly stored) frame;
-psi_h (``fields._real_multiplier`` of the symbol), the noise synthesis
-and the blow-up ceiling are cached on the SolverConfig.
+psi_h (``fields._real_multiplier`` of the symbol), the noise synthesis,
+the blow-up ceiling, the stored steps and times, and u0 in FFT order with
+its half spectrum are cached on the SolverConfig.
 A constant coefficient acts in frequency space: constant sigma adds the
 noise spectrum directly and constant b adds dt*b*n^d to the zero mode, so
 with both constant a step makes no forward transform and no coefficient
@@ -27,6 +28,11 @@ call, and the frames of a whole noise block are transformed back by one
 batched ``_irfft`` and checked together (still every step's frame; the
 first failing step is the one reported).  A coefficient that acts on the
 frame needs it every step, so that path transforms and checks per step.
+A step writes its new state with ``out=`` ufuncs: with both constant
+straight into its row of the block's ``states`` (a stored row is never
+written again), in the frame path into one state updated in place.  A
+constant sigma multiplies the block's noise spectra once, so an additive
+step is one ``np.add`` and one ``np.multiply``.
 
 Replicates are stepped in chunks by ``_step_rows``: the state of R
 replicates is one ``(R, *grid.shape)`` array (its half spectrum ``(R,
@@ -246,6 +252,31 @@ class SolverConfig:
         u0 = np.asarray(self.u0.values, dtype=float)
         return BLOWUP_FACTOR * max(1.0, float(np.abs(u0).max()))
 
+    @cached_property
+    def _stored_steps(self) -> tuple:
+        """Steps after which a frame is stored: each stride and the last."""
+        return (*range(0, self.n_steps, self.frame_stride), self.n_steps)
+
+    @cached_property
+    def _stored_times(self) -> tuple:
+        """Times of the frames ``solve`` stores: the floats it records."""
+        return tuple(k * self.dt for k in self._stored_steps)
+
+    @cached_property
+    def _u0_wrapped(self) -> np.ndarray:
+        """u0 in FFT order, read-only."""
+        u0 = _wrap(np.asarray(self.u0.values, dtype=float), self.grid)
+        u0.flags.writeable = False
+        return u0
+
+    @cached_property
+    def _u0_hat(self) -> np.ndarray:
+        """Half spectrum of u0, read-only: the state before the first step."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            u0_hat = _rfft(self._u0_wrapped, self.grid)
+        u0_hat.flags.writeable = False
+        return u0_hat
+
 
 @dataclass(frozen=True, eq=False)
 class PathSolution:
@@ -337,16 +368,6 @@ def _check_frames(stack, ceiling, first_step, replicate_id):
         raise errors[0]
 
 
-def _stored_steps(config: SolverConfig) -> tuple:
-    """Steps after which a frame is stored: each stride and the last."""
-    return (*range(0, config.n_steps, config.frame_stride), config.n_steps)
-
-
-def _stored_times(config: SolverConfig) -> tuple:
-    """Times of the frames ``solve`` stores: the floats it records."""
-    return tuple(k * config.dt for k in _stored_steps(config))
-
-
 def _constant_value(coef: Coefficient):
     """c for a ``Coefficient.constant(c)`` preset, None for any other."""
     return coef.params[0] if coef.name == "constant" else None
@@ -358,7 +379,7 @@ def _step_rows(config: SolverConfig, replicate_ids):
 
     Yields ``(first, rows)`` for the initial frame and for each noise block
     that stores frames: ``rows`` is ``(R, k, *grid.shape)``, the centred
-    frames stored after steps ``_stored_steps(config)[first:first + k]``.
+    frames stored after steps ``config._stored_steps[first:first + k]``.
     The arithmetic of every row is that of a one-row run, so each row's
     bytes do not depend on the other rows.  Every step's frames are
     checked; BlowUpError is the one a replicate-by-replicate loop raises:
@@ -378,15 +399,14 @@ def _step_rows(config: SolverConfig, replicate_ids):
     if has_noise:
         blocks = noise.blocks(
             [config.noise_stream(rep) for rep in replicate_ids], n)
-    steps = _stored_steps(config)
+    steps = config._stored_steps
     errors = {}  # row -> its first BlowUpError
 
-    u = _wrap(np.asarray(config.u0.values, dtype=float), grid)
-    zero, b_mode = (Ellipsis,) + (0,) * grid.d, dt * (b_const or 0.0) * u.size
-    yield 0, np.broadcast_to(_centre(u, grid), (rows, 1) + grid.shape)
-    u = np.repeat(u[np.newaxis], rows, axis=0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        u_hat = _rfft(u, grid)
+    u0 = np.asarray(config.u0.values, dtype=float)  # is _centre(_wrap(u0))
+    zero, b_mode = (Ellipsis,) + (0,) * grid.d, dt * (b_const or 0.0) * u0.size
+    yield 0, np.broadcast_to(u0, (rows, 1) + grid.shape)
+    u = np.repeat(config._u0_wrapped[np.newaxis], rows, axis=0)
+    u_hat = config._u0_hat
     row = 1
     for start in range(0, n, block_steps):
         count = min(block_steps, n - start)
@@ -394,26 +414,35 @@ def _step_rows(config: SolverConfig, replicate_ids):
         # a batched block, or a failed row, steps past a blow-up.  Neither
         # may warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            if has_noise:
-                dm_hat = next(blocks)
-                if sigma_on_frame:
-                    dm = _irfft(dm_hat, grid)
+            sigma_dm = None  # the block's sigma * dM spectra, if constant
+            if sigma_on_frame:
+                dm = _irfft(next(blocks), grid)
+            elif has_noise:
+                sigma_dm = sigma_const * next(blocks)
+            # a row per step's state, transformed back below; the frame
+            # path keeps frames instead and updates one state in place
+            slots = 1 if on_frame else count
+            states = np.empty((rows, slots) + psi_h.shape, dtype=complex)
             if on_frame:  # the block's frames in FFT order
                 block = np.empty((rows, count) + grid.shape)
-            else:  # both constant: the block stays in frequency
-                states = np.empty((rows, count) + u_hat.shape[1:],
-                                  dtype=u_hat.dtype)
             for j in range(count):
+                # the new state goes straight into its slot; the last one
+                # is read only (a stored row, or u0's cached spectrum) or,
+                # in the frame path, is that slot
+                state, last = states[:, j % slots], u_hat
                 if on_frame:
                     forcing = dt * config.b(u) if b_const is None else 0.0
                     if sigma_on_frame:
                         forcing = forcing + config.sigma(u) * dm[:, j]
-                    u_hat = u_hat + _rfft(forcing, grid)
+                    last = np.add(last, _rfft(forcing, grid), out=state)
                 if b_const:
-                    u_hat[zero] += b_mode
-                if has_noise and not sigma_on_frame:
-                    u_hat = u_hat + sigma_const * dm_hat[:, j]
-                u_hat = psi_h * u_hat
+                    if last is not state:
+                        state[...] = last
+                    last = state
+                    state[zero] += b_mode
+                if sigma_dm is not None:
+                    last = np.add(last, sigma_dm[:, j], out=state)
+                u_hat = np.multiply(psi_h, last, out=state)
                 if on_frame:  # the next step needs this frame
                     block[:, j] = u = _irfft(u_hat, grid)
                     found = _blow_ups(u[:, np.newaxis], ceiling,
@@ -421,8 +450,6 @@ def _step_rows(config: SolverConfig, replicate_ids):
                     errors = found | errors
                     if 0 in errors:
                         raise errors[0]
-                else:
-                    states[:, j] = u_hat
             if not on_frame:  # transform and check the block's frames at once
                 block = _irfft(states, grid)
                 errors = _blow_ups(block, ceiling, start + 1,
@@ -441,7 +468,7 @@ def _step_rows(config: SolverConfig, replicate_ids):
 def _stored_values(config: SolverConfig, replicate_ids) -> np.ndarray:
     """``(R, F, *grid.shape)`` stored frames of ``replicate_ids``, stepped
     together by ``_step_rows``."""
-    values = np.empty((len(replicate_ids), len(_stored_steps(config)))
+    values = np.empty((len(replicate_ids), len(config._stored_steps))
                       + config.grid.shape)
     for first, rows in _step_rows(config, replicate_ids):
         values[:, first:first + rows.shape[1]] = rows
@@ -453,7 +480,7 @@ def _chunks(config: SolverConfig, n_replicates: int, threads: int = 1):
     stepped together.  A chunk holds at most CHUNK_ELEMENTS stored values,
     and ``threads`` chunks at once at most MAX_CHUNK_ROWS replicates.
     """
-    per_row = len(_stored_steps(config)) * config.u0.values.size
+    per_row = len(config._stored_steps) * config.u0.values.size
     size = max(1, min(MAX_CHUNK_ROWS // threads, CHUNK_ELEMENTS // per_row))
     return [range(lo, min(lo + size, n_replicates))
             for lo in range(0, n_replicates, size)]
@@ -474,7 +501,7 @@ def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
         If any frame becomes non-finite or leaves the stability envelope.
     """
     values = _stored_values(config, (replicate_id,))[0]
-    return PathSolution(values, config.grid, _stored_times(config),
+    return PathSolution(values, config.grid, config._stored_times,
                         replicate_id)
 
 
@@ -504,7 +531,7 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
 
     # frames of the semigroup flow of u0, built by repeated one-step maps
     # so the linear arithmetic matches the stepping scheme exactly
-    flow = [_wrap(np.asarray(config.u0.values, dtype=float), grid)]
+    flow = [config._u0_wrapped]
     for _ in range(n):
         flow.append(semigroup(flow[-1]))
 
@@ -535,9 +562,9 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
             residuals,
         )
 
-    kept = [current[k] for k in _stored_steps(config)]
+    kept = [current[k] for k in config._stored_steps]
     path = PathSolution(_centre(np.stack(kept), grid), grid,
-                        _stored_times(config), replicate_id)
+                        config._stored_times, replicate_id)
     return (path, residuals) if return_trace else path
 
 

@@ -15,7 +15,6 @@ from scipy.stats import kstest
 import fracspde as fs
 from fracspde.fields import Field, Grid, to_frequency, to_physical
 from fracspde.noise import band_limited_covariance
-from fracspde.solver import _stored_times
 
 
 def _report(num, name, ok, detail=""):
@@ -323,7 +322,7 @@ def test_criterion_7_holder_windows():
     )
     tem = fs.estimate_temporal(
         [fs.solve(cfg_t, r).values_at(128) for r in range(n_rep)],
-        _stored_times(cfg_t), min_lag_steps=32,
+        cfg_t._stored_times, min_lag_steps=32,
     )
     if not 0.2 <= tem.value <= 0.3:
         failures.append(f"temporal {tem.value:.3f} outside [0.2, 0.3]")
@@ -361,7 +360,7 @@ def test_criterion_7_holder_windows():
     )
     tem_f = fs.estimate_temporal(
         [fs.solve(cfg_ft, r).values_at(128) for r in range(n_rep)],
-        _stored_times(cfg_ft), min_lag_steps=32,
+        cfg_ft._stored_times, min_lag_steps=32,
     )
     cfg_fs = fs.SolverConfig(
         idx=idx_f, measure=riesz, grid=Grid(1, 512, 16.0),

@@ -663,3 +663,41 @@ def test_simulate_fuzz_exits_with_contract(cfg):
 @given(data=st.data())
 def test_command_fuzz_exits_with_contract(command, data):
     _exits_with_contract(command, data.draw(_fuzzed_config(command)))
+
+
+def test_one_stream_per_replicate_step(tmp_path, monkeypatch):
+    # the invariant the benchmark's noise.stream_calls reads: one
+    # RngStream.generator call per (replicate, step), for the one-row
+    # solve, sample_law and a CLI simulate stepped in chunks
+    import fracspde.solver
+    from fracspde.density import sample_law
+    from fracspde.noise import RngStream
+
+    calls, generator = [], RngStream.generator
+
+    def counted(stream):
+        calls.append((stream.replicate_id, stream.step_id))
+        return generator(stream)
+
+    monkeypatch.setattr(RngStream, "generator", counted)
+    cfg = _sim_cfg(tmp_path, replicates=7, T=0.2)
+    config = _solver_config(cfg)
+    n = config.n_steps
+
+    def each_once(replicates):
+        assert sorted(calls) == [(r, k) for r in replicates
+                                 for k in range(n)]
+        calls.clear()
+
+    fracspde.solver.solve(config, 5)
+    each_once([5])
+    sample_law(config, config.T, 32, 4)
+    each_once(range(4))
+    # 3 rows a chunk: chunks of 3, 3 and 1 replicates
+    monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS",
+                        3 * len(config._stored_steps) * 64)
+    assert len(fracspde.solver._chunks(config, 7, 2)) == 3
+    for threads in ("1", "2"):
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / threads), "--threads", threads]) == 0
+        each_once(range(7))

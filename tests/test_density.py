@@ -90,6 +90,28 @@ def test_sample_law_needs_a_sample(monkeypatch, n):
     assert calls == []
 
 
+@pytest.mark.parametrize("x", [-1, 64, 2.0, (3, 4), True],
+                         ids=["negative", "past-end", "float", "2-d", "bool"])
+def test_sample_law_point_must_be_on_the_grid(monkeypatch, x):
+    # a negative index is not wrapped to the far side of the grid, and no
+    # other non-point reaches the solver
+    import fracspde.density
+    calls, solve = [], fracspde.density.solve
+    monkeypatch.setattr(fracspde.density, "solve",
+                        lambda *args: calls.append(args) or solve(*args))
+    cfg = _config(grid=Grid(1, 64, 8.0), dt=0.01, T=0.05)
+    with pytest.raises(ConfigurationError, match="not a point of the"):
+        sample_law(cfg, 0.05, x, 3)
+    assert calls == []
+
+
+def test_sample_law_point_takes_numpy_integers():
+    cfg = _config(grid=Grid(1, 64, 8.0), dt=0.01, T=0.05)
+    want = sample_law(cfg, 0.05, 63, 3)
+    for x in (np.int64(63), np.uint8(63), (63,), [np.int32(63)]):
+        assert sample_law(cfg, 0.05, x, 3).tobytes() == want.tobytes()
+
+
 # -- kde ------------------------------------------------------------------------
 
 def test_kde_gaussian_oracle_pointwise():

@@ -2,13 +2,14 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from fracspde.errors import ConstraintViolationError
+from fracspde.errors import ConfigurationError, ConstraintViolationError
 from fracspde.fields import (
     Field,
     FractionalIndex,
     Grid,
     read_array_binary,
     read_field_binary,
+    _grid_point,
     _irfft,
     _rfft,
     to_frequency,
@@ -171,3 +172,22 @@ def test_half_spectrum_transforms_equal_rfftn_byte_for_byte(d, n, batch):
     reference = np.fft.irfftn(spectrum, s=grid.shape, axes=axes)
     assert back.shape == reference.shape == values.shape
     assert back.tobytes() == reference.tobytes()
+
+
+@pytest.mark.parametrize("x,want", [
+    ((0, 15), (0, 15)),
+    ([np.int32(3), np.uint64(4)], (3, 4)),
+    (np.array([3, 4]), (3, 4)),
+])
+def test_grid_point_reads_one_integer_per_axis(x, want):
+    point = _grid_point(x, Grid(2, 16, 8.0))
+    assert point == want and all(type(i) is int for i in point)
+
+
+@pytest.mark.parametrize("x", [
+    3, (3,), (3, 4, 5), (3, 16), (-1, 3), (3.0, 4), (True, 4),
+    (np.bool_(True), 4), ("3", 4), np.array(3), None,
+])
+def test_grid_point_rejects_what_is_not_a_point(x):
+    with pytest.raises(ConfigurationError):
+        _grid_point(x, Grid(2, 16, 8.0))

@@ -1,4 +1,5 @@
-"""The package needs numpy alone at run time; scipy serves the tests only."""
+"""The package needs numpy alone at run time; scipy serves the tests only,
+and numpy.random is loaded only when a stream is drawn."""
 
 import json
 import os
@@ -13,12 +14,15 @@ import fracspde
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_import_pulls_in_no_scipy():
+def _modules_loaded_by_import(prefix):
+    """Modules named ``prefix`` or ``prefix.*`` that ``import fracspde,
+    fracspde.cli`` loads in a fresh interpreter."""
     code = (
         "import json, sys\n"
         "import fracspde, fracspde.cli\n"
-        "print(json.dumps(sorted(m for m in sys.modules\n"
-        "                        if m == 'scipy' or m.startswith('scipy.'))))\n"
+        f"print(json.dumps(sorted(m for m in sys.modules\n"
+        f"                        if m == {prefix!r}\n"
+        f"                        or m.startswith({prefix + '.'!r}))))\n"
     )
     package_root = str(Path(fracspde.__file__).resolve().parents[1])
     env = dict(os.environ)
@@ -26,7 +30,17 @@ def test_import_pulls_in_no_scipy():
         p for p in (package_root, env.get("PYTHONPATH")) if p)
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
-    assert json.loads(out) == []
+    return json.loads(out)
+
+
+def test_import_pulls_in_no_scipy():
+    assert _modules_loaded_by_import("scipy") == []
+
+
+def test_import_pulls_in_no_numpy_random():
+    # numpy.random is imported on the first draw: at import it would add
+    # about 17 ms and 6 MB to every process, the CLI's included
+    assert _modules_loaded_by_import("numpy.random") == []
 
 
 def test_runtime_dependencies_name_no_scipy():

@@ -227,3 +227,61 @@ def test_interleaved_generators_draw_as_alone():
     for i in range(2):
         together = np.concatenate([p[i] for p in parts])
         assert together.tobytes() == alone[i].tobytes()
+
+
+def _state_items(state):
+    """Philox state as comparable (name, value) pairs."""
+    inner = state["state"]
+    return [("bit_generator", state["bit_generator"]),
+            ("key", inner["key"].tolist()),
+            ("counter", inner["counter"].tolist()),
+            ("buffer", state["buffer"].tolist()),
+            *((k, state[k]) for k in ("buffer_pos", "has_uint32",
+                                      "uinteger"))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(master=_IDS, rep=_IDS, step=_IDS)
+def test_stream_state_equals_seed_sequence_stream(master, rep, step):
+    # the whole bit-generator state, not only the draws, at the start of
+    # the stream and after a draw that leaves a uint32 buffered
+    seq = np.random.SeedSequence(master, spawn_key=(rep, step))
+    want = np.random.Generator(np.random.Philox(seq))
+    got = RngStream(master, rep, step).generator()
+    for _ in range(2):
+        assert (_state_items(got.bit_generator.state)
+                == _state_items(want.bit_generator.state))
+        got.integers(0, 2**31, 3, dtype=np.uint32)
+        want.integers(0, 2**31, 3, dtype=np.uint32)
+
+
+def test_shared_zero_counter_stays_read_only_zeros():
+    from fracspde.noise import _ZERO_COUNTER
+
+    gen = RngStream(3, 1, 4).generator()
+    gen.standard_normal(1000)
+    assert gen.bit_generator.state["state"]["counter"].any()
+    assert not _ZERO_COUNTER.flags.writeable
+    assert _ZERO_COUNTER.dtype == np.uint64
+    assert _ZERO_COUNTER.tolist() == [0, 0, 0, 0]
+    assert RngStream(3, 1, 4).generator().bit_generator.state[
+        "state"]["counter"].tolist() == [0, 0, 0, 0]
+
+
+def test_generators_of_one_stream_advance_independently():
+    stream = RngStream(3, 1, 4)
+    first, second = stream.generator(), stream.generator()
+    assert first is not second
+    ahead = first.standard_normal(500)
+    assert second.standard_normal(500).tobytes() == ahead.tobytes()
+    assert (first.standard_normal(10).tobytes()
+            == second.standard_normal(10).tobytes())
+
+
+def test_for_step_equals_a_constructed_stream():
+    stream = RngStream(3, 1, 4).for_step(9)
+    assert stream == RngStream(3, 1, 9)
+    assert type(stream) is RngStream and hash(stream) == hash(
+        RngStream(3, 1, 9))
+    with pytest.raises(AttributeError):
+        stream.step_id = 2
