@@ -30,7 +30,7 @@ from .spectral_measure import (
     variance_rate,
     weighted_spectral_integral,
 )
-from .noise import NoiseIncrement, RngStream, empirical_covariance, sample_increment
+from .noise import RngStream, empirical_covariance, sample_increments
 from .solver import (
     Coefficient,
     PathSolution,
@@ -48,7 +48,7 @@ from .regularity import (
 )
 from .density import DensityEstimate, kde, sample_law, variance_bound_check
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 __all__ = [
     "Field",
@@ -69,10 +69,9 @@ __all__ = [
     "frequency_weight",
     "variance_rate",
     "weighted_spectral_integral",
-    "NoiseIncrement",
     "RngStream",
     "empirical_covariance",
-    "sample_increment",
+    "sample_increments",
     "Coefficient",
     "PathSolution",
     "SolverConfig",

@@ -37,8 +37,8 @@ from .fields import (FractionalIndex, Grid, _grid_point, _write_dump_entries,
 from .regularity import (_check_ensemble, _check_window_inputs,
                          _spatial_offsets, _temporal_window, build_report,
                          estimate_spatial, estimate_temporal)
-from .solver import (Coefficient, SolverConfig, _chunks, _frame_index,
-                     _step_rows, solve_picard)
+from .solver import (MAX_CHUNK_ROWS, Coefficient, SolverConfig, _chunks,
+                     _frame_index, _step_rows, solve_picard)
 # not called here since chunks are stepped together; kept as names of this
 # module, which benchmarks/spans.py rebinds to trace them
 from .fields import write_array_binary  # noqa: F401
@@ -493,8 +493,9 @@ def _fail(name, exc, code) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.threads < 1:
-            raise ValidationError(f"--threads={args.threads} must be >= 1")
+        if not 1 <= args.threads <= MAX_CHUNK_ROWS:
+            raise ValidationError(
+                f"--threads={args.threads} must be in [1, {MAX_CHUNK_ROWS}]")
         cfg = _load_config(args.config)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

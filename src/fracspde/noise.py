@@ -26,7 +26,8 @@ about BLOCK_ELEMENTS // (R * grid points) steps (see
 batched ``rfftn``.  The solver adds the spectra directly when sigma is
 constant and transforms the block back with one batched ``irfftn``
 otherwise.  Neither the row count nor the block length changes a byte of
-any increment.
+any increment, so the rows of ``sample_increments``, one step of many
+replicates, are the solver's increments.
 
 Randomness is counter-style: each (master_seed, replicate, step) triple
 names a disjoint, reproducible Philox stream, so replicates and steps can
@@ -54,13 +55,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigurationError, NoiseSynthesisError
-from .fields import Field, Grid, _centre, _irfft, _real_multiplier, _rfft
+from .fields import Grid, _centre, _irfft, _real_multiplier, _rfft
 from .spectral_measure import SpectralMeasure
 
 __all__ = [
     "RngStream",
-    "NoiseIncrement",
-    "sample_increment",
+    "sample_increments",
     "band_limited_covariance",
     "empirical_covariance",
 ]
@@ -210,21 +210,13 @@ class RngStream:
         return stream
 
 
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """One spatial noise increment over a time step."""
-
-    field: Field
-    dt: float
-
-
 class _Synthesizer:
     """The increment synthesis for one (grid, measure, dt).  Its weight is
     ``fields._real_multiplier`` of sqrt(m): sqrt(m) cut, as m is radial."""
 
     def __init__(self, grid: Grid, measure: SpectralMeasure, dt: float):
-        if not dt > 0:
-            raise ConfigurationError(f"dt must be > 0, got {dt}")
+        if not 0 < dt < np.inf:
+            raise ConfigurationError(f"dt must be finite and > 0, got {dt}")
         dens = measure.density_on_lattice(grid)
         if not np.all(np.isfinite(dens)) or np.any(dens < 0):
             raise NoiseSynthesisError(
@@ -268,24 +260,23 @@ class _Synthesizer:
             yield self.spectra(rng_streams, range(start, stop))
 
 
-def sample_increment(grid: Grid, measure: SpectralMeasure, dt: float,
-                     rng_stream: RngStream) -> NoiseIncrement:
-    """Draw one noise increment on ``grid`` over a step of length ``dt``.
+def sample_increments(grid: Grid, measure: SpectralMeasure, dt: float,
+                      master_seed: int, replicate_ids, step: int) -> np.ndarray:
+    """The centred ``(R, *grid.shape)`` increments over a step ``dt`` of
+    the streams (master_seed, r, step), one row per r in ``replicate_ids``.
 
-    Deterministic in ``rng_stream``; increments with distinct stream ids
-    are independent.  The solver draws its increments through the same
-    synthesis, so a trajectory's noise is exactly what this returns.
+    The solver's synthesis, so a trajectory's noise is exactly what this
+    returns; increments of distinct streams are independent.
 
     Parameters
     ----------
     grid, measure : spatial lattice and spectral density of the covariance.
-    dt : time-step length, > 0.
-    rng_stream : stream identity (master seed, replicate, step).
+    dt : time-step length, finite and > 0.
     """
     synth = _Synthesizer(grid, measure, dt)
-    spectrum = synth.spectra([rng_stream], [rng_stream.step_id])
-    values = _centre(_irfft(spectrum[0, 0], grid), grid)
-    return NoiseIncrement(Field(grid, values, _skip_copy=True), dt)
+    spectra = synth.spectra([RngStream(master_seed, r, 0)
+                             for r in replicate_ids], [step])
+    return _centre(_irfft(spectra[:, 0], grid), grid)
 
 
 def band_limited_covariance(grid: Grid, measure: SpectralMeasure) -> np.ndarray:
@@ -300,36 +291,37 @@ def band_limited_covariance(grid: Grid, measure: SpectralMeasure) -> np.ndarray:
     return np.real(cov)
 
 
-def empirical_covariance(ensemble, lags):
+def empirical_covariance(increments, lags):
     """Unbiased spatial covariance of an increment ensemble per lag.
 
     Parameters
     ----------
-    ensemble : sequence of NoiseIncrement sharing grid, measure and dt.
-    lags : iterable of integer grid offsets (ints for d=1, tuples else).
+    increments : ``(R, *grid.shape)`` array of R >= 100 increments, as
+        ``sample_increments`` returns.
+    lags : iterable of integer grid offsets, one per axis: a tuple of d
+        ints, or a bare int when d = 1.
 
     Returns
     -------
     dict mapping lag -> (estimate, standard_error).
     """
-    if len(ensemble) < 100:
-        raise ConfigurationError("need at least 100 increments")
-    first = ensemble[0]
-    grid = first.field.grid
-    for inc in ensemble:
-        if inc.field.grid != grid or inc.dt != first.dt:
-            raise ConfigurationError(
-                "ensemble mixes grids or time steps"
-            )
-    stack = np.stack([inc.field.values for inc in ensemble])
+    stack = np.asarray(increments)
+    if stack.ndim < 2 or len(stack) < 100:
+        raise ConfigurationError(
+            f"need an (R >= 100, *grid) array, got shape {stack.shape}")
+    axes = tuple(range(1, stack.ndim))
     stack = stack - stack.mean(axis=0)
     n_rep = stack.shape[0]
     out = {}
     for lag in lags:
-        shift = (lag,) if np.isscalar(lag) else tuple(lag)
-        rolled = np.roll(stack, shift=[-s for s in shift],
-                         axis=tuple(range(1, grid.d + 1)))
-        per_rep = (stack * rolled).mean(axis=tuple(range(1, grid.d + 1)))
+        shift = lag if isinstance(lag, tuple) else (lag,)
+        if len(shift) != len(axes) or not all(
+                type(s) is int or isinstance(s, np.integer) for s in shift):
+            raise ConfigurationError(
+                f"lag {lag!r} is not one integer offset per axis of a "
+                f"{len(axes)}-d grid")
+        rolled = np.roll(stack, shift=[-s for s in shift], axis=axes)
+        per_rep = (stack * rolled).mean(axis=axes)
         per_rep = per_rep * n_rep / (n_rep - 1)
         out[lag] = (float(per_rep.mean()),
                     float(per_rep.std(ddof=1) / np.sqrt(n_rep)))

@@ -616,6 +616,7 @@ def critical_eta(measure: SpectralMeasure, idx: FractionalIndex) -> float:
     Quadrature fallback exploits that the dyadic tail slope is linear in
     eta with unit coefficient for power-law tails, so the root of the
     slope is read off directly and confirmed by a second evaluation.
+    The root is clamped to [0.02, 1], so it never reports less than 0.02.
     """
     crit = closed_form_critical_eta(measure, idx)
     if crit is not None:

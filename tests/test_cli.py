@@ -406,6 +406,22 @@ def test_malformed_input_exits_2_with_json(tmp_path, capsys, command, over,
     assert err["error"] == "ValidationError"
 
 
+def test_threads_above_max_chunk_rows_exit_2_before_any_solve(
+        tmp_path, capsys, monkeypatch):
+    # more threads than MAX_CHUNK_ROWS (64) would step more replicates at
+    # once than the README promises; 2 replicates keep the pool small
+    solved = []
+    monkeypatch.setattr(fracspde.cli, "_per_chunk",
+                        lambda *args: solved.append(args) or [])
+    cfg = _sim_cfg(tmp_path, replicates=2)
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--threads", "65"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "64" in err["message"]
+    assert solved == [] and not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("command,over", [
     ("holder", {"rho": 1.5}),
     ("holder", {"eta": 1.5}),

@@ -1,8 +1,10 @@
 """The package needs numpy alone at run time; scipy serves the tests only,
 and numpy.random is loaded only when a stream is drawn."""
 
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -56,3 +58,15 @@ def test_version_matches_pyproject():
     with open(ROOT / "pyproject.toml", "rb") as fh:
         project = tomllib.load(fh)["project"]
     assert fracspde.__version__ == project["version"]
+
+
+def test_every_name_in_all_resolves():
+    # a stale name fails only ``from module import *``, so look each up
+    modules = [fracspde] + [
+        importlib.import_module(f"fracspde.{info.name}")
+        for info in pkgutil.iter_modules(fracspde.__path__)]
+    assert len(modules) > 8
+    missing = [f"{module.__name__}.{name}" for module in modules
+               for name in getattr(module, "__all__", ())
+               if not hasattr(module, name)]
+    assert missing == []

@@ -8,7 +8,7 @@ from fracspde.noise import (
     RngStream,
     band_limited_covariance,
     empirical_covariance,
-    sample_increment,
+    sample_increments,
 )
 from fracspde.spectral_measure import SpectralMeasure
 
@@ -17,14 +17,12 @@ WHITE = SpectralMeasure.white(1)
 DT = 0.01
 
 
-def _ensemble(measure, n, seed=0, grid=GRID, dt=DT):
-    return [sample_increment(grid, measure, dt, RngStream(seed, r, 0))
-            for r in range(n)]
+def _ensemble(measure, n, seed=0, grid=GRID, dt=DT, step=0):
+    return sample_increments(grid, measure, dt, seed, range(n), step)
 
 
 def test_white_noise_per_cell_variance():
-    incs = _ensemble(WHITE, 10_000)
-    stack = np.stack([i.field.values for i in incs])
+    stack = _ensemble(WHITE, 10_000)
     target = DT / GRID.spacing
     est = stack.var()
     se = target * np.sqrt(2 / stack.size)
@@ -32,16 +30,14 @@ def test_white_noise_per_cell_variance():
 
 
 def test_white_noise_cells_uncorrelated():
-    incs = _ensemble(WHITE, 2_000)
-    cov = empirical_covariance(incs, [1, 3, 7])
+    cov = empirical_covariance(_ensemble(WHITE, 2_000), [1, 3, 7])
     for lag, (est, se) in cov.items():
         assert abs(est) < 5 * se + 1e-12
 
 
 def test_lag_zero_matches_per_cell_variance():
-    incs = _ensemble(WHITE, 500)
-    stack = np.stack([i.field.values for i in incs])
-    cov = empirical_covariance(incs, [0])
+    stack = _ensemble(WHITE, 500)
+    cov = empirical_covariance(stack, [0])
     est, se = cov[0]
     assert est == pytest.approx(float(stack.var(ddof=1)), rel=0.02)
 
@@ -65,40 +61,30 @@ def test_variance_at_origin_matches_band_limited_density():
 
 def test_time_whiteness():
     n = 10_000
-    a = np.array([
-        sample_increment(GRID, WHITE, DT, RngStream(0, r, 0)).field.values[7]
-        for r in range(n)
-    ])
-    b = np.array([
-        sample_increment(GRID, WHITE, DT, RngStream(0, r, 1)).field.values[7]
-        for r in range(n)
-    ])
+    a = _ensemble(WHITE, n, step=0)[:, 7]
+    b = _ensemble(WHITE, n, step=1)[:, 7]
     corr = np.corrcoef(a, b)[0, 1]
     assert abs(corr) < 4 / np.sqrt(n)
 
 
 def test_gaussianity_excess_kurtosis():
-    incs = _ensemble(WHITE, 10_000, seed=5, grid=Grid(1, 16, 2.0))
-    stack = np.stack([i.field.values for i in incs])
+    stack = _ensemble(WHITE, 10_000, seed=5, grid=Grid(1, 16, 2.0))
     z = (stack - stack.mean(0)) / stack.std(0)
     kurt = (z**4).mean(axis=0) - 3.0
     assert np.abs(kurt).max() < 0.15
 
 
 def test_reproducibility_bit_identical():
-    s = RngStream(42, 3, 7)
-    a = sample_increment(GRID, WHITE, DT, s)
-    b = sample_increment(GRID, WHITE, DT, s)
-    assert np.array_equal(a.field.values, b.field.values)
+    a = sample_increments(GRID, WHITE, DT, 42, [3], 7)
+    b = sample_increments(GRID, WHITE, DT, 42, [3], 7)
+    assert a.tobytes() == b.tobytes()
 
 
 def test_distinct_streams_differ():
-    base = RngStream(42, 0, 0)
-    a = sample_increment(GRID, WHITE, DT, base)
-    b = sample_increment(GRID, WHITE, DT, base.for_step(1))
-    c = sample_increment(GRID, WHITE, DT, RngStream(42, 1, 0))
-    assert not np.array_equal(a.field.values, b.field.values)
-    assert not np.array_equal(a.field.values, c.field.values)
+    a, c = sample_increments(GRID, WHITE, DT, 42, [0, 1], 0)
+    b = sample_increments(GRID, WHITE, DT, 42, [0], 1)[0]
+    assert not np.array_equal(a, b)
+    assert not np.array_equal(a, c)
 
 
 @pytest.mark.parametrize("grid,measure", [
@@ -113,19 +99,35 @@ def test_increment_matches_complex_reference_formula(grid, measure):
     sqrt_m = np.sqrt(measure.density_on_lattice(grid))
     mode_norm = grid.n_per_dim ** (grid.d / 2)
     scale = np.sqrt(DT) * (2 * np.pi / grid.box_length) ** (grid.d / 2)
-    for r in range(3):
-        stream = RngStream(1, r, 4)
-        white = stream.generator().standard_normal(grid.shape)
+    incs = sample_increments(grid, measure, DT, 1, range(3), 4)
+    assert incs.shape == (3,) + grid.shape
+    for r, inc in enumerate(incs):
+        white = RngStream(1, r, 4).generator().standard_normal(grid.shape)
         ref = scale * np.real(
             np.fft.fftn(sqrt_m * np.fft.fftn(white) / mode_norm))
-        inc = sample_increment(grid, measure, DT, stream)
-        np.testing.assert_allclose(inc.field.values, np.fft.fftshift(ref),
+        np.testing.assert_allclose(inc, np.fft.fftshift(ref),
                                    rtol=0, atol=1e-13)
 
 
+@pytest.mark.parametrize("grid,measure,step", [
+    (GRID, WHITE, 0),
+    (GRID, SpectralMeasure.bessel(1.0, 1), 0),
+    (Grid(1, 45, 8.0), SpectralMeasure.bessel(1.0, 1), 130),
+    (Grid(2, 9, 4.0), SpectralMeasure.riesz(0.5, 2), 0),
+    (Grid(3, 8, 4.0), SpectralMeasure.white(3), 0),
+])
+def test_batch_equals_one_replicate_at_a_time(grid, measure, step):
+    # step 130 lies past the first key chunk of 128 steps
+    ids = [0, 1, 2, 5, 300]
+    batch = sample_increments(grid, measure, DT, 4, ids, step)
+    for row, r in zip(batch, ids):
+        alone = sample_increments(grid, measure, DT, 4, [r], step)
+        assert alone.shape == (1,) + grid.shape
+        assert row.tobytes() == alone[0].tobytes()
+
+
 def test_increment_mean_zero():
-    incs = _ensemble(WHITE, 10_000, seed=9)
-    stack = np.stack([i.field.values for i in incs])
+    stack = _ensemble(WHITE, 10_000, seed=9)
     mean = stack.mean()
     se = stack.std() / np.sqrt(stack.size)
     assert abs(mean) < 4 * se
@@ -133,43 +135,67 @@ def test_increment_mean_zero():
 
 def test_2d_synthesis_variance():
     grid = Grid(2, 16, 4.0)
-    incs = [sample_increment(grid, SpectralMeasure.white(2), DT,
-                             RngStream(0, r, 0)) for r in range(2000)]
-    stack = np.stack([i.field.values for i in incs])
+    stack = _ensemble(SpectralMeasure.white(2), 2000, grid=grid)
     target = DT / grid.cell_volume
     assert abs(stack.var() - target) < 5 * target * np.sqrt(2 / stack.size)
 
 
 def test_riesz_zero_mode_suppressed():
     # increments of a measure with singular origin have exactly zero mean mode
-    inc = sample_increment(GRID, SpectralMeasure.riesz(0.5, 1), DT,
-                           RngStream(0, 0, 0))
-    assert inc.field.values.sum() == pytest.approx(0.0, abs=1e-12)
+    inc = _ensemble(SpectralMeasure.riesz(0.5, 1), 1)[0]
+    assert inc.sum() == pytest.approx(0.0, abs=1e-12)
 
 
 def test_tabulated_band_synthesizes_finite_increment():
     grid = Grid(1, 16, 4.0)
     m = SpectralMeasure.tabulated([0.0, 50.0], [1.0, 1.0], 1)
-    inc = sample_increment(grid, m, DT, RngStream(0, 0, 0))
-    assert np.all(np.isfinite(inc.field.values))
+    assert np.all(np.isfinite(_ensemble(m, 1, grid=grid)))
 
 
-def test_mixed_ensemble_rejected():
-    a = sample_increment(GRID, WHITE, DT, RngStream(0, 0, 0))
-    b = sample_increment(Grid(1, 32, 8.0), WHITE, DT, RngStream(0, 1, 0))
-    with pytest.raises(ConfigurationError):
-        empirical_covariance([a] * 60 + [b] * 60, [0])
+def test_malformed_ensemble_rejected():
+    # one axis (no grid), no rows, or fewer than 100 rows
+    for increments in (np.zeros(200), np.zeros((0, 64)), np.zeros((99, 64))):
+        with pytest.raises(ConfigurationError):
+            empirical_covariance(increments, [0])
 
 
 def test_small_ensemble_rejected():
-    incs = _ensemble(WHITE, 40)
     with pytest.raises(ConfigurationError):
-        empirical_covariance(incs, [0])
+        empirical_covariance(_ensemble(WHITE, 40), [0])
+
+
+@pytest.mark.parametrize("d,lag", [
+    (2, 1),  # a bare int is a 1-d lag
+    (2, (1, 2, 3)),
+    (2, (1,)),
+    (1, (1, 2)),
+    (1, 1.0),
+    (1, True),
+    (2, (1, 0.5)),
+    (2, (True, 0)),
+])
+def test_lag_not_one_integer_per_axis_rejected(d, lag):
+    incs = np.zeros((100,) + (8,) * d)
+    with pytest.raises(ConfigurationError):
+        empirical_covariance(incs, [0 if d == 1 else (0,) * d, lag])
+
+
+def test_lags_of_each_form_accepted():
+    grid = Grid(2, 8, 4.0)
+    incs = _ensemble(SpectralMeasure.white(2), 100, grid=grid)
+    cov = empirical_covariance(incs, [(1, 0), (np.int64(-1), 2)])
+    assert list(cov) == [(1, 0), (np.int64(-1), 2)]
+    one_d = _ensemble(WHITE, 100)
+    assert empirical_covariance(one_d, [3])[3] == empirical_covariance(
+        one_d, [(3,)])[(3,)]
+    assert empirical_covariance(one_d, [np.int32(3)])[3] == \
+        empirical_covariance(one_d, [3])[3]
 
 
 def test_nonpositive_dt_rejected():
-    with pytest.raises(ConfigurationError):
-        sample_increment(GRID, WHITE, 0.0, RngStream(0, 0, 0))
+    for dt in (0.0, -0.01, np.inf, np.nan):
+        with pytest.raises(ConfigurationError):
+            sample_increments(GRID, WHITE, dt, 0, [0], 0)
 
 
 def _seed_sequence_draws(master, rep, step, n=300):

@@ -13,7 +13,7 @@ from fracspde.errors import (
 )
 from fracspde.fields import (Field, FractionalIndex, Grid, to_frequency,
                              to_physical)
-from fracspde.noise import RngStream, sample_increment
+from fracspde.noise import RngStream, sample_increments
 from fracspde.solver import (
     Coefficient,
     PathSolution,
@@ -347,17 +347,18 @@ def test_path_rows_are_read_only_views_and_probes_are_copies():
     (FractionalIndex([1.5, 1.2], [0.3, 0.1]), SpectralMeasure.bessel(3.0, 2),
      Grid(2, 16, 8.0)),
 ])
-def test_solver_noise_is_sample_increment(idx, measure, grid):
+def test_solver_first_step_is_semigroup_of_sample_increments(idx, measure,
+                                                             grid):
     # one step from u0 = 0 with b = 0, sigma = 1 is S_dt applied to the
-    # increment that sample_increment draws from the same stream
+    # increment that sample_increments draws from the same stream
     dt, seed, rep = 0.01, 9, 2
     cfg = SolverConfig(idx=idx, measure=measure, grid=grid,
                        b=Coefficient.constant(0.0),
                        sigma=Coefficient.constant(1.0),
                        u0=0.0, dt=dt, T=dt, master_seed=seed)
     stepped = solve(cfg, rep).frames[-1].values
-    inc = sample_increment(grid, measure, dt, RngStream(seed, rep, 0))
-    expected = apply_semigroup(inc.field, idx, dt).values
+    inc = sample_increments(grid, measure, dt, seed, [rep], 0)[0]
+    expected = apply_semigroup(Field(grid, inc), idx, dt).values
     np.testing.assert_allclose(stepped, expected, rtol=0, atol=1e-12)
 
 
