@@ -482,6 +482,19 @@ def test_frames_transformed_per_block_only_with_constant_coefficients(
     assert len(calls) == transforms
 
 
+@pytest.mark.parametrize("sigma", [Coefficient.constant(1.0),
+                                   Coefficient.affine(0.3, 1.0)],
+                         ids=["additive", "multiplicative"])
+def test_block_steps_match_complex_step(sigma):
+    # three 64-step noise blocks crossing the key chunk at step 128: each
+    # step k draws the stream (master_seed, replicate, k)
+    cfg = _block_config(sigma=sigma)
+    path = solve(cfg, 3)
+    for frame, ref in zip(path.frames, _complex_step_reference(cfg, 3),
+                          strict=True):
+        np.testing.assert_allclose(frame.values, ref, rtol=0, atol=1e-12)
+
+
 # -- chunks of replicates stepped together ------------------------------------
 
 _COEFFICIENTS = [Coefficient.constant(0.0), Coefficient.constant(0.5),
