@@ -213,13 +213,28 @@ def _real(value, key) -> float:
     return float(value)
 
 
+# each preset's constructor and its parameters' defaults, in argument order
+_COEFFICIENT_PRESETS = {
+    "constant": (Coefficient.constant, {"value": 0.0}),
+    "linear": (Coefficient.linear, {"slope": 1.0}),
+    "affine": (Coefficient.affine, {"slope": 1.0, "value": 0.0}),
+    "sine": (Coefficient.sine, {"amplitude": 1.0, "frequency": 1.0}),
+}
+
+
 def _parse_coefficient(cfg, key, default):
-    """``cfg[key]`` as a Coefficient, its parameters read as reals."""
+    """``cfg[key]``, a ``{"preset": name, ...params}`` mapping, as a
+    Coefficient.  Every parameter given is read as a real, whether or not
+    the preset takes it, before the preset is looked up."""
     spec = dict(cfg.get(key, default))
-    for name in ("value", "slope", "amplitude", "frequency"):
-        if name in spec:
-            spec[name] = _parse_float(spec, name)
-    return Coefficient.from_spec(spec)
+    params = {name: _parse_float(spec, name)
+              for name in ("value", "slope", "amplitude", "frequency")
+              if name in spec}
+    preset = spec["preset"]
+    if preset not in _COEFFICIENT_PRESETS:
+        raise ConfigurationError(f"unknown coefficient preset {preset!r}")
+    make, defaults = _COEFFICIENT_PRESETS[preset]
+    return make(*(params.get(name, value) for name, value in defaults.items()))
 
 
 def _parse_u0(cfg):

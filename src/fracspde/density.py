@@ -97,17 +97,22 @@ def silverman_bandwidth(samples) -> float:
 def kde(samples, bandwidth: float | None = None) -> DensityEstimate:
     """Gaussian-kernel density estimate with derivative diagnostics.
 
-    Needs MIN_KDE_SAMPLES samples.  Uses the Silverman plug-in bandwidth
-    unless one is given.  Reports max |f'| and max |f''| by central finite
-    differences on a KDE_GRID_POINTS evaluation grid.  A numerically
-    degenerate sample (zero spread) warns and returns a point-mass report.
+    Needs MIN_KDE_SAMPLES finite samples.  Uses the Silverman plug-in
+    bandwidth unless one (finite and > 0) is given.  Reports max |f'| and
+    max |f''| by central finite differences on a KDE_GRID_POINTS grid.  A
+    numerically degenerate sample warns and returns a point-mass report.
     """
     samples = np.asarray(samples, dtype=float)
     if samples.size < MIN_KDE_SAMPLES:
         raise ConfigurationError(
             f"need >= {MIN_KDE_SAMPLES} samples, got {samples.size}"
         )
+    if not np.isfinite(samples).all():
+        raise ConfigurationError("samples must be finite")
     h = silverman_bandwidth(samples) if bandwidth is None else float(bandwidth)
+    if bandwidth is not None and not 0 < h < math.inf:
+        raise ConfigurationError(
+            f"bandwidth must be finite and > 0, got {bandwidth}")
     if samples.std() == 0 or h == 0:
         warnings.warn(
             "samples are numerically a point mass; density is degenerate",

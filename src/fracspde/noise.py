@@ -32,19 +32,18 @@ replicates, are the solver's increments.
 Randomness is counter-style: each (master_seed, replicate, step) triple
 names a disjoint, reproducible Philox stream, so replicates and steps can
 be generated in any order or in parallel with identical results.  The
-stream is ``Philox(SeedSequence(master_seed, spawn_key=(replicate,
+triple is formed here alone: ``_Synthesizer.spectra`` takes the master
+seed and the replicate ids and draws row (r, k) from
+``RngStream(master_seed, r, k).generator()``, one call per replicate-step;
+the solver and ``sample_increments`` pass only the seed and their ids.
+The stream is ``Philox(SeedSequence(master_seed, spawn_key=(replicate,
 step)))``.  For ids below 2**32 its Philox key is read from a table that
 runs numpy's SeedSequence hash-mix (after M. O'Neill's ``seed_seq``) over
 a chunk of steps at once, so no SeedSequence is built per step; the draws
 are the same bytes.  Philox is handed that key and an explicit zero
 counter, the shared read-only ``_ZERO_COUNTER``: numpy turns its default
 scalar counter 0 into an array with a Python loop, more than half the cost
-of a Philox.  The bit-generator state is the same.  On a 2-core x86
-machine with numpy 2.4.6, ``Philox`` took 5.6 us with the default and
-2.5 us with the array, and a whole ``generator()`` call (stream ids, key
-row, Philox, Generator) 9.8 us before and 4.3 us after.  Each (replicate,
-step) still gets its own Generator: one ``RngStream.generator`` call per
-replicate-step.
+of a Philox.  The bit-generator state is the same.
 """
 
 from __future__ import annotations
@@ -202,13 +201,6 @@ class RngStream:
         )
         return np.random.Generator(np.random.Philox(seq))
 
-    def for_step(self, step_id: int) -> "RngStream":
-        # a copy with one field changed: the frozen __init__ sets each
-        # field through object.__setattr__, which costs more
-        stream = object.__new__(RngStream)
-        stream.__dict__.update(self.__dict__, step_id=step_id)
-        return stream
-
 
 class _Synthesizer:
     """The increment synthesis for one (grid, measure, dt).  Its weight is
@@ -241,23 +233,25 @@ class _Synthesizer:
             return steps - steps % KEY_CHUNK
         return 1 << (steps.bit_length() - 1)
 
-    def spectra(self, rng_streams, steps) -> np.ndarray:
-        """Half spectra of the increments at ``steps``, one row per stream:
-        shape ``(len(rng_streams), len(steps), *half)``.  Drawn
-        replicate-major, one stream per (replicate, step)."""
-        white = np.empty((len(rng_streams), len(steps)) + self.grid.shape)
-        for rows, stream in zip(white, rng_streams):
+    def spectra(self, master_seed: int, replicate_ids, steps) -> np.ndarray:
+        """Half spectra of the increments at ``steps``, one row per replicate:
+        shape ``(len(replicate_ids), len(steps), *half)``.  Drawn
+        replicate-major, row (r, k) from ``RngStream(master_seed, r, k)``."""
+        white = np.empty((len(replicate_ids), len(steps)) + self.grid.shape)
+        for rows, r in zip(white, replicate_ids):
             for row, k in zip(rows, steps):
-                stream.for_step(k).generator().standard_normal(out=row)
+                RngStream(master_seed, r, k).generator().standard_normal(
+                    out=row)
         return self.weight * np.conj(_rfft(white, self.grid))
 
-    def blocks(self, rng_streams, n_steps: int):
-        """Spectra of steps 0..n_steps-1 of each stream, ``block_steps``
+    def blocks(self, master_seed: int, replicate_ids, n_steps: int):
+        """Spectra of steps 0..n_steps-1 of each replicate, ``block_steps``
         steps at a time."""
-        size = self.block_steps(len(rng_streams))
+        size = self.block_steps(len(replicate_ids))
         for start in range(0, n_steps, size):
             stop = min(start + size, n_steps)
-            yield self.spectra(rng_streams, range(start, stop))
+            yield self.spectra(master_seed, replicate_ids,
+                               range(start, stop))
 
 
 def sample_increments(grid: Grid, measure: SpectralMeasure, dt: float,
@@ -273,9 +267,8 @@ def sample_increments(grid: Grid, measure: SpectralMeasure, dt: float,
     grid, measure : spatial lattice and spectral density of the covariance.
     dt : time-step length, finite and > 0.
     """
-    synth = _Synthesizer(grid, measure, dt)
-    spectra = synth.spectra([RngStream(master_seed, r, 0)
-                             for r in replicate_ids], [step])
+    spectra = _Synthesizer(grid, measure, dt).spectra(
+        master_seed, tuple(replicate_ids), [step])
     return _centre(_irfft(spectra[:, 0], grid), grid)
 
 

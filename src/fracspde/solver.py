@@ -53,8 +53,9 @@ and yielded; ``solve`` copies them into the path's ``(F, *grid.shape)``
 array, which ``PathSolution`` holds as ``values``; no per-frame Field is
 built while stepping.
 
-Determinism: (config, replicate_id) fixes every noise stream, so results
-are bit-identical regardless of scheduling and chunking.
+Determinism: step k of replicate r draws the noise stream
+(config.master_seed, r, k), which ``noise`` names, so results are
+bit-identical regardless of scheduling and chunking.
 """
 
 from __future__ import annotations
@@ -77,7 +78,7 @@ from .errors import (
 )
 from .fields import (Field, FractionalIndex, Grid, _centre, _irfft, _rfft,
                      _real_multiplier, _wrap)
-from .noise import KEY_CACHE_SIZE, RngStream, _Synthesizer
+from .noise import KEY_CACHE_SIZE, _Synthesizer
 from .spectral_measure import SpectralMeasure, require_admissible
 from .stable_kernel import _symbol_lattice, apply_semigroup
 
@@ -146,25 +147,6 @@ class Coefficient:
     @property
     def is_zero(self) -> bool:
         return self.name == "constant" and self.params == (0.0,)
-
-    @classmethod
-    def from_spec(cls, spec):
-        """Build from a {"preset": name, ...params} mapping."""
-        if isinstance(spec, Coefficient):
-            return spec
-        spec = dict(spec)
-        preset = spec.pop("preset")
-        makers = {
-            "constant": lambda: cls.constant(spec.get("value", 0.0)),
-            "linear": lambda: cls.linear(spec.get("slope", 1.0)),
-            "affine": lambda: cls.affine(spec.get("slope", 1.0),
-                                         spec.get("value", 0.0)),
-            "sine": lambda: cls.sine(spec.get("amplitude", 1.0),
-                                     spec.get("frequency", 1.0)),
-        }
-        if preset not in makers:
-            raise ConfigurationError(f"unknown coefficient preset {preset!r}")
-        return makers[preset]()
 
 
 def _as_initial_field(u0, grid: Grid) -> Field:
@@ -235,9 +217,6 @@ class SolverConfig:
     @property
     def n_steps(self) -> int:
         return int(round(self.T / self.dt))
-
-    def noise_stream(self, replicate_id: int) -> RngStream:
-        return RngStream(self.master_seed, replicate_id, 0)
 
     @cached_property
     def _psi_h(self) -> np.ndarray:
@@ -360,14 +339,6 @@ def _blow_ups(stack, ceiling, first_step, replicate_ids) -> dict:
     return errors
 
 
-def _check_frames(stack, ceiling, first_step, replicate_id):
-    """BlowUpError at the first frame of ``stack`` (row i is the frame
-    after ``first_step + i`` steps) that is non-finite or above ``ceiling``."""
-    errors = _blow_ups(stack[np.newaxis], ceiling, first_step, (replicate_id,))
-    if errors:
-        raise errors[0]
-
-
 def _constant_value(coef: Coefficient):
     """c for a ``Coefficient.constant(c)`` preset, None for any other."""
     return coef.params[0] if coef.name == "constant" else None
@@ -397,8 +368,7 @@ def _step_rows(config: SolverConfig, replicate_ids):
     rows = len(replicate_ids)
     block_steps = noise.block_steps(rows)
     if has_noise:
-        blocks = noise.blocks(
-            [config.noise_stream(rep) for rep in replicate_ids], n)
+        blocks = noise.blocks(config.master_seed, replicate_ids, n)
     steps = config._stored_steps
     errors = {}  # row -> its first BlowUpError
 
@@ -522,8 +492,7 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
     """
     grid, dt, psi_h = config.grid, config.dt, config._psi_h
     n = config.n_steps
-    blocks = config._synthesizer.blocks([config.noise_stream(replicate_id)],
-                                        n)
+    blocks = config._synthesizer.blocks(config.master_seed, (replicate_id,), n)
     increments = np.concatenate([_irfft(s[0], grid) for s in blocks])
 
     def semigroup(values):
@@ -546,8 +515,10 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
                 w = semigroup(w + dt * config.b(current[k])
                                  + config.sigma(current[k]) * increments[k])
                 frame = flow[k + 1] + w
-            _check_frames(frame[np.newaxis], config._ceiling, k + 1,
-                          replicate_id)
+            errors = _blow_ups(frame[np.newaxis, np.newaxis],
+                               config._ceiling, k + 1, (replicate_id,))
+            if errors:
+                raise errors[0]
             residual = max(residual,
                            float(np.abs(frame - current[k + 1]).max()))
             new.append(frame)
@@ -593,14 +564,16 @@ def _bootstrap_interval(per_replicate: np.ndarray, statistic):
 
 def moment_estimate(config: SolverConfig, p: float,
                     n_replicates: int) -> MomentEstimate:
-    """max over (frame, x) of the empirical p-th absolute moment.
+    """max over (frame, x) of the empirical p-th absolute moment, for a
+    finite p >= 2.
 
     Runs ``n_replicates`` >= MIN_MOMENT_REPLICATES independent trajectories
     and bootstraps the replicate axis for the confidence interval, which
     can miss the estimate (AccuracyWarning; the numbers are kept).
     """
-    if p < 2:
-        raise ConstraintViolationError("moment order must be >= 2")
+    if not 2 <= p < math.inf:
+        raise ConstraintViolationError(
+            f"moment order must be finite and >= 2, got {p}")
     if n_replicates < MIN_MOMENT_REPLICATES:
         raise ConfigurationError(
             f"need >= {MIN_MOMENT_REPLICATES} replicates, got {n_replicates}"

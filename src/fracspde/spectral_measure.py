@@ -499,18 +499,25 @@ def _tail_verdict(ks, c, band_limited, what):
     return finite, finite, value, slope
 
 
-def spectral_integral(measure, idx, g, axis_weights=1.0, *,
-                      n_radial: int = N_RADIAL) -> float:
-    """int m(|xi|) g(T(xi)) dxi for a single integrand, g elementwise on
-    level arrays of any shape; a non-finite shell raises
+def _settled_sums(measure, idx, integrands, *, n_radial=N_RADIAL) -> list:
+    """The integral of each of ``integrands`` (as _dyadic_contributions
+    takes them) on shared nodes; a non-finite shell raises
     NumericalConsistencyError, and a scan that does not settle
     DivergenceError."""
     ks, c, _, unsettled = _dyadic_contributions(
-        measure, idx, [(axis_weights, g)], n_radial=n_radial)
+        measure, idx, integrands, n_radial=n_radial)
     if unsettled:
         raise DivergenceError(
             f"the spectral integral does not settle: {unsettled}")
-    return _extrapolated_sum(ks, c[0], measure.band_limit)
+    return [_extrapolated_sum(ks, row, measure.band_limit) for row in c]
+
+
+def spectral_integral(measure, idx, g, axis_weights=1.0, *,
+                      n_radial: int = N_RADIAL) -> float:
+    """int m(|xi|) g(T(xi)) dxi for a single integrand, g elementwise on
+    level arrays of any shape, checked as ``_settled_sums`` checks it."""
+    return _settled_sums(measure, idx, [(axis_weights, g)],
+                         n_radial=n_radial)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -708,7 +715,8 @@ def cumulative_bound_check(idx: FractionalIndex, measure: SpectralMeasure,
         T/(1+2*T*W) <= int_0^T |psi|^2 <= 2*T/(1+2*T*kappa*W)
 
     survive discretization; a violation beyond ``tol`` indicates a
-    quadrature bug and raises NumericalConsistencyError.
+    quadrature bug and raises NumericalConsistencyError.  A scan that does
+    not settle raises DivergenceError, as ``spectral_integral`` does.
     """
     if not T > 0:
         raise ConstraintViolationError(f"horizon must be > 0, got {T}")
@@ -719,9 +727,7 @@ def cumulative_bound_check(idx: FractionalIndex, measure: SpectralMeasure,
         _cumulative_integrand(idx, T),
         (np.ones(idx.d), lambda s: 2 * T / (1 + 2 * T * kappa * s)),
     ]
-    ks, c, _, _ = _dyadic_contributions(measure, idx, integrands)
-    lower, mid, upper = (_extrapolated_sum(ks, c[j], measure.band_limit)
-                         for j in range(3))
+    lower, mid, upper = _settled_sums(measure, idx, integrands)
     slack = tol * max(abs(mid), 1.0)
     if not (lower <= mid + slack and mid <= upper + slack):
         raise NumericalConsistencyError(

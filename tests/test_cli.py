@@ -406,6 +406,51 @@ def test_malformed_input_exits_2_with_json(tmp_path, capsys, command, over,
     assert err["error"] == "ValidationError"
 
 
+@pytest.mark.parametrize("spec, built", [
+    ({"preset": "sine", "amplitude": 0.5}, ("sine", (0.5, 1.0))),
+    ({"preset": "constant"}, ("constant", (0.0,))),
+    ({"preset": "linear"}, ("linear", (1.0,))),
+    ({"preset": "affine", "value": 2}, ("affine", (1.0, 2.0))),
+    ({"preset": "sine", "frequency": -3, "amplitude": 2},
+     ("sine", (2.0, -3.0))),
+    # a parameter the preset does not take is read, then ignored
+    ({"preset": "constant", "value": 3, "slope": 9.0}, ("constant", (3.0,))),
+], ids=["sine", "constant", "linear", "affine", "sine-both",
+        "unused-parameter"])
+def test_coefficient_spec_builds_its_preset(spec, built):
+    coef = fracspde.cli._parse_coefficient({"b": spec}, "b", None)
+    assert (coef.name, coef.params) == built
+
+
+@pytest.mark.parametrize("spec, error, message", [
+    ({"preset": "cubic"}, "ConfigurationError",
+     "unknown coefficient preset 'cubic'"),
+    ({"value": 1.0}, "MissingConfigKey", "'preset'"),
+    # every parameter is read before the preset is looked up
+    ({"preset": "constant", "slope": "x"}, "ValidationError",
+     "slope must be a real number, got 'x'"),
+    ({"value": True}, "ValidationError",
+     "value must be a real number, got True"),
+    ({"preset": "cubic", "frequency": None}, "ValidationError",
+     "frequency must be a real number, got None"),
+    ({"preset": ["sine"]}, "ValidationError",
+     "malformed solver config: unhashable type: 'list'"),
+    ("sine", "ValidationError", "malformed solver config: dictionary update "
+     "sequence element #0 has length 1; 2 is required"),
+    ({"preset": "sine", "amplitude": 1e200, "frequency": 1e200},
+     "ConstraintViolationError", "Lipschitz constant must be finite and >= 0"),
+], ids=["unknown-preset", "missing-preset", "unused-parameter",
+        "parameter-before-missing-preset", "parameter-before-unknown-preset",
+        "unhashable-preset", "not-a-mapping", "lipschitz-overflow"])
+def test_coefficient_spec_errors_exit_2(tmp_path, capsys, spec, error,
+                                        message):
+    rc = main(["simulate", "--config", _sim_cfg(tmp_path, b=spec),
+               "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert json.loads(capsys.readouterr().err) == {"error": error,
+                                                   "message": message}
+
+
 def test_threads_above_max_chunk_rows_exit_2_before_any_solve(
         tmp_path, capsys, monkeypatch):
     # more threads than MAX_CHUNK_ROWS (64) would step more replicates at

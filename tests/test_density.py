@@ -154,6 +154,22 @@ def test_kde_requires_samples():
         kde(np.zeros(10))
 
 
+@pytest.mark.parametrize("bandwidth", [-0.3, 0.0, math.nan, math.inf,
+                                       -math.inf])
+def test_kde_rejects_a_bandwidth_not_finite_and_positive(bandwidth):
+    samples = np.random.default_rng(7).normal(size=600)
+    with pytest.raises(ConfigurationError, match="bandwidth"):
+        kde(samples, bandwidth)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_kde_rejects_non_finite_samples(bad):
+    samples = np.random.default_rng(7).normal(size=600)
+    samples[17] = bad
+    with pytest.raises(ConfigurationError, match="finite"):
+        kde(samples)
+
+
 def test_kde_derivative_bounds_bandwidth_stable():
     rng = np.random.default_rng(6)
     samples = rng.normal(0.0, 0.5, 3000)

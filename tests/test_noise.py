@@ -304,10 +304,18 @@ def test_generators_of_one_stream_advance_independently():
             == second.standard_normal(10).tobytes())
 
 
-def test_for_step_equals_a_constructed_stream():
-    stream = RngStream(3, 1, 4).for_step(9)
-    assert stream == RngStream(3, 1, 9)
-    assert type(stream) is RngStream and hash(stream) == hash(
-        RngStream(3, 1, 9))
-    with pytest.raises(AttributeError):
-        stream.step_id = 2
+def test_spectra_row_is_the_named_stream():
+    # row (r, k) is drawn from RngStream(master_seed, r, k), past the first
+    # key chunk too
+    from fracspde.fields import _rfft
+    from fracspde.noise import _Synthesizer
+
+    synth = _Synthesizer(GRID, SpectralMeasure.bessel(3.0, 1), DT)
+    ids, steps = (4, 1), (0, 9, 127, 128, 300)
+    got = synth.spectra(3, ids, steps)
+    assert got.shape == (2, 5, GRID.n_per_dim // 2 + 1)
+    for rows, r in zip(got, ids):
+        for row, k in zip(rows, steps):
+            white = RngStream(3, r, k).generator().standard_normal(GRID.shape)
+            want = synth.weight * np.conj(_rfft(white, GRID))
+            assert row.tobytes() == want.tobytes()

@@ -18,7 +18,7 @@ from fracspde.solver import (
     Coefficient,
     PathSolution,
     SolverConfig,
-    _check_frames,
+    _blow_ups,
     _chunks,
     _stored_values,
     moment_estimate,
@@ -53,13 +53,6 @@ def test_coefficient_presets():
     assert Coefficient.sine(2.0, 3.0).lipschitz == 6.0
     assert Coefficient.constant(0.0).is_zero
     assert not Coefficient.linear(1.0).is_zero
-
-
-def test_coefficient_from_spec():
-    c = Coefficient.from_spec({"preset": "sine", "amplitude": 0.5})
-    assert c(0.0) == 0.0 and c.lipschitz == 0.5
-    with pytest.raises(ConfigurationError):
-        Coefficient.from_spec({"preset": "cubic"})
 
 
 def test_coefficient_requires_finite_lipschitz():
@@ -215,13 +208,16 @@ def test_config_rejects_non_finite_u0_or_ceiling(u0):
 
 
 def test_frame_check_reports_first_non_finite_row():
-    stack = np.array([[1.0, -2.0], [np.inf, 0.0], [np.nan, 0.0]])
-    with pytest.raises(BlowUpError, match="non-finite values at step 6$") as exc:
-        _check_frames(stack, np.inf, 5, 1)
-    assert (exc.value.step, exc.value.replicate_id) == (6, 1)
-    with pytest.raises(BlowUpError, match="ceiling at step 5$"):
-        _check_frames(stack, 1.5, 5, 1)
-    _check_frames(stack[:1], 2.0, 5, 1)
+    # one replicate's frames after steps 5, 6, 7
+    stack = np.array([[[1.0, -2.0], [np.inf, 0.0], [np.nan, 0.0]]])
+    errors = _blow_ups(stack, np.inf, 5, (1,))
+    assert list(errors) == [0] and isinstance(errors[0], BlowUpError)
+    assert str(errors[0]) == "non-finite values at step 6"
+    assert (errors[0].step, errors[0].replicate_id) == (6, 1)
+    errors = _blow_ups(stack, 1.5, 5, (1,))
+    assert list(errors) == [0]
+    assert str(errors[0]).endswith("ceiling at step 5")
+    assert _blow_ups(stack[:, :1], 2.0, 5, (1,)) == {}
 
 
 @pytest.mark.parametrize("runner", [solve, solve_picard],
@@ -688,3 +684,9 @@ def test_moment_estimate_warns_when_its_interval_misses_it():
 def test_moment_estimate_requires_replicates():
     with pytest.raises(ConfigurationError):
         moment_estimate(_config(), 2.0, 10)
+
+
+@pytest.mark.parametrize("p", [1.5, float("nan"), float("inf")])
+def test_moment_estimate_requires_a_finite_order_of_at_least_two(p):
+    with pytest.raises(ConstraintViolationError, match="moment order"):
+        moment_estimate(_config(), p, 100)

@@ -727,6 +727,17 @@ def test_cumulative_bounds_factor_two_at_zero_skew():
     assert rep.upper == pytest.approx(2 * rep.lower, rel=1e-12)
 
 
+def test_cumulative_bounds_raise_where_the_shells_never_settle():
+    # Riesz gamma = 0.499 at alpha = 0.5: admissibility is inconclusive and
+    # accepted, and the upward scan runs to the end of the shell range,
+    # where the check once returned a finite integral of 398.5
+    idx = FractionalIndex([0.5], [0.0])
+    m = SpectralMeasure.riesz(0.499, 1)
+    with pytest.warns(AccuracyWarning, match="inconclusive"), \
+            pytest.raises(DivergenceError, match=r"end of the shell range"):
+        cumulative_bound_check(idx, m, 1.0)
+
+
 def test_cumulative_bounds_match_time_quadrature():
     # int_0^T of the variance rate, computed the slow way
     idx = FractionalIndex([1.5], [0.3])
