@@ -86,11 +86,12 @@ def sample_law(config: SolverConfig, t: float, x, n: int) -> np.ndarray:
 
 
 def silverman_bandwidth(samples) -> float:
-    """Plug-in rule: 0.9 min(std, IQR/1.34) n^(-1/5)."""
+    """Plug-in rule: 0.9 min(std, IQR/1.34) n^(-1/5), with the std alone
+    where the IQR is 0 (as R's ``bw.nrd0``)."""
     samples = np.asarray(samples, dtype=float)
     std = samples.std(ddof=1)
     q75, q25 = np.percentile(samples, [75, 25])
-    spread = min(std, (q75 - q25) / 1.34)
+    spread = min(std, (q75 - q25) / 1.34) or std
     return float(0.9 * spread * len(samples) ** (-0.2))
 
 

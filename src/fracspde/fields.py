@@ -49,6 +49,11 @@ __all__ = [
 ALPHA_ONE_GAP = 1e-3
 
 
+def _integer(value) -> bool:
+    """A non-bool integer: a Python int or a numpy integer."""
+    return type(value) is int or isinstance(value, np.integer)
+
+
 @dataclass(frozen=True)
 class FractionalIndex:
     """Stability/skewness multi-index of the fractional generator.
@@ -83,7 +88,7 @@ class FractionalIndex:
                 raise ConstraintViolationError(
                     f"alpha[{i}]={a} too close to the excluded value 1"
                 )
-            if abs(dl) > min(a, 2.0 - a) + 1e-12:
+            if not abs(dl) <= min(a, 2.0 - a) + 1e-12:  # NaN fails too
                 raise ConstraintViolationError(
                     f"|delta[{i}]|={abs(dl)} exceeds min(alpha, 2-alpha)="
                     f"{min(a, 2.0 - a)}"
@@ -127,10 +132,12 @@ class Grid:
     box_length: float
 
     def __post_init__(self):
-        if self.d < 1:
-            raise ConstraintViolationError("grid dimension must be >= 1")
-        if self.n_per_dim < 1:
-            raise ConstraintViolationError("n_per_dim must be >= 1")
+        if not (_integer(self.d) and self.d >= 1):
+            raise ConstraintViolationError(
+                f"grid dimension must be an integer >= 1, got {self.d!r}")
+        if not (_integer(self.n_per_dim) and self.n_per_dim >= 1):
+            raise ConstraintViolationError(
+                f"n_per_dim must be an integer >= 1, got {self.n_per_dim!r}")
         if not (math.isfinite(self.box_length) and self.box_length > 0):
             raise ConstraintViolationError("box_length must be finite and > 0")
         # the transforms scale by box_length**d and a spike by 1/cell_volume

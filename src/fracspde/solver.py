@@ -76,8 +76,8 @@ from .errors import (
     ConstraintViolationError,
     PicardConvergenceError,
 )
-from .fields import (Field, FractionalIndex, Grid, _centre, _irfft, _rfft,
-                     _real_multiplier, _wrap)
+from .fields import (Field, FractionalIndex, Grid, _centre, _integer,
+                     _irfft, _rfft, _real_multiplier, _wrap)
 from .noise import KEY_CACHE_SIZE, _Synthesizer
 from .spectral_measure import SpectralMeasure, require_admissible
 from .stable_kernel import _symbol_lattice, apply_semigroup
@@ -193,6 +193,10 @@ class SolverConfig:
             raise ConstraintViolationError(
                 f"T={self.T} is not a whole number of steps of dt={self.dt}"
             )
+        seed = self.master_seed
+        if not (_integer(seed) and seed >= 0):
+            raise ConstraintViolationError(
+                f"master_seed must be an integer >= 0, got {seed!r}")
         if self.frame_stride < 1:
             raise ConstraintViolationError("frame_stride must be >= 1")
         if self.picard_max_iter < 1:

@@ -29,6 +29,7 @@ NumericalConsistencyError.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, asdict
 from functools import lru_cache
@@ -74,7 +75,6 @@ _N_THETA = 48  # angular nodes per axis
 _REL_TOL = 1e-10  # three shells this small relative to the total end a scan
 _K_RANGE = range(-340, 340)  # the shells 2^k a scan may visit
 _CRITICAL_ETA_TOL = 0.01  # tail-slope shift at which critical_eta stops
-_EDGE_CHUNK = 32  # shell edges bisected together: bounds the temporaries
 _BATCH_NODES = 2**14  # most quadrature nodes of the shells evaluated at once
 
 
@@ -95,6 +95,12 @@ class SpectralMeasure:
             raise ConstraintViolationError(f"unknown measure kind {self.kind!r}")
         if self.d < 1:
             raise ConstraintViolationError("dimension must be >= 1")
+        param = {"riesz": self.gamma, "bessel": self.beta,
+                 "free_field": self.mass}.get(self.kind, 0.0)
+        if not (isinstance(param, numbers.Real) and math.isfinite(param)):
+            raise ConstraintViolationError(
+                f"{self.kind} parameter must be a finite number, got {param!r}"
+            )
         if self.kind == "riesz" and not (0 < self.gamma < self.d):
             raise ConstraintViolationError(
                 f"riesz exponent must lie in (0, d), got {self.gamma}"
@@ -110,6 +116,9 @@ class SpectralMeasure:
                 raise ConstraintViolationError(
                     "tabulated measure needs matching radii/values, >= 2 points"
                 )
+            if not (np.isfinite(r).all() and np.isfinite(v).all()):
+                raise ConstraintViolationError(
+                    "tabulated radii and values must be finite")
             if (np.diff(r) <= 0).any() or r[0] < 0:
                 raise ConstraintViolationError("radii must be increasing, >= 0")
             if (v < 0).any():
@@ -241,9 +250,10 @@ class _NodeGeometry:
     The radial path is the 1-d path with alpha = 2 and the weight
     |S^{d-1}| of the whole sphere; the 1-d path gives the radius at which
     the frequency weight reaches a shell edge 2^k in closed form.  The
-    anisotropic path tabulates it once per geometry, which
-    ``_node_geometry`` keeps for later calls: one vectorised bisection
-    fills a chunk of edges the first time a scan reaches it.
+    anisotropic path bisects it at every node and keeps each edge's row:
+    a geometry, which ``_node_geometry`` keeps for later calls, bisects an
+    edge once, the first time a scan reads it, in one vectorised pass with
+    the other new edges of that read.
     """
 
     def __init__(self, alpha: tuple, radial: bool):
@@ -282,21 +292,21 @@ class _NodeGeometry:
                 "alpha == 2 on every axis reduces to the radial path"
             )
         self.comps_alpha = self.comps**self.alpha  # |omega_i|^alpha_i
-        self._edge_chunks = {}  # chunk number -> radii at its edges, per node
+        self._edges = {}  # k -> radii where the weight reaches 2^k, per node
 
-    def edge_radii(self, k):
-        """Radius where the frequency weight reaches 2^k, per node."""
+    def edge_radii(self, ks):
+        """Radii where the frequency weight reaches 2^k, one row of nodes
+        per k in ``ks``."""
         if self.comps.shape[1] == 1:
-            return np.array([(2.0**k) ** (1.0 / self.alpha[0])])
-        chunk, row = divmod(k - _K_RANGE.start, _EDGE_CHUNK)
-        if chunk not in self._edge_chunks:
-            self._edge_chunks[chunk] = self._bisect_edges(chunk)
-        return self._edge_chunks[chunk][row]
+            return np.array([[(2.0**k) ** (1.0 / self.alpha[0])] for k in ks])
+        new = [k for k in ks if k not in self._edges]
+        if new:
+            self._bisect_edges(new)
+        return np.array([self._edges[k] for k in ks])
 
-    def _bisect_edges(self, chunk):
-        """Bisect log2 radius for every edge of a chunk and every node."""
-        first = _K_RANGE.start + chunk * _EDGE_CHUNK
-        ks = np.arange(first, min(first + _EDGE_CHUNK, _K_RANGE.stop + 1))
+    def _bisect_edges(self, ks):
+        """Bisect log2 radius for the edges ``ks`` at every node, in one
+        pass, and keep each edge's row."""
         target = np.ldexp(1.0, ks)[:, None]
         lo = np.full((len(ks), len(self.comps)), -340.0)
         hi = np.full((len(ks), len(self.comps)), 340.0)
@@ -307,9 +317,7 @@ class _NodeGeometry:
             take = val < target
             lo = np.where(take, mid, lo)
             hi = np.where(take, hi, mid)
-        radii = np.exp2(0.5 * (lo + hi))
-        radii.flags.writeable = False  # rows are shared by every caller
-        return radii
+        self._edges.update(zip(ks, np.exp2(0.5 * (lo + hi))))
 
     def levels(self, r, axis_weights):
         """T(xi) = sum_i w_i |xi_i|^alpha_i on nodes; r has shape
@@ -358,7 +366,7 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
 
     def shells(k_lo, k_hi):
         """(contribs[shell, integrand], clipped[shell]) of k_lo <= k < k_hi."""
-        edges = np.array([geom.edge_radii(k) for k in range(k_lo, k_hi + 1)])
+        edges = geom.edge_radii(range(k_lo, k_hi + 1))
         ln = np.log(np.minimum(edges, band))[..., None]
         ln1, ln2 = ln[:-1], ln[1:]  # (shell, direction, 1)
         if ln_kinks.size:
@@ -396,11 +404,6 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
         while k in _K_RANGE:
             n = min(batch, max_batch, _K_RANGE.stop - k if direction > 0
                     else k + 1 - _K_RANGE.start)
-            if n_dirs > 1:
-                # shells past the stop must not bisect a new edge chunk:
-                # stay in the chunk of the first shell's far edge
-                row = (k + (direction > 0) - _K_RANGE.start) % _EDGE_CHUNK
-                n = min(n, _EDGE_CHUNK - row if direction > 0 else row + 1)
             lo = k if direction > 0 else k - n + 1
             with np.errstate(all="ignore"):  # a batch runs past the stop
                 c, clipped = shells(lo, lo + n)
@@ -575,7 +578,7 @@ def admissibility(measure: SpectralMeasure, idx: FractionalIndex, eta: float,
 
     Parameters
     ----------
-    method : "auto" | "closed_form" | "quadrature"
+    method : "auto" | "quadrature"
         "auto" prefers the closed-form threshold when one exists and falls
         back to dyadic-shell quadrature.
 
@@ -592,12 +595,8 @@ def admissibility(measure: SpectralMeasure, idx: FractionalIndex, eta: float,
             f"measure dimension {measure.d} != index dimension {idx.d}"
         )
     eta_crit = closed_form_critical_eta(measure, idx)
-    if method not in ("auto", "closed_form", "quadrature"):
+    if method not in ("auto", "quadrature"):
         raise ConstraintViolationError(f"unknown method {method!r}")
-    if method == "closed_form" and eta_crit is None:
-        raise ConstraintViolationError(
-            "no closed-form criterion for this (measure, alpha) family"
-        )
 
     ks, c, band_limited, _ = _dyadic_contributions(
         measure, idx, [_admissibility_integrand(idx, eta)]

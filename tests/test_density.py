@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -147,6 +148,19 @@ def test_kde_degenerate_point_mass():
         est = kde(np.full(600, 2.5))
     assert est.degenerate
     assert est.bandwidth == 0.0
+
+
+def test_kde_bandwidth_falls_back_to_the_std_where_the_iqr_is_0():
+    # two thirds of the sample at 0 make the IQR 0; it is still no point
+    # mass, and the bandwidth uses the std, as R's bw.nrd0 does
+    samples = np.concatenate([np.zeros(400),
+                              np.random.default_rng(3).normal(size=200)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DegenerateLawWarning)
+        est = kde(samples)
+    assert not est.degenerate
+    assert est.bandwidth == pytest.approx(
+        0.9 * samples.std(ddof=1) * 600 ** -0.2, rel=1e-12)
 
 
 def test_kde_requires_samples():

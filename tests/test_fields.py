@@ -39,6 +39,7 @@ def test_index_default_delta_is_zero():
     ([1.5], [0.6]),          # |delta| > min(alpha, 2-alpha)
     ([2.0], [0.1]),          # delta must vanish at alpha=2
     ([1.5, 1.5], [0.1]),     # length mismatch
+    ([1.5], [float("nan")]),  # once gave an all-NaN kernel
 ])
 def test_index_rejects_invalid(alpha, delta):
     with pytest.raises(ConstraintViolationError):
@@ -70,6 +71,10 @@ def test_grid_rejects_bad_parameters():
         Grid(0, 8, 1.0)
     with pytest.raises(ConstraintViolationError):
         Grid(1, 8, -1.0)
+    for d, n in [(1, 64.5), (1, 64.0), (1.0, 8), (1, True)]:
+        with pytest.raises(ConstraintViolationError, match="integer"):
+            Grid(d, n, 16.0)  # 64.5 once failed in numpy on first use
+    assert Grid(np.int64(1), np.int32(8), 4.0).shape == (8,)
 
 
 @pytest.mark.parametrize("box_length", [float("inf"), float("nan")])

@@ -231,6 +231,21 @@ def test_transform_overflow_reported_as_blow_up(runner):
     assert exc.value.replicate_id == 2
 
 
+@pytest.mark.parametrize("seed", [-1, 1.5, True, "3"])
+def test_config_requires_a_seed_integer_at_least_zero(seed):
+    # once built, then failed inside numpy at the first solve
+    with pytest.raises(ConstraintViolationError, match="master_seed"):
+        _config(master_seed=seed)
+
+
+def test_config_takes_seeds_past_the_key_table():
+    # seeds from 2**32 take the SeedSequence path of RngStream
+    cfg = _config(sigma=Coefficient.constant(1.0), master_seed=2**32,
+                  T=0.02)
+    assert np.isfinite(solve(cfg, 0).values).all()
+    assert _config(master_seed=np.uint64(7)).master_seed == 7
+
+
 @pytest.mark.parametrize("max_iter", [0, -1])
 def test_config_requires_a_picard_sweep(max_iter):
     with pytest.raises(ConstraintViolationError):

@@ -65,6 +65,23 @@ def test_measure_invariants():
     with pytest.raises(ConstraintViolationError):
         SpectralMeasure.tabulated([0.0, 1.0], [1.0, -0.5], 1)
 
+    # each once constructed: an infinite last radius read as band-limited
+    # (eta* = 0), a missing parameter raised TypeError from 0 < None
+    inf, nan = math.inf, math.nan
+    for make in [
+        lambda: SpectralMeasure.tabulated([0, 1, inf], [1, 1, 1], 1),
+        lambda: SpectralMeasure.tabulated([0, nan, 2], [1, 1, 1], 1),
+        lambda: SpectralMeasure.tabulated([0, 1, 2], [1, nan, 1], 1),
+        lambda: SpectralMeasure.tabulated([0, 1, 2], [1, inf, 1], 1),
+        lambda: SpectralMeasure.bessel(inf, 2),
+        lambda: SpectralMeasure.free_field(inf, 1),
+        lambda: SpectralMeasure("riesz", 1),
+        lambda: SpectralMeasure("bessel", 1),
+        lambda: SpectralMeasure("free_field", 1),
+    ]:
+        with pytest.raises(ConstraintViolationError, match="finite"):
+            make()
+
 
 def test_riesz_constant_is_exact_fourier_pair():
     # d=1, gamma=1/2: the transform of |x|^(-1/2) is sqrt(2 pi)|xi|^(-1/2)
@@ -143,6 +160,12 @@ def test_white_noise_fractional_threshold():
 def test_white_noise_d2_never_admissible_at_alpha2():
     m = SpectralMeasure.white(2)
     assert not admissibility(m, GAUSS2, 1.0).admissible
+
+
+def test_admissibility_method_is_auto_or_quadrature():
+    with pytest.raises(ConstraintViolationError, match="unknown method"):
+        admissibility(SpectralMeasure.white(1), GAUSS1, 0.75,
+                      method="closed_form")
 
 
 def test_eta_domain_checked():
@@ -248,7 +271,24 @@ def test_edge_radii_table_matches_per_target_bisection(alpha):
     sample = np.random.default_rng(11).integers(-340, 341, size=6)
     for k in [-340, -1, 0, 1, 339, 340, *sample.tolist()]:
         want = _shell_radii_oracle(geom, 2.0**k)
-        assert geom.edge_radii(k).tobytes() == want.tobytes(), k
+        assert geom.edge_radii([k])[0].tobytes() == want.tobytes(), k
+
+
+@settings(max_examples=30, deadline=None)
+@given(alpha=st.sampled_from([(1.5, 0.5), (1.5, 1.2), (0.3125, 1.9)]),
+       start=st.integers(-340, 325), data=st.data())
+def test_edge_radii_match_per_target_bisection_in_any_request(alpha, start,
+                                                              data):
+    # a run of edges, requested in random order and groups, some twice
+    geom = sm._NodeGeometry(alpha, False)
+    run = data.draw(st.permutations(range(start, start + 16)))
+    want = {k: _shell_radii_oracle(geom, 2.0**k).tobytes() for k in run}
+    cuts = sorted(data.draw(st.sets(st.integers(1, 15), max_size=6)))
+    groups = [run[i:j] for i, j in zip([0, *cuts], [*cuts, len(run)])]
+    for ks in data.draw(st.permutations(groups + groups[:2])):
+        rows = geom.edge_radii(ks)
+        assert rows.shape == (len(ks), len(geom.comps))
+        assert [row.tobytes() for row in rows] == [want[k] for k in ks]
 
 
 def test_node_geometry_built_once_per_alpha(monkeypatch):
@@ -262,9 +302,9 @@ def test_node_geometry_built_once_per_alpha(monkeypatch):
         built.append(args)
         init(self, *args)
 
-    def counting_bisect(self, chunk):
-        bisected.append(chunk)
-        return bisect(self, chunk)
+    def counting_bisect(self, ks):
+        bisected.extend(ks)
+        return bisect(self, ks)
 
     monkeypatch.setattr(sm._NodeGeometry, "__init__", counting_init)
     monkeypatch.setattr(sm._NodeGeometry, "_bisect_edges", counting_bisect)
@@ -277,7 +317,8 @@ def test_node_geometry_built_once_per_alpha(monkeypatch):
     critical_eta(m, idx)
     assert built == [((1.5, 1.2), False)]
     assert bisected == first  # later calls bisect nothing
-    assert len(set(first)) == len(first)  # each edge chunk bisected once
+    assert len(set(first)) == len(first)  # each edge bisected once
+    assert set(first) == set(sm._node_geometry(idx.alpha, False)._edges)
 
 
 # -- batched shell scan ---------------------------------------------------------
@@ -297,7 +338,7 @@ def _one_shell_scan(measure, idx, integrands, *, n_radial=sm.N_RADIAL):
     ln_kinks = np.log([r for r in measure.radii[:-1] if r > 0])
 
     def shell(k):
-        r1, r2 = geom.edge_radii(k), geom.edge_radii(k + 1)
+        r1, r2 = geom.edge_radii([k, k + 1])
         if band < math.inf:
             r1, r2 = np.minimum(r1, band), np.minimum(r2, band)
         with np.errstate(divide="ignore"):
@@ -482,22 +523,28 @@ def test_batched_scan_matches_one_shell_scan_property(case):
 
 
 @pytest.mark.parametrize("alpha", [(1.5, 1.2), (1.5, 1.2, 0.8)])
-def test_batched_scan_bisects_only_the_oracles_edge_chunks(alpha):
-    # a batch that runs past the stop must not reach an edge chunk the
-    # one-shell scan never reaches.  Anisotropic 3-d shells are evaluated
-    # one at a time; in 2-d the scan stops at k = 40 (edges to 41)
-    # and k = -11, where unbounded batches would reach edges 50 and -22
+def test_batched_scan_bisects_the_edges_the_one_shell_scan_reads(alpha):
+    # every edge the one-shell scan reads, and past each stop at most the
+    # rest of the batch that holds it.  Anisotropic 3-d shells are
+    # evaluated one at a time, so there the two scans bisect the same edges
     idx = FractionalIndex(alpha, [0.3, 0.1, -0.2][:len(alpha)])
     measure = SpectralMeasure.white(len(alpha))
     integrands = _cumulative_set(1.0)(idx)
-    chunks = []
+    edges = []
     for scan in (_one_shell_scan, sm._dyadic_contributions):
         sm._node_geometry.cache_clear()
         scan(measure, idx, integrands)
-        chunks.append(sorted(sm._node_geometry(alpha, False)._edge_chunks))
+        edges.append(set(sm._node_geometry(alpha, False)._edges))
     sm._node_geometry.cache_clear()
-    assert chunks[0] == chunks[1]
-    assert len(chunks[0]) >= 2
+    read, bisected = edges
+    assert read == set(range(min(read), max(read) + 1))
+    assert len(read) >= 40
+    n_dirs = sm._N_THETA ** (len(alpha) - 1)
+    past = max(1, sm._BATCH_NODES // (n_dirs * sm.N_RADIAL)) - 1
+    assert read <= bisected
+    assert bisected <= set(range(min(read) - past, max(read) + past + 1))
+    if len(alpha) == 3:
+        assert past == 0 and bisected == read
 
 
 @pytest.mark.parametrize("beta", [3.0, 0.76])
