@@ -28,7 +28,7 @@ from .errors import (
     EllipticityError,
     NumericalConsistencyError,
 )
-from .fields import FractionalIndex, _grid_point
+from .fields import FractionalIndex, _grid_point, _integer
 from .solver import SolverConfig, _frame_index, solve
 from .spectral_measure import N_RADIAL, SpectralMeasure, spectral_integral
 from .spectral_measure import _cumulative_integrand
@@ -64,13 +64,13 @@ def sample_law(config: SolverConfig, t: float, x, n: int) -> np.ndarray:
     """n independent replicate values of the solution at (t, x).
 
     ``x`` is a grid index (int for d=1, tuple otherwise) and ``t`` a stored
-    frame time.  Before any solve, ``n`` >= 1, ``x`` (a point of the grid,
-    ``fields._grid_point``), ``t`` and the ellipticity of sigma (> 0 on a
-    probe range) are checked.  Each replicate is stepped by ``solve``
-    (exponential Euler).  Deterministic given the master seed.
+    frame time.  Before any solve, ``n`` (an integer >= 1), ``x`` (a point
+    of the grid, ``fields._grid_point``), ``t`` and the ellipticity of
+    sigma (> 0 on a probe range) are checked.  Each replicate is stepped
+    by ``solve`` (exponential Euler).  Deterministic given the master seed.
     """
-    if n < 1:
-        raise ConfigurationError(f"need n >= 1 samples, got {n}")
+    if not (_integer(n) and n >= 1):
+        raise ConfigurationError(f"need an integer n >= 1, got {n!r}")
     probe = _grid_point(x, config.grid)
     low = float(np.min(config.sigma(_ELLIPTICITY_PROBE)))
     if not low > 0:
@@ -114,7 +114,13 @@ def kde(samples, bandwidth: float | None = None) -> DensityEstimate:
     if bandwidth is not None and not 0 < h < math.inf:
         raise ConfigurationError(
             f"bandwidth must be finite and > 0, got {bandwidth}")
-    if samples.std() == 0 or h == 0:
+    lo = samples.min() - 4 * h
+    hi = samples.max() + 4 * h
+    grid = np.linspace(lo, hi, KDE_GRID_POINTS)
+    step = grid[1] - grid[0]
+    # equal samples can have a rounding-level std, and so a bandwidth too
+    # small for the evaluation grid to have a step
+    if samples.std() == 0 or h == 0 or not step > 0:
         warnings.warn(
             "samples are numerically a point mass; density is degenerate",
             DegenerateLawWarning,
@@ -126,13 +132,9 @@ def kde(samples, bandwidth: float | None = None) -> DensityEstimate:
             values=(math.inf,), derivative_bounds=(math.inf, math.inf),
             degenerate=True,
         )
-    lo = samples.min() - 4 * h
-    hi = samples.max() + 4 * h
-    grid = np.linspace(lo, hi, KDE_GRID_POINTS)
     z = (grid[:, None] - samples[None, :]) / h
     vals = np.exp(-0.5 * z**2).sum(axis=1) / (samples.size * h *
                                               math.sqrt(2 * math.pi))
-    step = grid[1] - grid[0]
     d1 = np.gradient(vals, step)
     d2 = np.gradient(d1, step)
     return DensityEstimate(

@@ -21,11 +21,13 @@ Increments are drawn in blocks of consecutive steps of R replicates
 stepped together, with a leading row axis: a block is an ``(R, steps,
 *grid.shape)`` white array of at most BLOCK_ELEMENTS values, so it spans
 about BLOCK_ELEMENTS // (R * grid points) steps (see
-``_Synthesizer.block_steps``).  It is drawn replicate-major, each
-(replicate, step) white array from its own stream, and transformed by one
-batched ``rfftn``.  The solver adds the spectra directly when sigma is
-constant and transforms the block back with one batched ``irfftn``
-otherwise.  Neither the row count nor the block length changes a byte of
+``_Synthesizer.block_steps``); the solver's ``_step_rows`` asks
+``_Synthesizer.spectra`` for each block it steps by the block's steps.
+A block is drawn replicate-major, each (replicate, step) white array from
+its own stream, and transformed by one batched ``rfftn``.  The solver
+adds the spectra directly when sigma is constant and transforms the block
+back with one batched ``irfftn`` otherwise.  Neither the row count nor
+the block length changes a byte of
 any increment, so the rows of ``sample_increments``, one step of many
 replicates, are the solver's increments.
 
@@ -33,11 +35,13 @@ Randomness is counter-style: each (master_seed, replicate, step) triple
 names a disjoint, reproducible Philox stream, so replicates and steps can
 be generated in any order or in parallel with identical results.  The
 triple is formed here alone: ``_Synthesizer.spectra`` takes the master
-seed and the replicate ids and draws row (r, k) from
+seed, the replicate ids and the steps and draws row (r, k) from
 ``RngStream(master_seed, r, k).generator()``, one call per replicate-step;
-the solver and ``sample_increments`` pass only the seed and their ids.
-The stream is ``Philox(SeedSequence(master_seed, spawn_key=(replicate,
-step)))``.  For ids below 2**32 its Philox key is read from a table that
+the solver and ``sample_increments`` pass only the seed, their ids and
+their steps.  ``_stream_id`` checks ids where they enter the package and
+hands on plain ints.  The stream is ``Philox(SeedSequence(master_seed,
+spawn_key=(replicate, step)))``.  For plain-int ids below 2**32 its
+Philox key is read from a table that
 runs numpy's SeedSequence hash-mix (after M. O'Neill's ``seed_seq``) over
 a chunk of steps at once, so no SeedSequence is built per step; the draws
 are the same bytes.  Philox is handed that key and an explicit zero
@@ -53,8 +57,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, NoiseSynthesisError
-from .fields import Grid, _centre, _irfft, _real_multiplier, _rfft
+from .errors import (ConfigurationError, ConstraintViolationError,
+                     NoiseSynthesisError)
+from .fields import Grid, _centre, _integer, _irfft, _real_multiplier, _rfft
 from .spectral_measure import SpectralMeasure
 
 __all__ = [
@@ -141,10 +146,13 @@ def _philox_keys(master_seed: int, replicate_id: int,
     return keys
 
 
-def _table_id(value) -> bool:
-    """An id the key table covers: a non-bool integer in [0, 2**32)."""
-    return ((type(value) is int or isinstance(value, np.integer))
-            and 0 <= value <= _M32)
+def _stream_id(value, name: str) -> int:
+    """A stream id or step, where it enters the package, as a plain int;
+    ConstraintViolationError unless it is a non-bool integer >= 0."""
+    if not (_integer(value) and value >= 0):
+        raise ConstraintViolationError(
+            f"{name} must be an integer >= 0, got {value!r}")
+    return int(value)
 
 
 @functools.cache
@@ -180,16 +188,10 @@ class RngStream:
     def generator(self) -> np.random.Generator:
         """A new Generator on the Philox stream of
         ``SeedSequence(master_seed, spawn_key=(replicate_id, step_id))``."""
-        master, rep, step = ids = (self.master_seed, self.replicate_id,
-                                   self.step_id)
-        # plain ints, the usual ids, take one test: all in [0, 2**32)
-        if type(master) is type(rep) is type(step) is int:
-            keyed = not (master | rep | step) >> 32
-        elif all(map(_table_id, ids)):
-            master, rep, step, keyed = *map(int, ids), True
-        else:
-            keyed = False
-        if keyed:
+        master, rep, step = self.master_seed, self.replicate_id, self.step_id
+        # plain ints in [0, 2**32), the ids the package passes, are keyed
+        if (type(master) is type(rep) is type(step) is int
+                and not (master | rep | step) >> 32):
             key = _philox_keys(master, rep, step // KEY_CHUNK)[
                 step % KEY_CHUNK]
             seed = _philox_key_type()(key)
@@ -244,15 +246,6 @@ class _Synthesizer:
                     out=row)
         return self.weight * np.conj(_rfft(white, self.grid))
 
-    def blocks(self, master_seed: int, replicate_ids, n_steps: int):
-        """Spectra of steps 0..n_steps-1 of each replicate, ``block_steps``
-        steps at a time."""
-        size = self.block_steps(len(replicate_ids))
-        for start in range(0, n_steps, size):
-            stop = min(start + size, n_steps)
-            yield self.spectra(master_seed, replicate_ids,
-                               range(start, stop))
-
 
 def sample_increments(grid: Grid, measure: SpectralMeasure, dt: float,
                       master_seed: int, replicate_ids, step: int) -> np.ndarray:
@@ -266,9 +259,13 @@ def sample_increments(grid: Grid, measure: SpectralMeasure, dt: float,
     ----------
     grid, measure : spatial lattice and spectral density of the covariance.
     dt : time-step length, finite and > 0.
+    master_seed, replicate_ids, step : integers >= 0, numpy's included
+        (ConstraintViolationError otherwise).
     """
+    ids = tuple(_stream_id(r, "replicate id") for r in replicate_ids)
     spectra = _Synthesizer(grid, measure, dt).spectra(
-        master_seed, tuple(replicate_ids), [step])
+        _stream_id(master_seed, "master_seed"), ids,
+        [_stream_id(step, "step")])
     return _centre(_irfft(spectra[:, 0], grid), grid)
 
 

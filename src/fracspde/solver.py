@@ -41,7 +41,9 @@ leading, so each numpy call does the chunk's work at once.  Each row's
 arithmetic, its order and its FFT calls are those of a one-row run, so
 a row's bytes depend on neither the chunk nor its size.  A noise block
 spans about BLOCK_ELEMENTS // (R * grid points) steps
-(``_Synthesizer.block_steps``).  ``solve`` is the one-row call;
+(``_Synthesizer.block_steps``), and ``_step_rows`` asks
+``_Synthesizer.spectra`` for each block by its range of steps; so does
+``solve_picard``, over one-row blocks.  ``solve`` is the one-row call;
 ``moment_estimate`` and the CLI split replicates with ``_chunks``, whose
 chunks hold at most CHUNK_ELEMENTS stored values and MAX_CHUNK_ROWS rows.
 A failing row keeps stepping, and the chunk raises the BlowUpError a
@@ -76,9 +78,9 @@ from .errors import (
     ConstraintViolationError,
     PicardConvergenceError,
 )
-from .fields import (Field, FractionalIndex, Grid, _centre, _integer,
-                     _irfft, _rfft, _real_multiplier, _wrap)
-from .noise import KEY_CACHE_SIZE, _Synthesizer
+from .fields import (Field, FractionalIndex, Grid, _centre, _grid_point,
+                     _integer, _irfft, _rfft, _real_multiplier, _wrap)
+from .noise import KEY_CACHE_SIZE, _Synthesizer, _stream_id
 from .spectral_measure import SpectralMeasure, require_admissible
 from .stable_kernel import _symbol_lattice, apply_semigroup
 
@@ -193,14 +195,13 @@ class SolverConfig:
             raise ConstraintViolationError(
                 f"T={self.T} is not a whole number of steps of dt={self.dt}"
             )
-        seed = self.master_seed
-        if not (_integer(seed) and seed >= 0):
-            raise ConstraintViolationError(
-                f"master_seed must be an integer >= 0, got {seed!r}")
-        if self.frame_stride < 1:
-            raise ConstraintViolationError("frame_stride must be >= 1")
-        if self.picard_max_iter < 1:
-            raise ConstraintViolationError("picard_max_iter must be >= 1")
+        object.__setattr__(self, "master_seed",
+                           _stream_id(self.master_seed, "master_seed"))
+        for name in ("frame_stride", "picard_max_iter"):
+            count = getattr(self, name)
+            if not (_integer(count) and count >= 1):
+                raise ConstraintViolationError(
+                    f"{name} must be an integer >= 1, got {count!r}")
         if not (math.isfinite(self.picard_tol) and self.picard_tol > 0):
             raise ConstraintViolationError("picard_tol must be finite and > 0")
         if self.idx.d != self.grid.d or self.measure.d != self.grid.d:
@@ -299,8 +300,9 @@ class PathSolution:
                      for row in self.values)
 
     def values_at(self, probe) -> np.ndarray:
-        """Time series of the field at one grid index (a copy)."""
-        probe = (probe,) if np.isscalar(probe) else tuple(probe)
+        """Time series of the field at one grid point (a copy); a probe that
+        ``fields._grid_point`` rejects raises ConfigurationError."""
+        probe = _grid_point(probe, self.grid, "probe")
         return self.values[(slice(None),) + probe].copy()
 
     def frame_at(self, t: float) -> Field:
@@ -369,10 +371,8 @@ def _step_rows(config: SolverConfig, replicate_ids):
     # constant coefficients act in frequency space, the others on the frame
     sigma_on_frame = has_noise and sigma_const is None
     on_frame = b_const is None or sigma_on_frame
-    rows = len(replicate_ids)
+    rows, seed = len(replicate_ids), config.master_seed
     block_steps = noise.block_steps(rows)
-    if has_noise:
-        blocks = noise.blocks(config.master_seed, replicate_ids, n)
     steps = config._stored_steps
     errors = {}  # row -> its first BlowUpError
 
@@ -388,11 +388,14 @@ def _step_rows(config: SolverConfig, replicate_ids):
         # a batched block, or a failed row, steps past a blow-up.  Neither
         # may warn.
         with np.errstate(over="ignore", invalid="ignore"):
+            # the noise of the block's steps; its raw spectra are not kept
+            drawn = range(start, start + count)
             sigma_dm = None  # the block's sigma * dM spectra, if constant
             if sigma_on_frame:
-                dm = _irfft(next(blocks), grid)
+                dm = _irfft(noise.spectra(seed, replicate_ids, drawn), grid)
             elif has_noise:
-                sigma_dm = sigma_const * next(blocks)
+                sigma_dm = sigma_const * noise.spectra(seed, replicate_ids,
+                                                       drawn)
             # a row per step's state, transformed back below; the frame
             # path keeps frames instead and updates one state in place
             slots = 1 if on_frame else count
@@ -474,6 +477,7 @@ def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
     BlowUpError
         If any frame becomes non-finite or leaves the stability envelope.
     """
+    replicate_id = _stream_id(replicate_id, "replicate_id")
     values = _stored_values(config, (replicate_id,))[0]
     return PathSolution(values, config.grid, config._stored_times,
                         replicate_id)
@@ -494,10 +498,14 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
         If the residuals do not drop below tolerance within
         ``picard_max_iter`` sweeps (the trace is attached).
     """
+    replicate_id = _stream_id(replicate_id, "replicate_id")
     grid, dt, psi_h = config.grid, config.dt, config._psi_h
-    n = config.n_steps
-    blocks = config._synthesizer.blocks(config.master_seed, (replicate_id,), n)
-    increments = np.concatenate([_irfft(s[0], grid) for s in blocks])
+    n, noise = config.n_steps, config._synthesizer
+    size = noise.block_steps(1)  # the blocks a one-row ``solve`` draws
+    increments = np.concatenate([
+        _irfft(noise.spectra(config.master_seed, (replicate_id,),
+                             range(start, min(start + size, n)))[0], grid)
+        for start in range(0, n, size)])
 
     def semigroup(values):
         return _irfft(psi_h * _rfft(values, grid), grid)
@@ -578,10 +586,11 @@ def moment_estimate(config: SolverConfig, p: float,
     if not 2 <= p < math.inf:
         raise ConstraintViolationError(
             f"moment order must be finite and >= 2, got {p}")
-    if n_replicates < MIN_MOMENT_REPLICATES:
+    if not (_integer(n_replicates)
+            and n_replicates >= MIN_MOMENT_REPLICATES):
         raise ConfigurationError(
-            f"need >= {MIN_MOMENT_REPLICATES} replicates, got {n_replicates}"
-        )
+            f"need an integer n_replicates >= {MIN_MOMENT_REPLICATES}, got "
+            f"{n_replicates!r}")
     stack = np.concatenate([np.abs(_stored_values(config, ids)) ** p
                             for ids in _chunks(config, n_replicates)])
     stack = stack.reshape(n_replicates, -1)

@@ -43,7 +43,7 @@ from .errors import (
     InconclusiveError,
     NumericalConsistencyError,
 )
-from .fields import FractionalIndex, Grid
+from .fields import FractionalIndex, Grid, _integer
 
 __all__ = [
     "SpectralMeasure",
@@ -93,8 +93,9 @@ class SpectralMeasure:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ConstraintViolationError(f"unknown measure kind {self.kind!r}")
-        if self.d < 1:
-            raise ConstraintViolationError("dimension must be >= 1")
+        if not (_integer(self.d) and self.d >= 1):
+            raise ConstraintViolationError(
+                f"dimension must be an integer >= 1, got {self.d!r}")
         param = {"riesz": self.gamma, "bessel": self.beta,
                  "free_field": self.mass}.get(self.kind, 0.0)
         if not (isinstance(param, numbers.Real) and math.isfinite(param)):
@@ -336,6 +337,13 @@ def _node_geometry(alpha: tuple, radial: bool) -> _NodeGeometry:
     return _NodeGeometry(alpha, radial)
 
 
+def _check_dimensions(measure: SpectralMeasure, idx: FractionalIndex):
+    """ConstraintViolationError unless ``measure`` and ``idx`` share d."""
+    if measure.d != idx.d:
+        raise ConstraintViolationError(
+            f"measure dimension {measure.d} != index dimension {idx.d}")
+
+
 def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
     """Shell-by-shell contributions of several integrands.
 
@@ -348,6 +356,7 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
     to the end of _K_RANGE on shells decaying geometrically enough for
     _extrapolated_sum to add the rest; else it names where a scan stopped.
     """
+    _check_dimensions(measure, idx)
     # the angular factor integrates out when alpha == 2 on every axis and
     # every integrand weighs the axes alike
     radial = all(a == 2.0 for a in idx.alpha) and all(
@@ -553,6 +562,7 @@ def closed_form_critical_eta(measure: SpectralMeasure,
     gamma/2, (d-beta)+/2, (d-2)+/2, valid for alpha == 2 on every axis.
     Returns None when no closed form applies.
     """
+    _check_dimensions(measure, idx)
     if measure.kind == "white":
         return idx.inverse_alpha_sum
     if measure.kind == "tabulated":
@@ -590,10 +600,6 @@ def admissibility(measure: SpectralMeasure, idx: FractionalIndex, eta: float,
     """
     if not (0 < eta <= 1):
         raise ConstraintViolationError(f"eta must lie in (0, 1], got {eta}")
-    if measure.d != idx.d:
-        raise ConstraintViolationError(
-            f"measure dimension {measure.d} != index dimension {idx.d}"
-        )
     eta_crit = closed_form_critical_eta(measure, idx)
     if method not in ("auto", "quadrature"):
         raise ConstraintViolationError(f"unknown method {method!r}")

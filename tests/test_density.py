@@ -80,7 +80,7 @@ def test_sample_law_time_must_be_stored(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("n", [0, -5])
+@pytest.mark.parametrize("n", [0, -5, 2.5, True])
 def test_sample_law_needs_a_sample(monkeypatch, n):
     import fracspde.density
     calls, solve = [], fracspde.density.solve
@@ -144,10 +144,13 @@ def test_kde_normalized():
 
 
 def test_kde_degenerate_point_mass():
-    with pytest.warns(DegenerateLawWarning):
-        est = kde(np.full(600, 2.5))
-    assert est.degenerate
-    assert est.bandwidth == 0.0
+    # 500 copies of 2.005 have a rounding-level std (4.4e-16), once a
+    # bandwidth with no grid step between the KDE's evaluation points
+    for samples in (np.full(600, 2.5), np.full(500, 2.005)):
+        with pytest.warns(DegenerateLawWarning):
+            est = kde(samples)
+        assert est.degenerate
+        assert est.bandwidth == 0.0
 
 
 def test_kde_bandwidth_falls_back_to_the_std_where_the_iqr_is_0():

@@ -1,6 +1,7 @@
 """The package needs numpy alone at run time; scipy serves the tests only,
 and numpy.random is loaded only when a stream is drawn."""
 
+import ast
 import importlib
 import json
 import os
@@ -70,3 +71,37 @@ def test_every_name_in_all_resolves():
                for name in getattr(module, "__all__", ())
                if not hasattr(module, name)]
     assert missing == []
+
+
+def _unused_imports(path):
+    """Names that module ``path`` imports but neither uses nor lists in its
+    ``__all__``.  Imports on a line marked ``# noqa: F401`` are exempt."""
+    source = path.read_text(encoding="utf-8")
+    lines, tree = source.splitlines(), ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if (not isinstance(node, (ast.Import, ast.ImportFrom))
+                or getattr(node, "module", None) == "__future__"
+                or any("# noqa: F401" in line
+                       for line in lines[node.lineno - 1:node.end_lineno])):
+            continue
+        imported.update((alias.asname or alias.name).split(".")[0]
+                        for alias in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(getattr(t, "id", None) == "__all__"
+                        for t in node.targets)):
+            used.update(ast.literal_eval(node.value))
+    return sorted(imported - used)
+
+
+def test_every_import_in_the_package_is_used():
+    # no linter runs on the package, so a simplification can leave an
+    # import behind; the two noqa imports of cli.py are names that
+    # benchmarks/spans.py rebinds
+    paths = sorted(Path(fracspde.__file__).parent.glob("*.py"))
+    assert len(paths) > 8
+    unused = {path.name: names for path in paths
+              if (names := _unused_imports(path))}
+    assert unused == {}

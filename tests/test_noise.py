@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fracspde.errors import ConfigurationError
+from fracspde.errors import ConfigurationError, ConstraintViolationError
 from fracspde.fields import Grid
 from fracspde.noise import (
     RngStream,
@@ -196,6 +196,25 @@ def test_nonpositive_dt_rejected():
     for dt in (0.0, -0.01, np.inf, np.nan):
         with pytest.raises(ConfigurationError):
             sample_increments(GRID, WHITE, dt, 0, [0], 0)
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True])
+def test_increments_require_ids_and_a_step_integer_at_least_zero(bad):
+    # each once reached numpy: -1 and 1.5 raised its errors, True drew 1
+    for seed, ids, step in ((bad, [0], 0), (0, [0, bad], 0), (0, [0], bad)):
+        with pytest.raises(ConstraintViolationError, match="integer >= 0"):
+            sample_increments(GRID, WHITE, DT, seed, ids, step)
+
+
+def test_numpy_integer_ids_draw_plain_int_streams_from_the_key_table():
+    from fracspde.noise import _philox_keys
+
+    want = sample_increments(GRID, WHITE, DT, 42, [3, 5], 130)
+    _philox_keys.cache_clear()
+    got = sample_increments(GRID, WHITE, DT, np.uint32(42),
+                            [np.int64(3), np.uint16(5)], np.int32(130))
+    assert got.tobytes() == want.tobytes()
+    assert _philox_keys.cache_info().currsize == 2
 
 
 def _seed_sequence_draws(master, rep, step, n=300):

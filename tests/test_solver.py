@@ -246,10 +246,42 @@ def test_config_takes_seeds_past_the_key_table():
     assert _config(master_seed=np.uint64(7)).master_seed == 7
 
 
-@pytest.mark.parametrize("max_iter", [0, -1])
+@pytest.mark.parametrize("max_iter", [0, -1, 2.5, True])
 def test_config_requires_a_picard_sweep(max_iter):
     with pytest.raises(ConstraintViolationError):
         _config(picard_max_iter=max_iter)
+
+
+@pytest.mark.parametrize("stride", [0, 1.5, True])
+def test_config_requires_a_frame_stride_integer_at_least_one(stride):
+    # 1.5 was once built, then failed inside numpy at the first solve
+    with pytest.raises(ConstraintViolationError, match="frame_stride"):
+        _config(frame_stride=stride)
+
+
+@pytest.mark.parametrize("runner", [solve, solve_picard])
+@pytest.mark.parametrize("replicate_id", [-1, 1.5, True])
+def test_solvers_require_a_replicate_id_integer_at_least_zero(
+        runner, replicate_id):
+    # -1 and 1.5 once failed inside numpy; True ran replicate 1
+    with pytest.raises(ConstraintViolationError, match="replicate_id"):
+        runner(_config(), replicate_id)
+
+
+@pytest.mark.parametrize("runner", [solve, solve_picard])
+def test_numpy_integer_ids_solve_as_plain_ints_from_the_key_table(runner):
+    from fracspde.noise import _philox_keys
+
+    kw = dict(b=Coefficient.sine(0.5), sigma=Coefficient.affine(0.3, 1.0),
+              T=0.05)
+    want = runner(_config(master_seed=1, **kw), 2)
+    cfg = _config(master_seed=np.uint64(1), **kw)
+    assert type(cfg.master_seed) is int
+    _philox_keys.cache_clear()
+    got = runner(cfg, np.int64(2))
+    assert _philox_keys.cache_info().currsize == 1
+    assert type(got.replicate_id) is int
+    assert got.values.tobytes() == want.values.tobytes()
 
 
 def test_frame_stride_keeps_endpoints():
@@ -350,6 +382,17 @@ def test_path_rows_are_read_only_views_and_probes_are_copies():
     series = path.values_at(3)
     assert np.array_equal(series, [3.0, 11.0])
     assert not np.shares_memory(series, path.values)
+
+
+def test_values_at_takes_a_point_of_the_grid():
+    grid = Grid(2, 4, 1.0)
+    path = PathSolution(np.arange(32.0).reshape(2, 4, 4), grid, (0.0, 0.5), 0)
+    assert path.values_at((1, 2)).tolist() == [6.0, 22.0]
+    assert path.values_at([np.int64(1), np.uint8(2)]).tolist() == [6.0, 22.0]
+    # -1 once read the last point and 4 or 1.5 raised numpy's IndexError
+    for probe in [(1, -1), (1, 4), (1, 1.5), (True, 0), 1, (1, 2, 0)]:
+        with pytest.raises(ConfigurationError, match="probe"):
+            path.values_at(probe)
 
 
 @pytest.mark.parametrize("idx,measure,grid", [
@@ -504,6 +547,74 @@ def test_block_steps_match_complex_step(sigma):
     for frame, ref in zip(path.frames, _complex_step_reference(cfg, 3),
                           strict=True):
         np.testing.assert_allclose(frame.values, ref, rtol=0, atol=1e-12)
+
+
+def _record_draws_and_checks(monkeypatch):
+    """Events ``("draw", steps)`` of each ``_Synthesizer.spectra`` call and
+    ``("check", steps)`` of each frame check (the steps whose frames it
+    checks), in the order they happen."""
+    import fracspde.solver
+    from fracspde.noise import _Synthesizer
+
+    events = []
+    spectra, blow_ups = _Synthesizer.spectra, fracspde.solver._blow_ups
+
+    def drawing(self, master_seed, replicate_ids, steps):
+        events.append(("draw", list(steps)))
+        return spectra(self, master_seed, replicate_ids, steps)
+
+    def checking(stack, ceiling, first_step, replicate_ids):
+        events.append(("check",
+                        list(range(first_step, first_step + stack.shape[1]))))
+        return blow_ups(stack, ceiling, first_step, replicate_ids)
+
+    monkeypatch.setattr(_Synthesizer, "spectra", drawing)
+    monkeypatch.setattr(fracspde.solver, "_blow_ups", checking)
+    return events
+
+
+@pytest.mark.parametrize("sigma", [Coefficient.constant(1.0),
+                                   Coefficient.affine(0.3, 1.0)],
+                         ids=["additive", "multiplicative"])
+@pytest.mark.parametrize("ids", [[2], [4, 0, 7]], ids=["solve", "chunk"])
+def test_step_rows_draws_each_block_by_its_steps(monkeypatch, sigma, ids):
+    # the draws cover steps 0..n-1 in order, one block at a time, and each
+    # block's frames are stepped and checked before the next block is drawn
+    import fracspde.noise
+
+    cfg = _block_config(sigma=sigma)
+    if len(ids) > 1:  # 3 rows of 1024 points: blocks of 4 steps
+        monkeypatch.setattr(fracspde.noise, "BLOCK_ELEMENTS", 2**14)
+    size = cfg._synthesizer.block_steps(len(ids))
+    assert size == (64 if len(ids) == 1 else 4)
+    events = _record_draws_and_checks(monkeypatch)
+    want = [list(range(k, min(k + size, 150))) for k in range(0, 150, size)]
+    if len(ids) == 1:
+        solve(cfg, ids[0])
+    else:
+        _stored_values(cfg, ids)
+    assert [steps for kind, steps in events if kind == "draw"] == want
+    checked = []
+    for kind, steps in events:
+        if kind == "draw":
+            checked.append((steps, []))
+        else:
+            checked[-1][1].extend(steps)
+    for drawn, frames in checked:
+        assert frames == [k + 1 for k in drawn]
+
+
+def test_picard_draws_the_blocks_of_a_one_row_solve(monkeypatch):
+    cfg = _block_config(b=Coefficient.sine(0.5),
+                        sigma=Coefficient.affine(0.3, 1.0))
+    events = _record_draws_and_checks(monkeypatch)
+    solve(cfg, 1)
+    solved = [steps for kind, steps in events if kind == "draw"]
+    events.clear()
+    solve_picard(cfg, 1)
+    assert [steps for kind, steps in events if kind == "draw"] == solved
+    assert solved == [list(range(0, 64)), list(range(64, 128)),
+                      list(range(128, 150))]
 
 
 # -- chunks of replicates stepped together ------------------------------------
@@ -699,6 +810,13 @@ def test_moment_estimate_warns_when_its_interval_misses_it():
 def test_moment_estimate_requires_replicates():
     with pytest.raises(ConfigurationError):
         moment_estimate(_config(), 2.0, 10)
+
+
+@pytest.mark.parametrize("n", [150.5, True])
+def test_moment_estimate_requires_an_integer_count_of_replicates(n):
+    # 150.5 once failed with a TypeError when the chunks were built
+    with pytest.raises(ConfigurationError, match="integer"):
+        moment_estimate(_config(), 2.0, n)
 
 
 @pytest.mark.parametrize("p", [1.5, float("nan"), float("inf")])

@@ -13,6 +13,7 @@ from fracspde.errors import (
     NumericalConsistencyError,
 )
 from fracspde import spectral_measure as sm
+from fracspde.density import cumulative_variance, variance_bound_check
 from fracspde.fields import FractionalIndex, Grid
 from fracspde.spectral_measure import (
     AdmissibilityReport,
@@ -81,6 +82,38 @@ def test_measure_invariants():
     ]:
         with pytest.raises(ConstraintViolationError, match="finite"):
             make()
+
+    # each once constructed; white(1.5) then had a closed-form eta*
+    for make in [
+        lambda: SpectralMeasure.white(1.5),
+        lambda: SpectralMeasure.riesz(0.5, inf),
+        lambda: SpectralMeasure.white(True),
+    ]:
+        with pytest.raises(ConstraintViolationError, match="dimension"):
+            make()
+    assert SpectralMeasure.white(np.int64(2)).d == 2
+
+
+_I1 = FractionalIndex([1.5], [0.3])
+_M2 = SpectralMeasure.bessel(2.0, 2)
+_W1, _GAUSS_2D = SpectralMeasure.white(1), FractionalIndex([2.0, 2.0])
+
+
+@pytest.mark.parametrize("call", [
+    lambda: admissibility(_M2, _I1, 0.5),
+    lambda: weighted_spectral_integral(_I1, _M2, 0.1, 1.0),
+    lambda: spectral_integral(_M2, _I1, lambda s: np.exp(-s)),
+    lambda: cumulative_variance(_I1, _M2, 0.5),
+    lambda: variance_bound_check(_I1, _M2, 1.0, (1.0, 0.5), [0.01, 0.1]),
+    lambda: critical_eta(_W1, _GAUSS_2D),
+    lambda: closed_form_critical_eta(_W1, _GAUSS_2D),
+], ids=["admissibility", "weighted_spectral_integral", "spectral_integral",
+        "cumulative_variance", "variance_bound_check", "critical_eta",
+        "closed_form_critical_eta"])
+def test_measure_and_index_dimensions_must_agree(call):
+    # all but admissibility once returned a number
+    with pytest.raises(ConstraintViolationError, match="dimension"):
+        call()
 
 
 def test_riesz_constant_is_exact_fourier_pair():
