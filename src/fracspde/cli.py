@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
@@ -37,7 +36,7 @@ from .fields import (FractionalIndex, Grid, _grid_point, _write_dump_entries,
 from .regularity import (_check_ensemble, _check_window_inputs,
                          _spatial_offsets, _temporal_window, build_report,
                          estimate_spatial, estimate_temporal)
-from .solver import (MAX_CHUNK_ROWS, Coefficient, SolverConfig, _chunks,
+from .solver import (MAX_CHUNK_ROWS, Coefficient, SolverConfig, _ensemble,
                      _frame_index, _step_rows, solve_picard)
 # not called here since chunks are stepped together; kept as names of this
 # module, which benchmarks/spans.py rebinds to trace them
@@ -169,10 +168,9 @@ def _parse_probe(cfg, key, grid: Grid):
     """Grid point ``cfg[key]`` (default: the centre), an index per axis."""
     value = cfg.get(key, [grid.n_per_dim // 2] * grid.d)
     try:
-        probe = _grid_point(value, grid, key)
+        return _grid_point(value, grid, key)
     except ConfigurationError as exc:  # reported as every malformed setting
         raise ValidationError(str(exc)) from None
-    return probe[0] if grid.d == 1 else probe
 
 
 def _parse_int(cfg, key, default=None, minimum=None) -> int:
@@ -327,17 +325,6 @@ def _run_measure(cfg, outdir: Path, args):
     return 0
 
 
-def _per_chunk(fn, chunks, threads):
-    """The items of ``fn(ids)`` for each chunk of replicate ``ids``, in
-    order; the chunks run on ``threads`` threads."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(fn, chunks))
-    else:
-        results = [fn(ids) for ids in chunks]
-    return [item for result in results for item in result]
-
-
 def _run_simulate(cfg, outdir: Path, args):
     config = _parse_solver_config(cfg, args.seed)
     picard = _parse_scheme(cfg, "simulate") == "picard"
@@ -345,11 +332,11 @@ def _run_simulate(cfg, outdir: Path, args):
     times = list(config._stored_times)
 
     def paths(ids):
-        # each block's rows go straight to the replicates' frame files
-        if picard:  # its chunks hold one replicate
-            blocks = [(0, solve_picard(config, ids[0]).values[np.newaxis])]
-        else:
-            blocks = _step_rows(config, ids)
+        # each block's rows go straight to the replicates' frame files; a
+        # Picard chunk is one block, solved one replicate at a time
+        blocks = ([(0, np.stack([solve_picard(config, rep).values
+                                 for rep in ids]))]
+                  if picard else _step_rows(config, ids))
         files = [outdir / f"frames_{rep:04d}.bin" for rep in ids]
         try:
             with ExitStack() as stack:
@@ -369,9 +356,8 @@ def _run_simulate(cfg, outdir: Path, args):
                  "final_sup": float(sup)}
                 for rep, f, sup in zip(ids, files, final_sup)]
 
-    chunks = ([range(rep, rep + 1) for rep in range(n_rep)] if picard
-              else _chunks(config, n_rep, args.threads))
-    entries = _per_chunk(paths, chunks, args.threads)
+    chunks = _ensemble(config, n_rep, paths, args.threads)
+    entries = [entry for chunk in chunks for entry in chunk]
     _dump_json(outdir / "frames_index.json", {"replicates": entries})
     return 0
 
@@ -397,22 +383,18 @@ def _run_holder(cfg, outdir: Path, args):
     _temporal_window(times, min_lag_steps)
     _spatial_offsets(config.grid, min_lag_cells)
 
-    at_probe = (slice(None), slice(None)) + (
-        (x_probe,) if np.isscalar(x_probe) else tuple(x_probe))
+    at_probe = (slice(None), slice(None)) + x_probe
+    series = np.empty((n_rep, len(times)))
+    fields = np.empty((n_rep,) + config.grid.shape)
 
     def probes(ids):
-        # copies of what the estimators read: a view would keep a chunk's
-        # frames alive
-        series = np.empty((len(ids), len(times)))
-        fields = np.empty((len(ids),) + config.grid.shape)
+        mine = slice(ids.start, ids.stop)
         for first, rows in _step_rows(config, ids):
-            series[:, first:first + rows.shape[1]] = rows[at_probe]
+            series[mine, first:first + rows.shape[1]] = rows[at_probe]
             if first <= row < first + rows.shape[1]:
-                fields[...] = rows[:, row - first]
-        return zip(series, fields)
+                fields[mine] = rows[:, row - first]
 
-    chunks = _chunks(config, n_rep, args.threads)
-    series, fields = zip(*_per_chunk(probes, chunks, args.threads))
+    _ensemble(config, n_rep, probes, args.threads)
     with _in_float_range("the Hölder estimate"):
         temporal = estimate_temporal(
             series, times, min_replicates=min_rep,

@@ -92,10 +92,9 @@ def _fit_exponent(lags, sq_increments):
     log_lags = np.log(lags)
     slope = np.polyfit(log_lags, np.log(mean), 1)[0]
     n_rep = sq_increments.shape[0]
-    lo, hi = _bootstrap_interval(sq_increments, lambda m: np.polyfit(
-        log_lags, np.log(np.maximum(m, 1e-300)), 1)[0] / 2)
-    if n_rep == 1:
-        lo = hi = slope / 2
+    lo, hi = (slope / 2,) * 2 if n_rep == 1 else _bootstrap_interval(
+        sq_increments, lambda m: np.polyfit(
+            log_lags, np.log(np.maximum(m, 1e-300)).T, 1)[0] / 2)
     return ExponentEstimate(float(slope / 2), float(lo), float(hi),
                             tuple(lags), tuple(float(v) for v in mean),
                             n_rep)

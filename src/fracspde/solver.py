@@ -44,8 +44,8 @@ spans about BLOCK_ELEMENTS // (R * grid points) steps
 (``_Synthesizer.block_steps``), and ``_step_rows`` asks
 ``_Synthesizer.spectra`` for each block by its range of steps; so does
 ``solve_picard``, over one-row blocks.  ``solve`` is the one-row call;
-``moment_estimate`` and the CLI split replicates with ``_chunks``, whose
-chunks hold at most CHUNK_ELEMENTS stored values and MAX_CHUNK_ROWS rows.
+``moment_estimate`` and the CLI run chunks of ``_chunks`` (CHUNK_ELEMENTS
+stored values, MAX_CHUNK_ROWS rows) through ``_ensemble`` and its threads.
 A failing row keeps stepping, and the chunk raises the BlowUpError a
 replicate-by-replicate loop would raise.
 
@@ -453,14 +453,24 @@ def _stored_values(config: SolverConfig, replicate_ids) -> np.ndarray:
 
 
 def _chunks(config: SolverConfig, n_replicates: int, threads: int = 1):
-    """Replicate ids ``0..n_replicates-1`` split into the chunks that are
-    stepped together.  A chunk holds at most CHUNK_ELEMENTS stored values,
-    and ``threads`` chunks at once at most MAX_CHUNK_ROWS replicates.
-    """
+    """Replicate ids ``0..n_replicates-1`` in the chunks stepped together:
+    at most CHUNK_ELEMENTS stored values and MAX_CHUNK_ROWS // ``threads``
+    rows each, and at least ``threads`` chunks if there are as many ids."""
     per_row = len(config._stored_steps) * config.u0.values.size
-    size = max(1, min(MAX_CHUNK_ROWS // threads, CHUNK_ELEMENTS // per_row))
+    size = max(1, min(MAX_CHUNK_ROWS // threads, CHUNK_ELEMENTS // per_row,
+                      -(-n_replicates // threads)))
     return [range(lo, min(lo + size, n_replicates))
             for lo in range(0, n_replicates, size)]
+
+
+def _ensemble(config: SolverConfig, n_replicates: int, fn, threads: int = 1):
+    """``fn(ids)`` for each chunk of ``_chunks``, in replicate order; the
+    chunks run one after another, or on a pool of ``threads`` threads."""
+    if threads == 1:
+        return [fn(ids) for ids in _chunks(config, n_replicates)]
+    from concurrent.futures import ThreadPoolExecutor  # imported on use: 5 ms
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(fn, _chunks(config, n_replicates, threads)))
 
 
 def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
@@ -563,13 +573,17 @@ class MomentEstimate:
 
 
 def _bootstrap_interval(per_replicate: np.ndarray, statistic):
-    """2.5/97.5 percentiles of ``statistic`` of resampled replicate means."""
+    """2.5/97.5 percentiles of ``statistic`` of the ``(resamples, L)`` means
+    of the ``(n, L)`` replicates, drawn as counts, CHUNK_ELEMENTS at a time."""
     n = per_replicate.shape[0]
     rng = np.random.default_rng(BOOT_SEED)
+    counts = np.array([np.bincount(rng.integers(0, n, n), minlength=n)
+                       for _ in range(BOOT_RESAMPLES)], dtype=float)
+    size = max(1, CHUNK_ELEMENTS // per_replicate.shape[1])  # resamples
     boots = np.empty(BOOT_RESAMPLES)
-    for i in range(BOOT_RESAMPLES):
-        pick = rng.integers(0, n, n)
-        boots[i] = statistic(per_replicate[pick].mean(axis=0))
+    for lo in range(0, BOOT_RESAMPLES, size):
+        sums = counts[lo:lo + size] @ per_replicate
+        boots[lo:lo + size] = statistic(sums / n)
     lo, hi = np.percentile(boots, [2.5, 97.5])
     return float(lo), float(hi)
 
@@ -591,11 +605,14 @@ def moment_estimate(config: SolverConfig, p: float,
         raise ConfigurationError(
             f"need an integer n_replicates >= {MIN_MOMENT_REPLICATES}, got "
             f"{n_replicates!r}")
-    stack = np.concatenate([np.abs(_stored_values(config, ids)) ** p
-                            for ids in _chunks(config, n_replicates)])
+    stack = np.empty((n_replicates, len(config._stored_steps))
+                     + config.grid.shape)
+    _ensemble(config, n_replicates, lambda ids: np.abs(
+        _stored_values(config, ids), out=stack[ids.start:ids.stop]))
     stack = stack.reshape(n_replicates, -1)
+    stack **= p
     value = float(stack.mean(axis=0).max())
-    lo, hi = _bootstrap_interval(stack, np.max)
+    lo, hi = _bootstrap_interval(stack, lambda means: means.max(axis=1))
     if not lo <= value <= hi:  # the bootstrapped max is biased upward
         warnings.warn(f"moment estimate {value:.4g} lies outside its "
                       f"bootstrap interval [{lo:.4g}, {hi:.4g}]",

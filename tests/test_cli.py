@@ -174,6 +174,83 @@ def test_chunked_simulate_reports_the_serial_blow_up(tmp_path, monkeypatch,
         assert not (tmp_path / threads / "frames_0000.bin").exists()
 
 
+def test_two_threads_step_a_2d_final_frame_simulate_in_two_chunks(
+        tmp_path, monkeypatch):
+    # 2 frames of 128**2 points allow 32 rows a chunk, and so do 64 rows
+    # over 2 threads: the 32 replicates need a chunk per thread
+    rows, step_rows = [], fracspde.cli._step_rows
+
+    def stepping(config, ids):
+        rows.append(len(ids))
+        yield from step_rows(config, ids)
+
+    monkeypatch.setattr(fracspde.cli, "_step_rows", stepping)
+    cfg = _sim_cfg(tmp_path, alpha=[2.0, 2.0],
+                   grid={"n_per_dim": 128, "box_length": 16.0},
+                   measure={"kind": "bessel", "beta": 1.5}, dt=1e-3, T=4e-3,
+                   replicates=32, frame_stride=10**9)
+    for threads in ("1", "2"):
+        assert main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / threads), "--threads", threads]) == 0
+    assert rows == [32, 16, 16]
+    assert _outputs(tmp_path / "2") == _outputs(tmp_path / "1")
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_picard_simulate_solves_the_shared_chunks(tmp_path, monkeypatch,
+                                                   threads):
+    import fracspde.solver
+
+    chunks, ensemble = [], fracspde.cli._ensemble
+
+    def recording(config, n, fn, threads=1):
+        return ensemble(config, n, lambda ids: chunks.append(ids) or fn(ids),
+                        threads)
+
+    monkeypatch.setattr(fracspde.cli, "_ensemble", recording)
+    # 3 frames of 64 points: 3 rows a chunk
+    monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS", 3 * 3 * 64)
+    cfg = _sim_cfg(tmp_path, scheme="picard", replicates=7,
+                   b={"preset": "sine", "amplitude": 0.3},
+                   sigma={"preset": "affine", "slope": 0.2, "value": 1.0})
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--threads", threads]) == 0
+    assert sorted(chunks, key=min) == [range(0, 3), range(3, 6), range(6, 7)]
+    config = _solver_config(cfg)
+    for rep in range(7):
+        frames = read_array_binary(tmp_path / "o" / f"frames_{rep:04d}.bin")
+        assert frames.tobytes() == fracspde.solver.solve_picard(
+            config, rep).values.tobytes()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_picard_simulate_reports_the_lowest_failing_replicate(
+        tmp_path, monkeypatch, capsys, threads):
+    import fracspde.solver
+    from fracspde.errors import BlowUpError
+
+    # replicates 0-5 fail at steps -, 83, 43, 110, 78, 101; chunks of 3
+    over = {"alpha": [1.5], "delta": [0.3], "measure": {"kind": "white"},
+            "grid": {"n_per_dim": 16, "box_length": 8.0},
+            "sigma": {"preset": "constant", "value": 6e5}, "T": 2.0,
+            "replicates": 6, "seed": 16, "frame_stride": 10**9,
+            "scheme": "picard"}
+    cfg = _sim_cfg(tmp_path, **over)
+    config = _solver_config(cfg)
+    fracspde.solver.solve_picard(config, 0)
+    with pytest.raises(BlowUpError) as serial:
+        fracspde.solver.solve_picard(config, 1)
+    monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS", 3 * 2 * 16)
+    out = tmp_path / "o"
+    rc = main(["simulate", "--config", cfg, "--out", str(out),
+               "--threads", threads])
+    assert rc == 3
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "BlowUpError", "message": str(serial.value)}
+    assert "step 83" in err["message"]
+    assert [f.name for f in out.iterdir()] == ["manifest.json"]
+
+
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_each_replicate_key_chunk_is_built_once(tmp_path, threads):
     # 100 replicates x 200 steps span two key chunks of 128 steps; chunks
@@ -456,7 +533,7 @@ def test_threads_above_max_chunk_rows_exit_2_before_any_solve(
     # more threads than MAX_CHUNK_ROWS (64) would step more replicates at
     # once than the README promises; 2 replicates keep the pool small
     solved = []
-    monkeypatch.setattr(fracspde.cli, "_per_chunk",
+    monkeypatch.setattr(fracspde.cli, "_ensemble",
                         lambda *args: solved.append(args) or [])
     cfg = _sim_cfg(tmp_path, replicates=2)
     rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),

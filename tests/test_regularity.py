@@ -5,12 +5,29 @@ from hypothesis import given, settings, strategies as st
 from fracspde.errors import ConfigurationError, ConstraintViolationError
 from fracspde.fields import FractionalIndex, Grid
 from fracspde.regularity import (
+    _fit_exponent,
     build_report,
     estimate_spatial,
     estimate_temporal,
     theoretical_exponents,
 )
-from fracspde.solver import PathSolution
+from fracspde.solver import BOOT_RESAMPLES, BOOT_SEED, PathSolution
+
+
+@pytest.mark.parametrize("n", [7, 150, 300])
+def test_fit_exponent_interval_equals_one_fit_per_resample(n):
+    # one polyfit of each resample's mean moments, by fancy-indexed copy
+    lags = 2.0 ** np.arange(-6, -1)
+    rng = np.random.default_rng(n)
+    sq = lags**0.8 * rng.exponential(size=(n, len(lags)))
+    boot = np.random.default_rng(BOOT_SEED)
+    slopes = [np.polyfit(np.log(lags), np.log(
+        sq[boot.integers(0, n, n)].mean(axis=0)), 1)[0] / 2
+        for _ in range(BOOT_RESAMPLES)]
+    est = _fit_exponent(lags, sq)
+    np.testing.assert_allclose((est.ci_low, est.ci_high),
+                               np.percentile(slopes, [2.5, 97.5]),
+                               rtol=1e-12, atol=0)
 
 
 def test_theoretical_exponents_alpha2_cases():

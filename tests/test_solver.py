@@ -1,3 +1,5 @@
+import sys
+import threading
 from dataclasses import replace
 from unittest import mock
 
@@ -15,11 +17,15 @@ from fracspde.fields import (Field, FractionalIndex, Grid, to_frequency,
                              to_physical)
 from fracspde.noise import RngStream, sample_increments
 from fracspde.solver import (
+    BOOT_RESAMPLES,
+    BOOT_SEED,
     Coefficient,
     PathSolution,
     SolverConfig,
     _blow_ups,
+    _bootstrap_interval,
     _chunks,
+    _ensemble,
     _stored_values,
     moment_estimate,
     smooth_initial,
@@ -761,6 +767,63 @@ def test_chunk_rows_come_from_the_stored_value_budget(threads, paths, finals):
     assert [len(c) for c in _chunks(final_only, 100, threads)] == finals
 
 
+def test_chunks_give_each_thread_a_chunk():
+    # 2 frames of 128**2 points allow 32 rows, as do 64 rows over 2
+    # threads: 32 replicates were one chunk, and one thread stepped them
+    cfg = SolverConfig(
+        idx=FractionalIndex([2.0, 2.0]), measure=SpectralMeasure.bessel(1.5, 2),
+        grid=Grid(2, 128, 16.0), b=Coefficient.constant(0.0),
+        sigma=Coefficient.constant(1.0), u0=0.0, dt=1e-3, T=0.128,
+        frame_stride=10**9,
+    )
+    assert [len(c) for c in _chunks(cfg, 32, 1)] == [32]
+    assert [len(c) for c in _chunks(cfg, 32, 2)] == [16, 16]
+    assert [len(c) for c in _chunks(cfg, 33, 2)] == [17, 16]
+    # fewer replicates than threads: one replicate a chunk
+    assert [len(c) for c in _chunks(cfg, 3, 5)] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_ensemble_returns_chunk_results_in_replicate_order(threads):
+    cfg = _config(frame_stride=10**9)
+    chunks = _chunks(cfg, 7, threads)
+    assert len(chunks) >= threads
+    assert _ensemble(cfg, 7, list, threads) == [list(c) for c in chunks]
+
+
+def test_ensemble_runs_a_chunk_on_each_thread():
+    # each chunk waits for the other: run one after the other, the first
+    # would time out
+    cfg = _config(frame_stride=10**9)
+    barrier = threading.Barrier(2, timeout=30)
+
+    def meet(ids):
+        barrier.wait()
+        return threading.get_ident()
+
+    assert len(set(_ensemble(cfg, 2, meet, threads=2))) == 2
+    assert barrier.n_waiting == 0 and not barrier.broken
+
+
+def test_ensemble_threads_fill_their_own_rows_of_one_array():
+    # more threads than cores, switching often: each chunk's writes land
+    # in its own rows only, as CLI holder's do
+    cfg = _config(frame_stride=10**9)
+    out = np.zeros((64, 1000))
+
+    def fill(ids):
+        for _ in range(20):
+            out[ids.start:ids.stop] += np.arange(ids.start, ids.stop)[:, None]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        _ensemble(cfg, 64, fill, threads=8)
+    finally:
+        sys.setswitchinterval(interval)
+    assert (out == 20 * np.arange(64)[:, None]).all()
+
+
 # -- moments ----------------------------------------------------------------------
 
 def test_moment_estimate_deterministic_decay():
@@ -789,6 +852,45 @@ def test_moment_estimate_stable_under_doubling():
     a = moment_estimate(cfg, 2.0, 500)
     b = moment_estimate(cfg, 2.0, 1000)
     assert abs(a.value - b.value) / b.value < 0.10
+
+
+def _bootstrap_by_resample(per_replicate, statistic):
+    # one fancy-indexed copy of the replicates per resample
+    n = len(per_replicate)
+    rng = np.random.default_rng(BOOT_SEED)
+    boots = [statistic(per_replicate[rng.integers(0, n, n)].mean(axis=0))
+             for _ in range(BOOT_RESAMPLES)]
+    return np.percentile(boots, [2.5, 97.5])
+
+
+@pytest.mark.parametrize("group", [1, 7, 200])
+@pytest.mark.parametrize("n", [1, 7, 150, 300])
+def test_bootstrap_by_counts_equals_one_copy_per_resample(monkeypatch, n,
+                                                          group):
+    # the resamples are averaged 1, 7 or all 200 at a time
+    import fracspde.solver
+
+    monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS", group * 40)
+    per_replicate = np.random.default_rng(n).exponential(size=(n, 40))
+    got = _bootstrap_interval(per_replicate, lambda m: m.max(axis=1))
+    want = _bootstrap_by_resample(per_replicate, np.max)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_moment_estimate_fills_its_stack_chunk_by_chunk(monkeypatch):
+    import fracspde.solver
+
+    cfg = _config(sigma=Coefficient.affine(0.5, 1.0), u0=0.0,
+                  grid=Grid(1, 16, 8.0), T=0.05, frame_stride=2)
+    per_row = len(cfg._stored_steps) * 16
+    monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS", 7 * per_row)
+    assert len(_chunks(cfg, 100)) == 15
+    est = moment_estimate(cfg, 3.0, 100)
+    stack = np.stack([np.abs(solve(cfg, rep).values.reshape(-1)) ** 3.0
+                      for rep in range(100)])
+    assert est.value == stack.mean(axis=0).max()
+    assert (est.ci_low, est.ci_high) == _bootstrap_interval(
+        stack, lambda m: m.max(axis=1))
 
 
 def test_moment_estimate_warns_when_its_interval_misses_it():
