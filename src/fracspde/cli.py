@@ -37,7 +37,7 @@ from .regularity import (_check_ensemble, _check_window_inputs,
                          _spatial_offsets, _temporal_window, build_report,
                          estimate_spatial, estimate_temporal)
 from .solver import (MAX_CHUNK_ROWS, Coefficient, SolverConfig, _ensemble,
-                     _frame_index, _step_rows, solve_picard)
+                     _frame_index, _picard_rows, _step_rows)
 # not called here since chunks are stepped together; kept as names of this
 # module, which benchmarks/spans.py rebinds to trace them
 from .fields import write_array_binary  # noqa: F401
@@ -333,10 +333,9 @@ def _run_simulate(cfg, outdir: Path, args):
 
     def paths(ids):
         # each block's rows go straight to the replicates' frame files; a
-        # Picard chunk is one block, solved one replicate at a time
-        blocks = ([(0, np.stack([solve_picard(config, rep).values
-                                 for rep in ids]))]
-                  if picard else _step_rows(config, ids))
+        # Picard chunk is one block, swept to its fixed point first
+        blocks = ([(0, _picard_rows(config, ids)[0])] if picard
+                  else _step_rows(config, ids))
         files = [outdir / f"frames_{rep:04d}.bin" for rep in ids]
         try:
             with ExitStack() as stack:

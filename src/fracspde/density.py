@@ -149,8 +149,9 @@ def kde(samples, bandwidth: float | None = None) -> DensityEstimate:
 def cumulative_variance(idx: FractionalIndex, measure: SpectralMeasure,
                         rho: float, *, n_radial: int = N_RADIAL) -> float:
     """int_0^rho of the variance rate, via the closed time integral."""
-    if not rho > 0:
-        raise ConstraintViolationError(f"rho must be > 0, got {rho}")
+    if not 0 < rho < math.inf:
+        raise ConstraintViolationError(
+            f"rho must be finite and > 0, got {rho}")
     w, g = _cumulative_integrand(idx, rho)
     return spectral_integral(measure, idx, g, w, n_radial=n_radial)
 
@@ -172,16 +173,19 @@ class VarianceBoundReport:
 
 
 def _check_bound_inputs(t: float, thetas, rho_grid) -> np.ndarray:
-    """The sorted ``rho_grid``; ConstraintViolationError unless theta1 >= 1,
-    theta2 > 0 and ``rho_grid`` is non-empty and lies in (0, min(t, 1)]."""
+    """The sorted ``rho_grid``; ConstraintViolationError unless t is finite,
+    theta1 >= 1 and theta2 > 0 are finite and ``rho_grid`` is non-empty
+    and lies in (0, min(t, 1)]."""
     theta1, theta2 = thetas
-    if theta1 < 1:
-        raise ConstraintViolationError("theta1 must be >= 1")
-    if not theta2 > 0:
-        raise ConstraintViolationError("theta2 must be > 0")
-    rho_grid = np.sort(np.asarray(rho_grid, dtype=float))
+    if not 1 <= theta1 < math.inf:
+        raise ConstraintViolationError("theta1 must be finite and >= 1")
+    if not 0 < theta2 < math.inf:
+        raise ConstraintViolationError("theta2 must be finite and > 0")
+    if not math.isfinite(t):
+        raise ConstraintViolationError(f"t must be finite, got {t}")
+    rho_grid = np.sort(np.asarray(rho_grid, dtype=float))  # NaN sorts last
     if (rho_grid.size == 0 or rho_grid[0] <= 0
-            or rho_grid[-1] > min(t, 1.0) + 1e-12):
+            or not rho_grid[-1] <= min(t, 1.0) + 1e-12):
         raise ConstraintViolationError(
             "rho_grid must be non-empty and lie in (0, min(t, 1)]"
         )

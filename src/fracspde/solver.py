@@ -42,12 +42,12 @@ arithmetic, its order and its FFT calls are those of a one-row run, so
 a row's bytes depend on neither the chunk nor its size.  A noise block
 spans about BLOCK_ELEMENTS // (R * grid points) steps
 (``_Synthesizer.block_steps``), and ``_step_rows`` asks
-``_Synthesizer.spectra`` for each block by its range of steps; so does
-``solve_picard``, over one-row blocks.  ``solve`` is the one-row call;
-``moment_estimate`` and the CLI run chunks of ``_chunks`` (CHUNK_ELEMENTS
-stored values, MAX_CHUNK_ROWS rows) through ``_ensemble`` and its threads.
-A failing row keeps stepping, and the chunk raises the BlowUpError a
-replicate-by-replicate loop would raise.
+``_Synthesizer.spectra`` for each block by its range of steps.  ``solve``
+is the one-row call; ``moment_estimate`` and the CLI run chunks of
+``_chunks`` (CHUNK_ELEMENTS stored values, MAX_CHUNK_ROWS rows) through
+``_ensemble`` and its threads.  A failing row keeps stepping, and the
+chunk raises the BlowUpError a replicate-by-replicate loop would raise.
+``_picard_rows`` sweeps whole paths of a chunk's rows by the same step.
 
 Either way a noise block ends with its frames in FFT order, ``(R,
 steps, *grid.shape)``.  Its stored rows are centred by one ``_centre``
@@ -493,6 +493,63 @@ def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
                         replicate_id)
 
 
+def _picard_rows(config: SolverConfig, replicate_ids):
+    """Stored frames ``(R, F, *grid.shape)`` and residual traces of the fixed
+    points of ``replicate_ids``, each kept as its row converges, or the
+    lowest failing row's error.  A sweep holds about seven arrays of its
+    rows' paths, so rows sweep in groups of at most CHUNK_ELEMENTS values."""
+    grid, n, noise = config.grid, config.n_steps, config._synthesizer
+    rows, stored = len(replicate_ids), list(config._stored_steps)
+    size = max(1, CHUNK_ELEMENTS // (7 * (n + 1) * config.u0.values.size))
+    if rows > size:  # groups in order: the first to fail has the lowest row
+        values, traces = zip(*[_picard_rows(config, replicate_ids[lo:][:size])
+                               for lo in range(0, rows, size)])
+        return np.concatenate(values), sum(traces, [])
+    dm, block = np.zeros((rows, n) + grid.shape), noise.block_steps(rows)
+    for lo in range(0, 0 if config.sigma.is_zero else n, block):
+        steps = range(lo, min(lo + block, n))  # ``_step_rows``'s blocks
+        _irfft(noise.spectra(config.master_seed, replicate_ids, steps), grid,
+               out=dm[:, lo:steps.stop])
+    path = np.zeros((rows, n + 1) + grid.shape)  # FFT order, k steps in row k
+    path[:, 0] = config._u0_wrapped
+    new = np.empty_like(dm)  # a sweep's forcing, then its frames
+    spectra = np.zeros((rows, n) + config._psi_h.shape, dtype=complex)
+    values = np.empty((rows, len(stored)) + grid.shape)
+    live, traces, errors = np.ones(rows, bool), [[] for _ in range(rows)], {}
+    with np.errstate(over="ignore", invalid="ignore"):  # _blow_ups checks
+        for sweep in range(config.picard_max_iter + 1):
+            if sweep:  # the first sweep, with no forcing, is the flow of u0
+                forcing = np.multiply(config.sigma(path[:, :-1]), dm, out=new)
+                forcing += config.dt * config.b(path[:, :-1])
+                _rfft(forcing, grid, out=spectra)
+            u_hat = config._u0_hat
+            for state in np.moveaxis(spectra, 1, 0):  # step k's states
+                np.add(u_hat, state, out=state)
+                u_hat = np.multiply(config._psi_h, state, out=state)
+            _irfft(spectra, grid, out=new)
+            residuals = np.abs(path[:, 1:] - new).reshape(rows, -1).max(1)
+            path[:, 1:] = new
+            if not sweep:  # the flow is neither checked nor a residual
+                continue
+            found = _blow_ups(new, config._ceiling, 1, replicate_ids)
+            errors |= {r: exc for r, exc in found.items() if live[r]}
+            for r in np.flatnonzero(live):
+                traces[r].append(float(residuals[r]))
+            done = live & (residuals < config.picard_tol)
+            values[done] = path[np.ix_(done, stored)]
+            live &= ~done & (np.arange(rows) < min(errors, default=rows))
+            if not live.any():
+                break
+        else:  # the lowest row still sweeping is the lowest failing one
+            trace = traces[np.argmax(live)]
+            raise PicardConvergenceError(
+                f"no convergence within {config.picard_max_iter} sweeps "
+                f"(last residual {trace[-1]:.3e})", trace)
+    if errors:
+        raise errors[min(errors)]
+    return _centre(values, grid), traces
+
+
 def solve_picard(config: SolverConfig, replicate_id: int = 0,
                  *, return_trace: bool = False):
     """Whole-path fixed-point iteration on one frozen noise realization.
@@ -509,56 +566,10 @@ def solve_picard(config: SolverConfig, replicate_id: int = 0,
         ``picard_max_iter`` sweeps (the trace is attached).
     """
     replicate_id = _stream_id(replicate_id, "replicate_id")
-    grid, dt, psi_h = config.grid, config.dt, config._psi_h
-    n, noise = config.n_steps, config._synthesizer
-    size = noise.block_steps(1)  # the blocks a one-row ``solve`` draws
-    increments = np.concatenate([
-        _irfft(noise.spectra(config.master_seed, (replicate_id,),
-                             range(start, min(start + size, n)))[0], grid)
-        for start in range(0, n, size)])
-
-    def semigroup(values):
-        return _irfft(psi_h * _rfft(values, grid), grid)
-
-    # frames of the semigroup flow of u0, built by repeated one-step maps
-    # so the linear arithmetic matches the stepping scheme exactly
-    flow = [config._u0_wrapped]
-    for _ in range(n):
-        flow.append(semigroup(flow[-1]))
-
-    current = list(flow)
-    residuals = []
-    for _sweep in range(config.picard_max_iter):
-        w = np.zeros(grid.shape)
-        new = [flow[0]]
-        residual = 0.0
-        for k in range(n):
-            with np.errstate(over="ignore", invalid="ignore"):
-                w = semigroup(w + dt * config.b(current[k])
-                                 + config.sigma(current[k]) * increments[k])
-                frame = flow[k + 1] + w
-            errors = _blow_ups(frame[np.newaxis, np.newaxis],
-                               config._ceiling, k + 1, (replicate_id,))
-            if errors:
-                raise errors[0]
-            residual = max(residual,
-                           float(np.abs(frame - current[k + 1]).max()))
-            new.append(frame)
-        current = new
-        residuals.append(residual)
-        if residual < config.picard_tol:
-            break
-    else:
-        raise PicardConvergenceError(
-            f"no convergence within {config.picard_max_iter} sweeps "
-            f"(last residual {residuals[-1]:.3e})",
-            residuals,
-        )
-
-    kept = [current[k] for k in config._stored_steps]
-    path = PathSolution(_centre(np.stack(kept), grid), grid,
-                        config._stored_times, replicate_id)
-    return (path, residuals) if return_trace else path
+    values, (trace,) = _picard_rows(config, (replicate_id,))
+    path = PathSolution(values[0], config.grid, config._stored_times,
+                        replicate_id)
+    return (path, trace) if return_trace else path
 
 
 @dataclass(frozen=True)

@@ -687,8 +687,8 @@ def variance_rate(idx: FractionalIndex, measure: SpectralMeasure,
 
     Decreasing in t; requires admissibility at eta = 1.
     """
-    if not t > 0:
-        raise ConstraintViolationError(f"time must be > 0, got {t}")
+    if not 0 < t < math.inf:
+        raise ConstraintViolationError(f"time must be finite and > 0, got {t}")
     require_admissible(measure, idx)
     w = 2.0 * t * idx.damping
     return spectral_integral(measure, idx, lambda s: np.exp(-s),
@@ -723,8 +723,9 @@ def cumulative_bound_check(idx: FractionalIndex, measure: SpectralMeasure,
     quadrature bug and raises NumericalConsistencyError.  A scan that does
     not settle raises DivergenceError, as ``spectral_integral`` does.
     """
-    if not T > 0:
-        raise ConstraintViolationError(f"horizon must be > 0, got {T}")
+    if not 0 < T < math.inf:
+        raise ConstraintViolationError(
+            f"horizon must be finite and > 0, got {T}")
     require_admissible(measure, idx)
     kappa = idx.min_damping
     integrands = [
@@ -764,10 +765,14 @@ def weighted_spectral_integral(idx: FractionalIndex, measure: SpectralMeasure,
     evaluated with the time integral done analytically.  Divergence is
     detected by tail-slope fitting and reported as a flag, not raised.
     """
-    if not T > 0:
-        raise ConstraintViolationError(f"horizon must be > 0, got {T}")
+    if not 0 < T < math.inf:
+        raise ConstraintViolationError(
+            f"horizon must be finite and > 0, got {T}")
     kappa = idx.min_damping
     p = float(weight_exponent)
+    if not math.isfinite(p):
+        raise ConstraintViolationError(
+            f"weight exponent must be finite, got {weight_exponent}")
 
     def g(s):
         s = np.maximum(s, 1e-300)

@@ -75,8 +75,9 @@ def generator_symbol(idx: FractionalIndex, xi):
 
 def semigroup_symbol(idx: FractionalIndex, xi, t):
     """exp(t * generator_symbol(idx, xi)); modulus <= 1 for t >= 0."""
-    if t < 0:
-        raise ConstraintViolationError(f"time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ConstraintViolationError(
+            f"time must be finite and >= 0, got {t}")
     return complex(np.exp(t * generator_symbol(idx, xi)))
 
 
@@ -113,6 +114,8 @@ def leakage_estimate(idx: FractionalIndex, t: float, grid: Grid) -> float:
     Per axis this is the stable tail beyond L/2, using the exact Gaussian
     complement at alpha=2 and the power-tail asymptotic otherwise.
     """
+    if not 0 < t < math.inf:
+        raise ConstraintViolationError(f"time must be finite and > 0, got {t}")
     _check_idx_grid(idx, grid)
     total = 0.0
     half = grid.box_length / 2
@@ -165,8 +168,9 @@ def kernel(idx: FractionalIndex, t: float, grid: Grid, *,
         If negative entries exceed the ripple tolerance, meaning the
         frequency band is too narrow for this (idx, t).
     """
-    if not t > 0:
-        raise ConstraintViolationError(f"kernel time must be > 0, got {t}")
+    if not 0 < t < math.inf:
+        raise ConstraintViolationError(
+            f"kernel time must be finite and > 0, got {t}")
     vals = apply_semigroup(Field.spike(grid), idx, t).values
     min_value = float(vals.min())
     if min_value < -NEGATIVE_RIPPLE_TOL:
@@ -199,8 +203,9 @@ def apply_semigroup(field: Field, idx: FractionalIndex, t: float) -> Field:
     construction.  t=0 returns the input field unchanged; for t > 0 a
     complex field raises ConstraintViolationError.
     """
-    if t < 0:
-        raise ConstraintViolationError(f"time must be >= 0, got {t}")
+    if not 0 <= t < math.inf:
+        raise ConstraintViolationError(
+            f"time must be finite and >= 0, got {t}")
     if t == 0:
         return field.require_space("physical")
     return _apply_symbol(field, _symbol_lattice(idx, field.grid, t))

@@ -202,12 +202,15 @@ def test_picard_simulate_solves_the_shared_chunks(tmp_path, monkeypatch,
     import fracspde.solver
 
     chunks, ensemble = [], fracspde.cli._ensemble
+    swept, picard_rows = [], fracspde.cli._picard_rows
 
     def recording(config, n, fn, threads=1):
         return ensemble(config, n, lambda ids: chunks.append(ids) or fn(ids),
                         threads)
 
     monkeypatch.setattr(fracspde.cli, "_ensemble", recording)
+    monkeypatch.setattr(fracspde.cli, "_picard_rows", lambda config, ids: (
+        swept.append(ids) or picard_rows(config, ids)))
     # 3 frames of 64 points: 3 rows a chunk
     monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS", 3 * 3 * 64)
     cfg = _sim_cfg(tmp_path, scheme="picard", replicates=7,
@@ -216,6 +219,7 @@ def test_picard_simulate_solves_the_shared_chunks(tmp_path, monkeypatch,
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--threads", threads]) == 0
     assert sorted(chunks, key=min) == [range(0, 3), range(3, 6), range(6, 7)]
+    assert sorted(swept, key=min) == sorted(chunks, key=min)  # once a chunk
     config = _solver_config(cfg)
     for rep in range(7):
         frames = read_array_binary(tmp_path / "o" / f"frames_{rep:04d}.bin")
@@ -586,7 +590,7 @@ def test_unknown_scheme_exits_2_before_solving(tmp_path, capsys, monkeypatch,
 
 def _count_solves(monkeypatch):
     """The list each stepped chunk, ``solve`` of ``density`` and Picard
-    solve of the CLI adds to, when its first step runs."""
+    chunk of the CLI adds to, when its first step runs."""
     import fracspde.cli
     import fracspde.density
     import fracspde.solver
@@ -609,8 +613,8 @@ def _count_solves(monkeypatch):
         monkeypatch.setattr(module, "_step_rows", stepping(module._step_rows))
     monkeypatch.setattr(fracspde.density, "solve",
                         counting(fracspde.density.solve))
-    monkeypatch.setattr(fracspde.cli, "solve_picard",
-                        counting(fracspde.cli.solve_picard))
+    monkeypatch.setattr(fracspde.cli, "_picard_rows",
+                        counting(fracspde.cli._picard_rows))
     return calls
 
 

@@ -257,6 +257,22 @@ def test_variance_bounds_fractional_riesz():
     assert not rep.theta2_degenerate
 
 
+@pytest.mark.parametrize("t, thetas, rho_grid", [
+    (1.0, (math.inf, 0.5), [0.1, 0.5]),  # returned c1 = inf
+    (1.0, (math.nan, 0.5), [0.1, 0.5]),  # NumericalConsistencyError
+    (1.0, (1.0, math.inf), [0.1, 0.5]),  # NumericalConsistencyError
+    (math.nan, (1.0, 0.5), [0.1, 0.5]),  # returned a report
+    (math.inf, (1.0, 0.5), [0.1, 0.5]),  # returned a report
+    (1.0, (1.0, 0.5), [0.1, math.nan]),  # sorted last, past the check
+], ids=["theta1-inf", "theta1-nan", "theta2-inf", "t-nan", "t-inf",
+        "rho-nan"])
+def test_variance_bounds_reject_non_finite_input(t, thetas, rho_grid):
+    from fracspde.errors import ConstraintViolationError
+    idx, m = FractionalIndex([1.5], [0.3]), SpectralMeasure.riesz(0.5, 1)
+    with pytest.raises(ConstraintViolationError):
+        variance_bound_check(idx, m, t, thetas, rho_grid)
+
+
 def test_variance_bounds_domain_checks():
     from fracspde.errors import ConstraintViolationError
     with pytest.raises(ConstraintViolationError):

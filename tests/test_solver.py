@@ -12,6 +12,7 @@ from fracspde.errors import (
     BlowUpError,
     ConfigurationError,
     ConstraintViolationError,
+    PicardConvergenceError,
 )
 from fracspde.fields import (Field, FractionalIndex, Grid, to_frequency,
                              to_physical)
@@ -26,6 +27,7 @@ from fracspde.solver import (
     _bootstrap_interval,
     _chunks,
     _ensemble,
+    _picard_rows,
     _stored_values,
     moment_estimate,
     smooth_initial,
@@ -744,6 +746,158 @@ def test_chunk_stops_once_its_first_row_has_failed():
     # replicate 0 fails at step 75: no later step runs
     assert (exc.value.replicate_id, exc.value.step) == (0, 75)
     assert calls == [(10, 16)] * 75
+
+
+def _serial_picard(cfg, ids):
+    """{replicate: (frame bytes, trace) or the error} of one
+    ``solve_picard`` per replicate."""
+    results = {}
+    for rep in ids:
+        try:
+            path, trace = solve_picard(cfg, rep, return_trace=True)
+            results[rep] = (path.values.tobytes(), trace)
+        except (BlowUpError, PicardConvergenceError) as exc:
+            results[rep] = exc
+    return results
+
+
+def _assert_picard_chunk_is_serial(cfg, chunk, serial):
+    """``_picard_rows`` of ``chunk`` gives each row's one-row frames and
+    trace, or raises the lowest failing row's one-row error."""
+    failed = [rep for rep in chunk if isinstance(serial[rep], Exception)]
+    if not failed:
+        values, traces = _picard_rows(cfg, chunk)
+        assert [(v.tobytes(), t) for v, t in zip(values, traces)] == [
+            serial[rep] for rep in chunk]
+        return
+    want = serial[failed[0]]
+    with pytest.raises(type(want)) as exc:
+        _picard_rows(cfg, chunk)
+    assert str(exc.value) == str(want)
+    assert vars(exc.value) == vars(want)  # step, replicate or residuals
+
+
+@settings(max_examples=40, deadline=None)
+@given(_chunked_runs())
+def test_picard_chunks_equal_per_replicate_sweeps_byte_for_byte(run):
+    import fracspde.noise
+
+    cfg, ids, size, block_elements = run
+    serial = _serial_picard(cfg, ids)
+    with mock.patch.object(fracspde.noise, "BLOCK_ELEMENTS", block_elements):
+        for lo in range(0, len(ids), size):
+            _assert_picard_chunk_is_serial(cfg, ids[lo:lo + size], serial)
+
+
+def _picard_config(**kw):
+    # 50 steps of 16 points; replicates 4 and 8 converge in 15 sweeps, the
+    # others in 16
+    base = dict(
+        idx=FractionalIndex([1.5], [0.3]), measure=WHITE,
+        grid=Grid(1, 16, 8.0), b=Coefficient.sine(0.5),
+        sigma=Coefficient.affine(0.5, 1.0), u0=0.0, dt=0.01, T=0.5,
+        master_seed=2,
+    )
+    base.update(kw)
+    return SolverConfig(**base)
+
+
+@pytest.mark.parametrize("size", [1, 2, 10])
+def test_picard_rows_equal_one_row_sweeps_byte_for_byte(size):
+    cfg = _picard_config()
+    serial = _serial_picard(cfg, range(10))
+    assert [len(serial[rep][1]) for rep in range(10)] == [16] * 4 + [15] + [
+        16] * 3 + [15, 16]
+    for lo in range(0, 10, size):
+        _assert_picard_chunk_is_serial(cfg, range(lo, min(lo + size, 10)),
+                                       serial)
+
+
+def _flow_plus_w_sweeps(cfg, rep):
+    """The per-replicate fixed-point loop the sweeps replaced, as the
+    reference: u0's flow by repeated one-step maps plus w, stepped through
+    a physical-space round trip.  Its centred frames and residual trace."""
+    from fracspde.fields import _centre, _irfft, _rfft
+
+    grid, n = cfg.grid, cfg.n_steps
+    dm = _irfft(cfg._synthesizer.spectra(cfg.master_seed, (rep,),
+                                         range(n))[0], grid)
+
+    def semigroup(values):
+        return _irfft(cfg._psi_h * _rfft(values, grid), grid)
+
+    flow = [cfg._u0_wrapped]
+    for _ in range(n):
+        flow.append(semigroup(flow[-1]))
+    current, trace = flow, []
+    while not trace or trace[-1] >= cfg.picard_tol:
+        w, new = np.zeros(grid.shape), [flow[0]]
+        for k in range(n):
+            w = semigroup(w + cfg.dt * cfg.b(current[k])
+                          + cfg.sigma(current[k]) * dm[k])
+            new.append(flow[k + 1] + w)
+        trace.append(max(np.abs(a - b).max()
+                         for a, b in zip(new[1:], current[1:])))
+        current = new
+    return _centre(np.stack(current), grid), trace
+
+
+@pytest.mark.parametrize("rep", [0, 4])
+def test_picard_sweeps_equal_the_flow_plus_w_loop_to_round_off(rep):
+    # the sweep sums the linear part in another order: frames and residuals
+    # move by round-off (2e-15 here, with |u| up to 2.8), sweep counts not
+    cfg = _picard_config()
+    path, trace = solve_picard(cfg, rep, return_trace=True)
+    frames, want = _flow_plus_w_sweeps(cfg, rep)
+    assert len(trace) == len(want)
+    assert np.abs(path.values - frames).max() < 1e-12
+    assert np.abs(np.subtract(trace, want)).max() < 1e-12
+
+
+@pytest.mark.parametrize("ids", [[8, 9], [9, 8], [7, 9, 8], [9], [7, 8]])
+def test_picard_chunk_raises_the_lowest_failing_rows_error(ids):
+    # replicates 0-8 do not converge within 20 sweeps; replicate 9 blows
+    # up at step 198 in an earlier sweep
+    cfg = replace(_blow_up_config(Coefficient.linear(4.0)),
+                  picard_max_iter=20)
+    serial = _serial_picard(cfg, range(7, 10))
+    assert isinstance(serial[9], BlowUpError) and serial[9].step == 198
+    assert all(isinstance(serial[rep], PicardConvergenceError)
+               and len(serial[rep].residuals) == 20
+               for rep in ids if rep != 9)
+    _assert_picard_chunk_is_serial(cfg, ids, serial)
+
+
+def test_picard_chunk_raises_the_lowest_of_rows_failing_in_one_sweep():
+    # additive noise: the first forced sweep is the fixed point, so
+    # replicates 1-5 all blow up in it, replicate 2 sooner than replicate 1
+    cfg = _blow_up_config(Coefficient.constant(6e5))
+    serial = _serial_picard(cfg, range(1, 6))
+    assert [serial[rep].step for rep in range(1, 6)] == [47, 29, 70, 71, 57]
+    _assert_picard_chunk_is_serial(cfg, range(1, 6), serial)
+
+
+def test_picard_sweeps_at_most_the_group_bound(monkeypatch):
+    # with the final frame only a chunk may get many rows; each row's sweep
+    # holds about seven arrays of its path, 51 frames of 16 points, so 3
+    # rows sweep at once
+    import fracspde.solver
+
+    cfg = _picard_config(frame_stride=10**9)
+    serial = _serial_picard(cfg, range(10))
+    swept, blow_ups = [], fracspde.solver._blow_ups
+
+    def spying(stack, *args):
+        swept.append(stack.shape)
+        return blow_ups(stack, *args)
+
+    monkeypatch.setattr(fracspde.solver, "_blow_ups", spying)
+    monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS",
+                        7 * 4 * 51 * 16 - 1)
+    assert [len(c) for c in _chunks(cfg, 10)] == [10]
+    _assert_picard_chunk_is_serial(cfg, range(10), serial)
+    assert max(rows for rows, *_ in swept) == 3
+    assert {tuple(frames) for _, *frames in swept} == {(50, 16)}
 
 
 @pytest.mark.parametrize("threads, paths, finals", [

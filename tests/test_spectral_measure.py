@@ -818,6 +818,25 @@ def test_cumulative_bounds_raise_where_the_shells_never_settle():
         cumulative_bound_check(idx, m, 1.0)
 
 
+@pytest.mark.parametrize("call", [
+    # reported finite=True and a value of 5.2e57
+    lambda idx, m: weighted_spectral_integral(idx, m, 0.1, math.inf),
+    # raised NumericalConsistencyError, the class of a numerical failure
+    lambda idx, m: weighted_spectral_integral(idx, m, math.nan, 1.0),
+    lambda idx, m: weighted_spectral_integral(idx, m, math.inf, 1.0),
+    lambda idx, m: cumulative_bound_check(idx, m, math.inf),
+    # raised DivergenceError
+    lambda idx, m: cumulative_variance(idx, m, math.inf),
+    # returned 0.0
+    lambda idx, m: variance_rate(idx, m, math.inf),
+], ids=["weighted-T-inf", "weight-nan", "weight-inf", "cumulative-T-inf",
+        "variance-rho-inf", "rate-t-inf"])
+def test_non_finite_horizons_and_exponents_are_rejected(call):
+    idx, m = FractionalIndex([1.5], [0.3]), SpectralMeasure.riesz(0.5, 1)
+    with pytest.raises(ConstraintViolationError, match="finite"):
+        call(idx, m)
+
+
 def test_cumulative_bounds_match_time_quadrature():
     # int_0^T of the variance rate, computed the slow way
     idx = FractionalIndex([1.5], [0.3])

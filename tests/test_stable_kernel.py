@@ -88,6 +88,25 @@ def test_semigroup_symbol_rejects_negative_time():
         semigroup_symbol(GAUSS, 1.0, -0.1)
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -1.0],
+                         ids=["nan", "inf", "negative"])
+def test_non_finite_or_negative_times_are_rejected(t):
+    # NaN and inf returned NaN: an all-NaN field or kernel (at inf the zero
+    # mode computed exp(inf * 0)), a symbol of nan+nanj, a leakage of nan;
+    # at a negative time leakage_estimate raised ValueError at alpha = 2
+    from fracspde.solver import smooth_initial
+
+    grid = Grid(1, 64, 8.0)
+    field = Field.from_function(grid, lambda x: np.cos(x))
+    for call in (lambda: apply_semigroup(field, GAUSS, t),
+                 lambda: smooth_initial(1.0, GAUSS, t, grid),
+                 lambda: kernel(GAUSS, t, grid),
+                 lambda: semigroup_symbol(GAUSS, 0.0, t),
+                 lambda: leakage_estimate(GAUSS, t, grid)):
+        with pytest.raises(ConstraintViolationError, match="finite"):
+            call()
+
+
 def test_symbol_envelope_bound():
     # |psi(t, xi)|^2 <= exp(-2 t kappa sum |xi_i|^alpha_i) on a lattice
     idx = FractionalIndex([1.5, 0.5], [0.4, 0.3])
