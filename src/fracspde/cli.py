@@ -103,8 +103,9 @@ def _in_float_range(what):
 
 def _parse_seed(cfg, override=None) -> int:
     seed = override if override is not None else cfg.get("seed", 0)
-    if type(seed) is not int or seed < 0:
-        raise ValidationError(f"seed must be an integer >= 0, got {seed!r}")
+    if type(seed) is not int or not 0 <= seed < 2**64:
+        raise ValidationError(
+            f"seed must be an integer >= 0 and < 2**64, got {seed!r}")
     return seed
 
 

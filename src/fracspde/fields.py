@@ -108,6 +108,16 @@ class FractionalIndex:
         """cos(delta_i*pi/2) per axis: the symbol's modulus damping factor."""
         return np.cos(np.asarray(self.delta) * np.pi / 2)
 
+    def _frequency(self, xi) -> np.ndarray:
+        """``xi``, a scalar (d=1) or a length-d sequence, as a float array;
+        ConstraintViolationError unless it has d finite components."""
+        xi = np.atleast_1d(np.asarray(xi, dtype=float))
+        if xi.shape != (self.d,) or not np.isfinite(xi).all():
+            raise ConstraintViolationError(
+                f"frequency must be {self.d} finite components, got "
+                f"{xi.tolist()}")
+        return xi
+
     @property
     def min_damping(self) -> float:
         """min_i cos(delta_i*pi/2): worst-case modulus damping factor."""

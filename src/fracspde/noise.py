@@ -20,34 +20,30 @@ and ``irfftn`` of that is dM, real by construction.
 Increments are drawn in blocks of consecutive steps of R replicates
 stepped together, with a leading row axis: a block is an ``(R, steps,
 *grid.shape)`` white array of at most BLOCK_ELEMENTS values, so it spans
-about BLOCK_ELEMENTS // (R * grid points) steps (see
+BLOCK_ELEMENTS // (R * grid points) steps, and at least one (see
 ``_Synthesizer.block_steps``); the solver's ``_step_rows`` asks
 ``_Synthesizer.spectra`` for each block it steps by the block's steps.
 A block is drawn replicate-major, each (replicate, step) white array from
 its own stream, and transformed by one batched ``rfftn``.  The solver
 adds the spectra directly when sigma is constant and transforms the block
 back with one batched ``irfftn`` otherwise.  Neither the row count nor
-the block length changes a byte of
-any increment, so the rows of ``sample_increments``, one step of many
+the block length changes a byte of any increment, so the rows of ``sample_increments``, one step of many
 replicates, are the solver's increments.
 
-Randomness is counter-style: each (master_seed, replicate, step) triple
-names a disjoint, reproducible Philox stream, so replicates and steps can
-be generated in any order or in parallel with identical results.  The
+Randomness is counter-style (Salmon et al., "Parallel random numbers: as
+easy as 1, 2, 3", SC'11): the stream of a (master_seed, replicate, step)
+triple is numpy's keyed ``Philox(key=[master_seed, replicate],
+counter=[0, step, 0, 0])``.  The ids name the stream directly, so streams
+are disjoint and reproducible, and replicates and steps can be generated
+in any order or in parallel with identical results.  A stream counts its
+Philox blocks in counter word 0, so it reaches the next step's counter
+only after 2**64 blocks.  The
 triple is formed here alone: ``_Synthesizer.spectra`` takes the master
 seed, the replicate ids and the steps and draws row (r, k) from
 ``RngStream(master_seed, r, k).generator()``, one call per replicate-step;
 the solver and ``sample_increments`` pass only the seed, their ids and
 their steps.  ``_stream_id`` checks ids where they enter the package and
-hands on plain ints.  The stream is ``Philox(SeedSequence(master_seed,
-spawn_key=(replicate, step)))``.  For plain-int ids below 2**32 its
-Philox key is read from a table that
-runs numpy's SeedSequence hash-mix (after M. O'Neill's ``seed_seq``) over
-a chunk of steps at once, so no SeedSequence is built per step; the draws
-are the same bytes.  Philox is handed that key and an explicit zero
-counter, the shared read-only ``_ZERO_COUNTER``: numpy turns its default
-scalar counter 0 into an array with a Python loop, more than half the cost
-of a Philox.  The bit-generator state is the same.
+hands on plain ints.
 """
 
 from __future__ import annotations
@@ -70,97 +66,26 @@ __all__ = [
 ]
 
 BLOCK_ELEMENTS = 2**16  # most grid values drawn and transformed in one block
-KEY_CHUNK = 128  # steps per key table; a power of 2, so none crosses 2**32
-KEY_CACHE_SIZE = 64  # key tables kept; solver.MAX_CHUNK_ROWS is this many
-
-# Philox's counter at the start of every stream; numpy copies it into the
-# bit generator's state
-_ZERO_COUNTER = np.zeros(4, dtype=np.uint64)
-_ZERO_COUNTER.flags.writeable = False
-
-# numpy's SeedSequence: a pool of 4 uint32 words, hash-mixed with running
-# constants h <- h * MULT (constant i is xor-ed in, constant i + 1 multiplies)
-_POOL = 4
-_M32 = 0xFFFFFFFF
-_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
-
-
-def _running_constants(init, mult, n):
-    out = [init]
-    for _ in range(n):
-        out.append(out[-1] * mult & _M32)
-    return out
-
-
-# entropy (master, 0, 0, 0, replicate, step) takes 24 hash-mixes; the
-# output takes 4
-_HASH_A = _running_constants(0x43B0D7E5, 0x931E8875, 6 * _POOL)
-_HASH_B = np.array(_running_constants(0x8B51F9DD, 0x58F38DED, _POOL),
-                   dtype=np.uint64)
-
-
-def _hashmix(value, xor, mult):
-    value = (value ^ xor) * mult & _M32
-    return value ^ value >> 16
-
-
-def _mix(x, y):
-    result = (_MIX_L * x - _MIX_R * y) & _M32
-    return result ^ result >> 16
-
-
-@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
-def _philox_keys(master_seed: int, replicate_id: int,
-                 chunk: int) -> np.ndarray:
-    """Philox keys of steps ``chunk * KEY_CHUNK`` onward, one row each.
-
-    Row j equals ``SeedSequence(master_seed, spawn_key=(replicate_id, s))
-    .generate_state(2, np.uint64)`` for s = chunk * KEY_CHUNK + j; every id
-    is an int in [0, 2**32).  Scalar words are Python ints and step words
-    uint64 arrays, masked to 32 bits after each product; a product of two
-    words fits in 64 bits, and the wrap of ``_mix``'s subtraction modulo
-    2**64 vanishes under the mask.  No numpy scalar arithmetic runs, so
-    no overflow warning fires.
-    """
-    a = _HASH_A
-    pool = [_hashmix(w, a[i], a[i + 1])
-            for i, w in enumerate((master_seed, 0, 0, 0))]
-    i = _POOL
-    for src in range(_POOL):
-        for dst in range(_POOL):
-            if src != dst:
-                mixed = _hashmix(pool[src], a[i], a[i + 1])
-                pool[dst] = _mix(pool[dst], mixed)
-                i += 1
-    pool = [_mix(p, _hashmix(replicate_id, a[i + j], a[i + j + 1]))
-            for j, p in enumerate(pool)]
-    i += _POOL
-    steps = np.arange(chunk * KEY_CHUNK, (chunk + 1) * KEY_CHUNK,
-                      dtype=np.uint64)[:, None]
-    hashed = np.array(a[i:i + _POOL + 1], dtype=np.uint64)
-    pool = _mix(np.array(pool, dtype=np.uint64),
-                _hashmix(steps, hashed[:-1], hashed[1:]))
-    words = _hashmix(pool, _HASH_B[:-1], _HASH_B[1:])
-    keys = words[:, 0::2] | words[:, 1::2] << np.uint64(32)
-    keys.flags.writeable = False
-    return keys
 
 
 def _stream_id(value, name: str) -> int:
     """A stream id or step, where it enters the package, as a plain int;
-    ConstraintViolationError unless it is a non-bool integer >= 0."""
-    if not (_integer(value) and value >= 0):
+    ConstraintViolationError unless it is a non-bool integer in [0, 2**64),
+    one Philox key or counter word."""
+    if not (_integer(value) and 0 <= value < 2**64):
         raise ConstraintViolationError(
-            f"{name} must be an integer >= 0, got {value!r}")
+            f"{name} must be an integer >= 0 and < 2**64, got {value!r}")
     return int(value)
 
 
 @functools.cache
 def _philox_key_type() -> type:
-    """The seed-sequence type that hands ``Philox`` a precomputed key.
+    """The seed-sequence type that hands ``Philox`` its key words.
 
-    Built on first use: importing ``numpy.random`` when the package is
-    imported would add about 17 ms and 6 MB to every process.
+    ``Philox(key=...)`` first seeds itself from OS entropy, which makes a
+    stream about three times as costly.  Built on first use: importing
+    ``numpy.random`` when the package is imported would add about 17 ms
+    and 6 MB to every process.
     """
     from numpy.random.bit_generator import ISeedSequence
 
@@ -186,22 +111,19 @@ class RngStream:
     step_id: int = 0
 
     def generator(self) -> np.random.Generator:
-        """A new Generator on the Philox stream of
-        ``SeedSequence(master_seed, spawn_key=(replicate_id, step_id))``."""
+        """A new Generator on ``Philox(key=[master_seed, replicate_id],
+        counter=[0, step_id, 0, 0])``; ConstraintViolationError unless each
+        id is a non-bool integer in [0, 2**64)."""
         master, rep, step = self.master_seed, self.replicate_id, self.step_id
-        # plain ints in [0, 2**32), the ids the package passes, are keyed
-        if (type(master) is type(rep) is type(step) is int
-                and not (master | rep | step) >> 32):
-            key = _philox_keys(master, rep, step // KEY_CHUNK)[
-                step % KEY_CHUNK]
-            seed = _philox_key_type()(key)
-            return np.random.Generator(
-                np.random.Philox(seed, counter=_ZERO_COUNTER))
-        seq = np.random.SeedSequence(
-            entropy=self.master_seed,
-            spawn_key=(self.replicate_id, self.step_id),
-        )
-        return np.random.Generator(np.random.Philox(seq))
+        # the plain ints in range that the package passes skip the checks
+        if not (type(master) is type(rep) is type(step) is int
+                and not (master | rep | step) >> 64):
+            master = _stream_id(master, "master_seed")
+            rep = _stream_id(rep, "replicate id")
+            step = _stream_id(step, "step")
+        words = np.array([master, rep, 0, step, 0, 0], dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(
+            _philox_key_type()(words[:2]), counter=words[2:]))
 
 
 class _Synthesizer:
@@ -222,18 +144,9 @@ class _Synthesizer:
         self.grid, self.points = grid, dens.size
 
     def block_steps(self, rows: int) -> int:
-        """Steps per block when ``rows`` replicates are drawn together.
-
-        At most BLOCK_ELEMENTS grid values, and a block never crosses a
-        key chunk: below KEY_CHUNK steps its length is a power of 2, above
-        it a multiple of KEY_CHUNK.  So each (replicate, key chunk) is
-        drawn in one run of blocks, which the key cache holds for up to
-        KEY_CACHE_SIZE rows.
-        """
-        steps = max(1, BLOCK_ELEMENTS // (rows * self.points))
-        if steps >= KEY_CHUNK:
-            return steps - steps % KEY_CHUNK
-        return 1 << (steps.bit_length() - 1)
+        """Steps per block when ``rows`` replicates are drawn together:
+        at most BLOCK_ELEMENTS grid values, and at least one step."""
+        return max(1, BLOCK_ELEMENTS // (rows * self.points))
 
     def spectra(self, master_seed: int, replicate_ids, steps) -> np.ndarray:
         """Half spectra of the increments at ``steps``, one row per replicate:
@@ -259,8 +172,8 @@ def sample_increments(grid: Grid, measure: SpectralMeasure, dt: float,
     ----------
     grid, measure : spatial lattice and spectral density of the covariance.
     dt : time-step length, finite and > 0.
-    master_seed, replicate_ids, step : integers >= 0, numpy's included
-        (ConstraintViolationError otherwise).
+    master_seed, replicate_ids, step : integers in [0, 2**64), numpy's
+        included (ConstraintViolationError otherwise).
     """
     ids = tuple(_stream_id(r, "replicate id") for r in replicate_ids)
     spectra = _Synthesizer(grid, measure, dt).spectra(

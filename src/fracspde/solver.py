@@ -40,7 +40,7 @@ replicates is one ``(R, *grid.shape)`` array (its half spectrum ``(R,
 leading, so each numpy call does the chunk's work at once.  Each row's
 arithmetic, its order and its FFT calls are those of a one-row run, so
 a row's bytes depend on neither the chunk nor its size.  A noise block
-spans about BLOCK_ELEMENTS // (R * grid points) steps
+spans BLOCK_ELEMENTS // (R * grid points) steps, and at least one
 (``_Synthesizer.block_steps``), and ``_step_rows`` asks
 ``_Synthesizer.spectra`` for each block by its range of steps.  ``solve``
 is the one-row call; ``moment_estimate`` and the CLI run chunks of
@@ -80,7 +80,7 @@ from .errors import (
 )
 from .fields import (Field, FractionalIndex, Grid, _centre, _grid_point,
                      _integer, _irfft, _rfft, _real_multiplier, _wrap)
-from .noise import KEY_CACHE_SIZE, _Synthesizer, _stream_id
+from .noise import _Synthesizer, _stream_id
 from .spectral_measure import SpectralMeasure, require_admissible
 from .stable_kernel import _symbol_lattice, apply_semigroup
 
@@ -100,7 +100,7 @@ TIME_RTOL = 1e-9  # relative tolerance for matching step and frame times
 MIN_MOMENT_REPLICATES = 100
 BOOT_RESAMPLES, BOOT_SEED = 200, 0  # every bootstrap interval uses these
 CHUNK_ELEMENTS = 2**20  # most stored frame values a chunk of replicates holds
-MAX_CHUNK_ROWS = KEY_CACHE_SIZE  # rows per chunk, each with a cached key table
+MAX_CHUNK_ROWS = 64  # most rows a chunk steps; bounds the CLI's --threads
 
 
 @dataclass(frozen=True)

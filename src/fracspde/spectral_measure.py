@@ -218,12 +218,8 @@ class SpectralMeasure:
 
 def frequency_weight(xi, idx: FractionalIndex) -> float:
     """Anisotropic frequency weight sum_i |xi_i|^alpha_i."""
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (idx.d,):
-        raise ConstraintViolationError(
-            f"frequency must have {idx.d} components, got shape {xi.shape}"
-        )
-    return float(sum(abs(x) ** a for x, a in zip(xi, idx.alpha)))
+    return float(sum(abs(x) ** a
+                     for x, a in zip(idx._frequency(xi), idx.alpha)))
 
 
 # ---------------------------------------------------------------------------

@@ -62,15 +62,10 @@ def _symbol_terms(idx: FractionalIndex, xi_axes):
 def generator_symbol(idx: FractionalIndex, xi):
     """Fourier multiplier of the generator at frequency ``xi``.
 
-    ``xi`` is a scalar (d=1) or a length-d sequence.  The real part is
-    always <= 0; the imaginary part encodes the skew.
+    ``xi`` is a scalar (d=1) or a length-d sequence of finite values.  The
+    real part is always <= 0; the imaginary part encodes the skew.
     """
-    xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    if xi.shape != (idx.d,):
-        raise ConstraintViolationError(
-            f"frequency must have {idx.d} components, got shape {xi.shape}"
-        )
-    return complex(sum(t for t in _symbol_terms(idx, xi)))
+    return complex(sum(_symbol_terms(idx, idx._frequency(xi))))
 
 
 def semigroup_symbol(idx: FractionalIndex, xi, t):

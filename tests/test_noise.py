@@ -117,7 +117,6 @@ def test_increment_matches_complex_reference_formula(grid, measure):
     (Grid(3, 8, 4.0), SpectralMeasure.white(3), 0),
 ])
 def test_batch_equals_one_replicate_at_a_time(grid, measure, step):
-    # step 130 lies past the first key chunk of 128 steps
     ids = [0, 1, 2, 5, 300]
     batch = sample_increments(grid, measure, DT, 4, ids, step)
     for row, r in zip(batch, ids):
@@ -198,58 +197,35 @@ def test_nonpositive_dt_rejected():
             sample_increments(GRID, WHITE, dt, 0, [0], 0)
 
 
-@pytest.mark.parametrize("bad", [-1, 1.5, True])
+@pytest.mark.parametrize("bad", [-1, 1.5, True, 2**64])
 def test_increments_require_ids_and_a_step_integer_at_least_zero(bad):
-    # each once reached numpy: -1 and 1.5 raised its errors, True drew 1
+    # each once reached numpy: -1 and 1.5 raised its errors, True drew 1;
+    # 2**64 fits no 64-bit Philox key or counter word
     for seed, ids, step in ((bad, [0], 0), (0, [0, bad], 0), (0, [0], bad)):
         with pytest.raises(ConstraintViolationError, match="integer >= 0"):
             sample_increments(GRID, WHITE, DT, seed, ids, step)
 
 
-def test_numpy_integer_ids_draw_plain_int_streams_from_the_key_table():
-    from fracspde.noise import _philox_keys
-
+def test_numpy_integer_ids_draw_plain_int_streams():
     want = sample_increments(GRID, WHITE, DT, 42, [3, 5], 130)
-    _philox_keys.cache_clear()
     got = sample_increments(GRID, WHITE, DT, np.uint32(42),
                             [np.int64(3), np.uint16(5)], np.int32(130))
     assert got.tobytes() == want.tobytes()
-    assert _philox_keys.cache_info().currsize == 2
+    big = 2**64 - 1
+    want = RngStream(big, 3, big).generator().standard_normal(300)
+    got = RngStream(np.uint64(big), np.int8(3), np.uint64(big)).generator()
+    assert got.standard_normal(300).tobytes() == want.tobytes()
 
 
-def _seed_sequence_draws(master, rep, step, n=300):
-    seq = np.random.SeedSequence(master, spawn_key=(rep, step))
-    return np.random.Generator(np.random.Philox(seq)).standard_normal(n)
+def _keyed_philox(master, rep, step):
+    """numpy's Philox keyed by [master, rep] at counter [0, step, 0, 0]:
+    a key or counter int is read as 64-bit words, lowest first."""
+    return np.random.Generator(
+        np.random.Philox(key=master | rep << 64, counter=step << 64))
 
 
-_IDS = st.one_of(st.integers(0, 300), st.integers(0, 2**32 - 1),
-                 st.integers(2**32 - 3, 2**32 + 3), st.integers(0, 2**64))
-
-
-@settings(max_examples=200, deadline=None)
-@given(master=_IDS, rep=_IDS, step=_IDS)
-def test_stream_draws_equal_seed_sequence_stream(master, rep, step):
-    # the key table reproduces SeedSequence byte for byte; ids >= 2**32
-    # take SeedSequence itself
-    draws = RngStream(master, rep, step).generator().standard_normal(300)
-    assert draws.tobytes() == _seed_sequence_draws(master, rep, step).tobytes()
-
-
-@pytest.mark.parametrize("master,rep,step", [
-    (0, 0, 0),
-    (2**32 - 1, 2**32 - 1, 2**32 - 1),
-    (2**32, 0, 0),
-    (7, 2**32, 3),
-    (7, 3, 2**32),
-    (np.uint32(7), np.int64(3), np.uint32(2**32 - 1)),
-    (np.int64(2**32), np.uint32(0), np.int64(5)),
-    (True, 1, 0),
-    (1, True, 0),
-    (1, 2, True),
-])
-def test_stream_draws_equal_seed_sequence_stream_at_edges(master, rep, step):
-    draws = RngStream(master, rep, step).generator().standard_normal(300)
-    assert draws.tobytes() == _seed_sequence_draws(master, rep, step).tobytes()
+_IDS = st.one_of(st.integers(0, 300), st.integers(0, 2**64 - 1),
+                 st.integers(2**64 - 3, 2**64 - 1))
 
 
 @pytest.mark.parametrize("master,rep,step", [
@@ -257,9 +233,22 @@ def test_stream_draws_equal_seed_sequence_stream_at_edges(master, rep, step):
     (0.0, 0, 0), (1, 2.0, 0), (1, 0, 3.5),
 ])
 def test_invalid_stream_ids_raise_like_seed_sequence(master, rep, step):
-    with pytest.raises(Exception) as expected:
+    # ids SeedSequence rejects are rejected as invalid input
+    with pytest.raises(Exception):
         np.random.SeedSequence(master, spawn_key=(rep, step))
-    with pytest.raises(expected.type):
+    with pytest.raises(ConstraintViolationError, match="integer >= 0"):
+        RngStream(master, rep, step).generator()
+
+
+@pytest.mark.parametrize("master,rep,step", [
+    (1.5, 0, 0), (True, 1, 0), (1, True, 0), (1, 2, np.True_),
+    (np.int64(-1), 0, 0), (0, np.int8(-3), 0),
+    (2**64, 0, 0), (0, 2**64, 0), (0, 0, 2**64 + 5), (0, 0, -2**64),
+])
+def test_ids_a_uint64_array_would_take_are_rejected(master, rep, step):
+    # np.array(..., np.uint64) silently takes 1.5, True and np.int64(-1),
+    # and raises OverflowError from 2**64
+    with pytest.raises(ConstraintViolationError, match="integer >= 0"):
         RngStream(master, rep, step).generator()
 
 
@@ -285,32 +274,31 @@ def _state_items(state):
                                       "uinteger"))]
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=200, deadline=None)
 @given(master=_IDS, rep=_IDS, step=_IDS)
-def test_stream_state_equals_seed_sequence_stream(master, rep, step):
+def test_stream_state_equals_keyed_philox(master, rep, step):
     # the whole bit-generator state, not only the draws, at the start of
     # the stream and after a draw that leaves a uint32 buffered
-    seq = np.random.SeedSequence(master, spawn_key=(rep, step))
-    want = np.random.Generator(np.random.Philox(seq))
+    want = _keyed_philox(master, rep, step)
     got = RngStream(master, rep, step).generator()
+    assert want.bit_generator.state["state"]["key"].tolist() == [master, rep]
     for _ in range(2):
         assert (_state_items(got.bit_generator.state)
                 == _state_items(want.bit_generator.state))
         got.integers(0, 2**31, 3, dtype=np.uint32)
         want.integers(0, 2**31, 3, dtype=np.uint32)
+    assert (got.standard_normal(300).tobytes()
+            == want.standard_normal(300).tobytes())
 
 
-def test_shared_zero_counter_stays_read_only_zeros():
-    from fracspde.noise import _ZERO_COUNTER
-
-    gen = RngStream(3, 1, 4).generator()
-    gen.standard_normal(1000)
-    assert gen.bit_generator.state["state"]["counter"].any()
-    assert not _ZERO_COUNTER.flags.writeable
-    assert _ZERO_COUNTER.dtype == np.uint64
-    assert _ZERO_COUNTER.tolist() == [0, 0, 0, 0]
-    assert RngStream(3, 1, 4).generator().bit_generator.state[
-        "state"]["counter"].tolist() == [0, 0, 0, 0]
+@pytest.mark.parametrize("ids,draws", [
+    ((0, 0, 0),
+     [0.15929546600623282, -1.7741885208017214, 1.3265118818830892]),
+    ((2**64 - 1, 2**32, 130),
+     [-0.2846319298771764, -1.5376130525807334, -1.7638288946268175]),
+])
+def test_first_draws_of_a_stream_are_pinned(ids, draws):
+    assert RngStream(*ids).generator().standard_normal(3).tolist() == draws
 
 
 def test_generators_of_one_stream_advance_independently():
@@ -324,8 +312,7 @@ def test_generators_of_one_stream_advance_independently():
 
 
 def test_spectra_row_is_the_named_stream():
-    # row (r, k) is drawn from RngStream(master_seed, r, k), past the first
-    # key chunk too
+    # row (r, k) is drawn from RngStream(master_seed, r, k)
     from fracspde.fields import _rfft
     from fracspde.noise import _Synthesizer
 

@@ -46,6 +46,15 @@ def test_frequency_weight_examples():
         == pytest.approx(3.0**1.5)
 
 
+@pytest.mark.parametrize("xi", [math.nan, math.inf, (1.0, -math.inf)],
+                         ids=["nan", "inf", "-inf-axis"])
+def test_frequency_weight_rejects_non_finite_frequencies(xi):
+    # each returned nan or inf
+    d = np.size(xi)
+    with pytest.raises(ConstraintViolationError, match="finite"):
+        frequency_weight(xi, FractionalIndex([1.5] * d, [0.3] * d))
+
+
 def test_frequency_weight_zero_only_at_origin():
     idx = FractionalIndex([1.5, 0.5], [0, 0])
     rng = np.random.default_rng(2)

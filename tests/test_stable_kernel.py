@@ -107,6 +107,20 @@ def test_non_finite_or_negative_times_are_rejected(t):
             call()
 
 
+@pytest.mark.parametrize("xi", [math.nan, math.inf, -math.inf,
+                                (1.0, math.nan)],
+                         ids=["nan", "inf", "-inf", "nan-axis"])
+def test_non_finite_frequencies_are_rejected(xi):
+    # each returned nan+nanj, at t = 0 too, where the symbol is 1
+    d = np.size(xi)
+    idx = FractionalIndex([1.5] * d, [0.3] * d)
+    for call in (lambda: generator_symbol(idx, xi),
+                 lambda: semigroup_symbol(idx, xi, 1.0),
+                 lambda: semigroup_symbol(idx, xi, 0.0)):
+        with pytest.raises(ConstraintViolationError, match="finite"):
+            call()
+
+
 def test_symbol_envelope_bound():
     # |psi(t, xi)|^2 <= exp(-2 t kappa sum |xi_i|^alpha_i) on a lattice
     idx = FractionalIndex([1.5, 0.5], [0.4, 0.3])
