@@ -25,9 +25,10 @@ BLOCK_ELEMENTS // (R * grid points) steps, and at least one (see
 ``_Synthesizer.spectra`` for each block it steps by the block's steps.
 A block is drawn replicate-major, each (replicate, step) white array from
 its own stream, and transformed by one batched ``rfftn``.  The solver
-adds the spectra directly when sigma is constant and transforms the block
-back with one batched ``irfftn`` otherwise.  Neither the row count nor
-the block length changes a byte of any increment, so the rows of ``sample_increments``, one step of many
+adds the spectra directly when b and sigma are both constant and
+transforms the block back with one batched ``irfftn`` otherwise.
+Neither the row count nor the block length changes a byte of any
+increment, so the rows of ``sample_increments``, one step of many
 replicates, are the solver's increments.
 
 Randomness is counter-style (Salmon et al., "Parallel random numbers: as

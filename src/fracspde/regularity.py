@@ -21,7 +21,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from .errors import ConstraintViolationError
-from .fields import FractionalIndex
+from .fields import FractionalIndex, _integer
 from .solver import _bootstrap_interval
 
 __all__ = [
@@ -137,11 +137,13 @@ def _temporal_window(times, min_lag_steps):
     """Dyadic lags, their lengths in steps and the base-step range
     [base_lo, base_hi] that the temporal estimate uses on ``times``.
 
-    ConstraintViolationError unless the times are uniform from 0 and
-    leave at least MIN_SCALES lags between min_lag_steps*dt (>= 2*dt) and T/8.
+    ConstraintViolationError unless min_lag_steps is a whole number of
+    steps, >= 2, and the times are uniform from 0 and leave at least
+    MIN_SCALES lags between min_lag_steps*dt and T/8.
     """
-    if min_lag_steps < 2:
-        raise ConstraintViolationError("min_lag_steps must be >= 2")
+    if not (_integer(min_lag_steps) and min_lag_steps >= 2):
+        raise ConstraintViolationError(
+            f"min_lag_steps must be an integer >= 2, got {min_lag_steps!r}")
     times = np.asarray(times, dtype=float)
     steps = np.diff(times)
     if steps.size == 0 or times[0] != 0 or not np.allclose(steps, steps[0]):
@@ -161,7 +163,11 @@ def _temporal_window(times, min_lag_steps):
 
 def _spatial_offsets(grid, min_lag_cells):
     """Dyadic lags in cells of the spatial estimate on ``grid``;
-    ConstraintViolationError unless MIN_SCALES of them fit in n/4."""
+    ConstraintViolationError unless min_lag_cells is a whole number of
+    cells, >= 1, and MIN_SCALES of them fit in n/4."""
+    if not (_integer(min_lag_cells) and min_lag_cells >= 1):
+        raise ConstraintViolationError(
+            f"min_lag_cells must be an integer >= 1, got {min_lag_cells!r}")
     n = grid.n_per_dim
     offsets = [min_lag_cells * 2**j for j in range(MIN_SCALES)]
     if offsets[-1] > n // 4:
@@ -181,8 +187,8 @@ def estimate_temporal(series, times, *,
     ``series`` is an (R, len(times)) array: the field at that point over
     the stored ``times`` in each of R replicates.  The times must be
     uniform from 0 and leave at least 4 dyadic lags between
-    min_lag_steps*dt (>= 2*dt, below which the stepping scheme dominates)
-    and T/8.
+    min_lag_steps*dt (an integer min_lag_steps >= 2: below 2*dt the
+    stepping scheme dominates) and T/8.
     Increments are averaged over all admissible base times in
     [T/2, T - max_lag] and over replicates.
     """
@@ -203,7 +209,8 @@ def estimate_spatial(fields, grid, *,
 
     ``fields`` is an (R, *grid.shape) array: the field of each of R
     replicates at that time.  Uses dyadic lags starting at min_lag_cells
-    grid cells (per the first axis) with periodic wrap-around.
+    grid cells (an integer >= 1, per the first axis) with periodic
+    wrap-around.
     """
     fields = _replicate_rows(fields, grid.shape, min_replicates)
     offsets = _spatial_offsets(grid, min_lag_cells)

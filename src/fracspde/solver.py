@@ -21,18 +21,18 @@ followed by an ``_irfft`` for the checked (and possibly stored) frame;
 psi_h (``fields._real_multiplier`` of the symbol), the noise synthesis,
 the blow-up ceiling, the stored steps and times, and u0 in FFT order with
 its half spectrum are cached on the SolverConfig.
-A constant coefficient acts in frequency space: constant sigma adds the
-noise spectrum directly and constant b adds dt*b*n^d to the zero mode, so
-with both constant a step makes no forward transform and no coefficient
-call, and the frames of a whole noise block are transformed back by one
-batched ``_irfft`` and checked together (still every step's frame; the
-first failing step is the one reported).  A coefficient that acts on the
-frame needs it every step, so that path transforms and checks per step.
-A step writes its new state with ``out=`` ufuncs: with both constant
-straight into its row of the block's ``states`` (a stored row is never
-written again), in the frame path into one state updated in place.  A
-constant sigma multiplies the block's noise spectra once, so an additive
-step is one ``np.add`` and one ``np.multiply``.
+The recursion is ``_advance``, which steps a state through a run of
+forcing spectra F_k, each new state written over its own forcing.
+``_step_rows`` has two forcing paths.  With both coefficients constant
+the forcing is known before a noise block is stepped: sigma times the
+block's noise spectra (zeros when sigma is zero), plus dt*b*n^d on the
+zero mode.  A step then makes no forward transform and no coefficient
+call, and a block is one ``_advance``, one batched ``_irfft`` and one
+check (still of every step's frame; the first failing step is the one
+reported).  When a coefficient acts on the frame, each step's forcing is
+dt*b(u) + sigma(u)*dM_k in physical space, whichever coefficient is
+constant (the sigma term is dropped only when sigma is zero), so that
+path transforms, steps and checks one step at a time.
 
 Replicates are stepped in chunks by ``_step_rows``: the state of R
 replicates is one ``(R, *grid.shape)`` array (its half spectrum ``(R,
@@ -47,7 +47,7 @@ is the one-row call; ``moment_estimate`` and the CLI run chunks of
 ``_chunks`` (CHUNK_ELEMENTS stored values, MAX_CHUNK_ROWS rows) through
 ``_ensemble`` and its threads.  A failing row keeps stepping, and the
 chunk raises the BlowUpError a replicate-by-replicate loop would raise.
-``_picard_rows`` sweeps whole paths of a chunk's rows by the same step.
+``_picard_rows`` sweeps a chunk's whole paths by the same ``_advance``.
 
 Either way a noise block ends with its frames in FFT order, ``(R,
 steps, *grid.shape)``.  Its stored rows are centred by one ``_centre``
@@ -350,6 +350,16 @@ def _constant_value(coef: Coefficient):
     return coef.params[0] if coef.name == "constant" else None
 
 
+def _advance(u_hat, forcing, psi_h):
+    """Step ``u_hat <- psi_h * (u_hat + F_k)`` through the ``(R, k, *half)``
+    forcing spectra F_k, each state written over its own; returns the last."""
+    for k in range(forcing.shape[1]):
+        state = forcing[:, k]
+        np.add(u_hat, state, out=state)
+        u_hat = np.multiply(psi_h, state, out=state)
+    return u_hat
+
+
 def _step_rows(config: SolverConfig, replicate_ids):
     """Step the replicates ``replicate_ids`` together, row r of an ``(R,
     *grid.shape)`` state being ``replicate_ids[r]``.
@@ -368,13 +378,18 @@ def _step_rows(config: SolverConfig, replicate_ids):
     b_const = _constant_value(config.b)
     sigma_const = _constant_value(config.sigma)
     has_noise = not config.sigma.is_zero
-    # constant coefficients act in frequency space, the others on the frame
-    sigma_on_frame = has_noise and sigma_const is None
-    on_frame = b_const is None or sigma_on_frame
+    # with both constant the forcing is known before the block is stepped
+    on_frame = b_const is None or sigma_const is None
     rows, seed = len(replicate_ids), config.master_seed
     block_steps = noise.block_steps(rows)
     steps = config._stored_steps
     errors = {}  # row -> its first BlowUpError
+
+    def check(frames, first):  # raise once the first row has failed
+        found = _blow_ups(frames, ceiling, first, replicate_ids)
+        errors.update(found | errors)  # a row keeps its first error
+        if 0 in errors:
+            raise errors[0]
 
     u0 = np.asarray(config.u0.values, dtype=float)  # is _centre(_wrap(u0))
     zero, b_mode = (Ellipsis,) + (0,) * grid.d, dt * (b_const or 0.0) * u0.size
@@ -388,51 +403,29 @@ def _step_rows(config: SolverConfig, replicate_ids):
         # a batched block, or a failed row, steps past a blow-up.  Neither
         # may warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            # the noise of the block's steps; its raw spectra are not kept
             drawn = range(start, start + count)
-            sigma_dm = None  # the block's sigma * dM spectra, if constant
-            if sigma_on_frame:
-                dm = _irfft(noise.spectra(seed, replicate_ids, drawn), grid)
-            elif has_noise:
-                sigma_dm = sigma_const * noise.spectra(seed, replicate_ids,
-                                                       drawn)
-            # a row per step's state, transformed back below; the frame
-            # path keeps frames instead and updates one state in place
-            slots = 1 if on_frame else count
-            states = np.empty((rows, slots) + psi_h.shape, dtype=complex)
-            if on_frame:  # the block's frames in FFT order
-                block = np.empty((rows, count) + grid.shape)
-            for j in range(count):
-                # the new state goes straight into its slot; the last one
-                # is read only (a stored row, or u0's cached spectrum) or,
-                # in the frame path, is that slot
-                state, last = states[:, j % slots], u_hat
-                if on_frame:
-                    forcing = dt * config.b(u) if b_const is None else 0.0
-                    if sigma_on_frame:
-                        forcing = forcing + config.sigma(u) * dm[:, j]
-                    last = np.add(last, _rfft(forcing, grid), out=state)
+            if has_noise:  # the block's noise; its raw spectra are not kept
+                dm = noise.spectra(seed, replicate_ids, drawn)
+            if not on_frame:  # step the block, then transform it at once
+                forcing = (np.multiply(sigma_const, dm, out=dm) if has_noise
+                           else np.zeros((rows, count) + psi_h.shape, complex))
                 if b_const:
-                    if last is not state:
-                        state[...] = last
-                    last = state
-                    state[zero] += b_mode
-                if sigma_dm is not None:
-                    last = np.add(last, sigma_dm[:, j], out=state)
-                u_hat = np.multiply(psi_h, last, out=state)
-                if on_frame:  # the next step needs this frame
+                    forcing[zero] += b_mode
+                u_hat = _advance(u_hat, forcing, psi_h)
+                block = _irfft(forcing, grid)
+                check(block, start + 1)
+            else:  # the block's frames in FFT order, one step at a time
+                if has_noise:
+                    dm = _irfft(dm, grid)
+                block = np.empty((rows, count) + grid.shape)
+                for j in range(count):
+                    forcing = dt * config.b(u)
+                    if has_noise:
+                        forcing = forcing + config.sigma(u) * dm[:, j]
+                    spectrum = _rfft(forcing, grid)[:, np.newaxis]
+                    u_hat = _advance(u_hat, spectrum, psi_h)
                     block[:, j] = u = _irfft(u_hat, grid)
-                    found = _blow_ups(u[:, np.newaxis], ceiling,
-                                      start + j + 1, replicate_ids)
-                    errors = found | errors
-                    if 0 in errors:
-                        raise errors[0]
-            if not on_frame:  # transform and check the block's frames at once
-                block = _irfft(states, grid)
-                errors = _blow_ups(block, ceiling, start + 1,
-                                   replicate_ids) | errors
-                if 0 in errors:
-                    raise errors[0]
+                    check(u[:, np.newaxis], start + j + 1)
         stop = bisect.bisect_right(steps, start + count, row)
         if stop > row:  # the block's stored rows, centred at once
             kept = [k - start - 1 for k in steps[row:stop]]
@@ -522,10 +515,7 @@ def _picard_rows(config: SolverConfig, replicate_ids):
                 forcing = np.multiply(config.sigma(path[:, :-1]), dm, out=new)
                 forcing += config.dt * config.b(path[:, :-1])
                 _rfft(forcing, grid, out=spectra)
-            u_hat = config._u0_hat
-            for state in np.moveaxis(spectra, 1, 0):  # step k's states
-                np.add(u_hat, state, out=state)
-                u_hat = np.multiply(config._psi_h, state, out=state)
+            _advance(config._u0_hat, spectra, config._psi_h)
             _irfft(spectra, grid, out=new)
             residuals = np.abs(path[:, 1:] - new).reshape(rows, -1).max(1)
             path[:, 1:] = new

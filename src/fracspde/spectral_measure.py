@@ -351,7 +351,12 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
     is None when each scan stopped on quiet shells or at the band, or ran
     to the end of _K_RANGE on shells decaying geometrically enough for
     _extrapolated_sum to add the rest; else it names where a scan stopped.
+    ConstraintViolationError unless n_radial, the Gauss nodes per shell,
+    is a non-bool integer >= 1.
     """
+    if not (_integer(n_radial) and n_radial >= 1):
+        raise ConstraintViolationError(
+            f"n_radial must be an integer >= 1, got {n_radial!r}")
     _check_dimensions(measure, idx)
     # the angular factor integrates out when alpha == 2 on every axis and
     # every integrand weighs the axes alike

@@ -626,6 +626,12 @@ def test_solve_counter_sees_every_command_that_steps(tmp_path, monkeypatch):
      "ConstraintViolationError", "spatial scales"),
     ("holder", {**_HOLDER_OK, "min_replicates": 41},
      "ConstraintViolationError", "replicates"),
+    ("holder", {**_HOLDER_OK, "min_lag_cells": -1},
+     "ConstraintViolationError", "min_lag_cells"),
+    ("holder", {**_HOLDER_OK, "min_lag_cells": 0},
+     "ConstraintViolationError", "min_lag_cells"),
+    ("holder", {**_HOLDER_OK, "min_lag_steps": 1},
+     "ConstraintViolationError", "min_lag_steps"),
 ])
 def test_unhonoured_input_exits_2_before_solving(tmp_path, capsys,
                                                  monkeypatch, command, over,

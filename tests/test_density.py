@@ -14,6 +14,7 @@ from fracspde.density import (
 from fracspde.errors import (
     AccuracyWarning,
     ConfigurationError,
+    ConstraintViolationError,
     DegenerateLawWarning,
     EllipticityError,
 )
@@ -215,6 +216,17 @@ def test_cumulative_variance_white_closed_form():
     for rho in [0.01, 0.1, 0.5, 1.0]:
         got = cumulative_variance(GAUSS, WHITE, rho)
         assert got == pytest.approx(math.sqrt(rho / (2 * math.pi)), rel=1e-9)
+
+
+@pytest.mark.parametrize("n_radial", [0, -3, 2.5, 8.0, True, "8"])
+def test_cumulative_variance_needs_whole_radial_nodes(n_radial):
+    with pytest.raises(ConstraintViolationError, match="n_radial"):
+        cumulative_variance(GAUSS, WHITE, 0.1, n_radial=n_radial)
+
+
+def test_cumulative_variance_takes_numpy_integer_radial_nodes():
+    assert cumulative_variance(GAUSS, WHITE, 0.1, n_radial=np.int64(24)) \
+        == cumulative_variance(GAUSS, WHITE, 0.1, n_radial=24)
 
 
 def test_variance_bounds_white_tight_exponent():

@@ -151,6 +151,38 @@ def test_spatial_estimate_needs_grid_resolution():
         estimate_spatial(fields, grid, min_replicates=1)
 
 
+@pytest.mark.parametrize("min_lag_steps", [2.5, 2.0, 1, 0, -2, True,
+                                           np.float64(3.0), "2"])
+def test_temporal_lag_must_be_whole_steps_at_least_two(min_lag_steps):
+    # a fractional lag would fit its slope on lags it does not measure
+    times = np.arange(1025) * 1e-3
+    with pytest.raises(ConstraintViolationError, match="min_lag_steps"):
+        estimate_temporal(times[None], times, min_replicates=1,
+                          min_lag_steps=min_lag_steps)
+
+
+@pytest.mark.parametrize("min_lag_cells", [1.5, 1.0, 0, -1, True,
+                                           np.float64(2.0), "1"])
+def test_spatial_lag_must_be_whole_cells_at_least_one(min_lag_cells):
+    # np.roll shifts by whole cells; a negative lag fails inside the fit
+    grid = Grid(1, 256, 2 * np.pi)
+    fields = np.sin(grid.axis_coordinates())[None]
+    with pytest.raises(ConstraintViolationError, match="min_lag_cells"):
+        estimate_spatial(fields, grid, min_replicates=1,
+                         min_lag_cells=min_lag_cells)
+
+
+def test_lag_settings_take_numpy_integers():
+    times = np.arange(1025) * 1e-3
+    grid = Grid(1, 256, 2 * np.pi)
+    tem = estimate_temporal(times[None], times, min_replicates=1,
+                            min_lag_steps=np.int64(3))
+    assert tem.lags[0] == pytest.approx(3e-3)
+    spa = estimate_spatial(np.sin(grid.axis_coordinates())[None], grid,
+                           min_replicates=1, min_lag_cells=np.int32(2))
+    assert spa.lags[0] == pytest.approx(2 * grid.spacing)
+
+
 def test_replicate_floor_enforced():
     dt = 1e-3
     times = np.arange(257) * dt

@@ -524,7 +524,8 @@ def test_constant_coefficient_frames_across_blocks_and_strides():
 
 @pytest.mark.parametrize("b, sigma, transforms", [
     (Coefficient.constant(0.5), Coefficient.constant(1.0), 3),  # per block
-    (Coefficient.linear(-0.5), Coefficient.constant(1.0), 150),  # per step
+    # per step, and the noise transformed back per block
+    (Coefficient.linear(-0.5), Coefficient.constant(1.0), 150 + 3),
     (Coefficient.constant(0.5), Coefficient.affine(0.3, 1.0), 150 + 3),
 ])
 def test_frames_transformed_per_block_only_with_constant_coefficients(
@@ -543,13 +544,17 @@ def test_frames_transformed_per_block_only_with_constant_coefficients(
     assert len(calls) == transforms
 
 
-@pytest.mark.parametrize("sigma", [Coefficient.constant(1.0),
-                                   Coefficient.affine(0.3, 1.0)],
-                         ids=["additive", "multiplicative"])
-def test_block_steps_match_complex_step(sigma):
+@pytest.mark.parametrize("b, sigma", [
+    (b, sigma) for b in (Coefficient.constant(0.5), Coefficient.linear(-0.5))
+    for sigma in (Coefficient.constant(1.0), Coefficient.affine(0.3, 1.0),
+                  Coefficient.constant(0.0))
+], ids=["additive", "multiplicative", "noise-free", "linear-b-additive",
+        "linear-b-multiplicative", "linear-b-noise-free"])
+def test_block_steps_match_complex_step(b, sigma):
     # three 64-step noise blocks: each step k draws the stream
-    # (master_seed, replicate, k)
-    cfg = _block_config(sigma=sigma)
+    # (master_seed, replicate, k); both stepping paths, with and without b
+    # and sigma acting on the frame, from a u0 != 0 so that no case is 0
+    cfg = _block_config(b=b, sigma=sigma, u0=lambda x: np.cos(x))
     path = solve(cfg, 3)
     for frame, ref in zip(path.frames, _complex_step_reference(cfg, 3),
                           strict=True):
