@@ -31,8 +31,8 @@ call, and a block is one ``_advance``, one batched ``_irfft`` and one
 check (still of every step's frame; the first failing step is the one
 reported).  When a coefficient acts on the frame, each step's forcing is
 dt*b(u) + sigma(u)*dM_k in physical space, whichever coefficient is
-constant (the sigma term is dropped only when sigma is zero), so that
-path transforms, steps and checks one step at a time.
+constant (a zero b or a zero sigma drops its term), so that path
+transforms, steps and checks one step at a time.
 
 Replicates are stepped in chunks by ``_step_rows``: the state of R
 replicates is one ``(R, *grid.shape)`` array (its half spectrum ``(R,
@@ -377,7 +377,7 @@ def _step_rows(config: SolverConfig, replicate_ids):
     psi_h, noise, ceiling = config._psi_h, config._synthesizer, config._ceiling
     b_const = _constant_value(config.b)
     sigma_const = _constant_value(config.sigma)
-    has_noise = not config.sigma.is_zero
+    has_drift, has_noise = not config.b.is_zero, not config.sigma.is_zero
     # with both constant the forcing is known before the block is stepped
     on_frame = b_const is None or sigma_const is None
     rows, seed = len(replicate_ids), config.master_seed
@@ -419,9 +419,12 @@ def _step_rows(config: SolverConfig, replicate_ids):
                     dm = _irfft(dm, grid)
                 block = np.empty((rows, count) + grid.shape)
                 for j in range(count):
-                    forcing = dt * config.b(u)
-                    if has_noise:
-                        forcing = forcing + config.sigma(u) * dm[:, j]
+                    if not has_drift:  # then sigma acts on the frame
+                        forcing = config.sigma(u) * dm[:, j]
+                    else:
+                        forcing = dt * config.b(u)
+                        if has_noise:
+                            forcing = forcing + config.sigma(u) * dm[:, j]
                     spectrum = _rfft(forcing, grid)[:, np.newaxis]
                     u_hat = _advance(u_hat, spectrum, psi_h)
                     block[:, j] = u = _irfft(u_hat, grid)

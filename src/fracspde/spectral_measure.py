@@ -24,6 +24,18 @@ top shells, and read convergence off the slope sign.  Shells are
 evaluated in batches, with integrands applied elementwise to node arrays
 of any shape; a kept shell that is not finite raises
 NumericalConsistencyError.
+
+Two scans walk outward from W = 1, up and down, and each stops at the
+first shell where one of these holds: the shell reaches the band of a
+band-limited density; three shells in a row are quiet (below _REL_TOL
+of the running total); 40 shells in a row grow (upward only, which is
+divergence); or the tail is geometric, its last _TAIL_FIT_SHELLS + 1
+shells positive, decaying faster than CONVERGENT_SLOPE, with log2 ratios
+that agree within _GEOMETRIC_SPREAD (never past a band).  Otherwise a
+scan runs to the end of the shell range, 2^-340 or 2^339.  A geometric
+tail, met early or at the end of the range, is extended to infinity by
+_extrapolated_sum.  Every rule is checked shell by shell, so no value
+depends on the batching.
 """
 
 from __future__ import annotations
@@ -69,6 +81,10 @@ _KINDS = ("white", "riesz", "bessel", "free_field", "tabulated")
 # required 2% decision band around critical parameters.
 CONVERGENT_SLOPE = -0.01
 _TAIL_FIT_SHELLS = 5
+# widest spread of the log2 ratios of _TAIL_FIT_SHELLS + 1 shells that
+# still counts as one geometric decay: a few hundred times the round-off
+# of a shell's log2 ratio
+_GEOMETRIC_SPREAD = 1e-12
 
 N_RADIAL = 24  # log-radial nodes per dyadic shell: the one quadrature knob
 _N_THETA = 48  # angular nodes per axis
@@ -316,15 +332,15 @@ class _NodeGeometry:
             hi = np.where(take, hi, mid)
         self._edges.update(zip(ks, np.exp2(0.5 * (lo + hi))))
 
-    def levels(self, r, axis_weights):
-        """T(xi) = sum_i w_i |xi_i|^alpha_i on nodes; r has shape
-        (..., n_dirs, n_r)."""
+    def levels(self, s, axis_weights):
+        """T(xi) = sum_i w_i |xi_i|^alpha_i on nodes of log-radius s, of
+        shape (..., n_dirs, n_r); r^alpha_i is exp(alpha_i * s)."""
         # w is a scalar or one weight per axis; the radial path's single
         # node column reads the first of its d equal weights
         ca = np.asarray(axis_weights, dtype=float) * self.comps_alpha
-        out = ca[:, 0, None] * r ** self.alpha[0]
+        out = ca[:, 0, None] * np.exp(self.alpha[0] * s)
         for i in range(1, len(self.alpha)):
-            out = out + ca[:, i, None] * r ** self.alpha[i]
+            out = out + ca[:, i, None] * np.exp(self.alpha[i] * s)
         return out
 
 
@@ -348,9 +364,10 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
     _BATCH_NODES nodes, and a scan keeps exactly the shells up to its stop;
     a kept shell that is not finite raises NumericalConsistencyError.
     Returns (ks, contribs[n_int, n_k], band_limited, unsettled): unsettled
-    is None when each scan stopped on quiet shells or at the band, or ran
-    to the end of _K_RANGE on shells decaying geometrically enough for
-    _extrapolated_sum to add the rest; else it names where a scan stopped.
+    is None when each scan stopped on quiet shells, at the band or on a
+    geometric tail, or ran to the end of _K_RANGE on shells decaying
+    geometrically enough for _extrapolated_sum to add the rest; else it
+    names where a scan stopped.
     ConstraintViolationError unless n_radial, the Gauss nodes per shell,
     is a non-bool integer >= 1.
     """
@@ -386,13 +403,14 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
                                 axis=-1)
             ln1, ln2 = ln[..., :-1], ln[..., 1:]
         h = 0.5 * (ln2 - ln1)  # (shell, direction, piece)
-        s = h[..., None] * (gl_x + 1) + ln1[..., None]
-        r = np.exp(s).reshape(len(h), n_dirs, -1)
+        s = (h[..., None] * (gl_x + 1) + ln1[..., None]).reshape(
+            len(h), n_dirs, -1)
+        r = np.exp(s)
         dens = measure.radial_density(r) * r**d  # r^(d-1) plus log jacobian
         base = (h[..., None] * gl_w).reshape(r.shape) * dens
         out = np.empty((len(h), len(integrands)))
         for j, (w, g) in enumerate(integrands):
-            vals = g(geom.levels(r, w))
+            vals = g(geom.levels(s, w))
             out[:, j] = ((base * vals).sum(axis=-1)
                          * geom.sphere_weights).sum(axis=-1)
         empty = ~np.any(h > 0, axis=(1, 2))  # e.g. wholly past the band
@@ -403,6 +421,8 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
     ks, contribs = [], []
     band_limited, unsettled = False, None
     total = np.zeros(len(integrands))
+    # a band-limited density has no tail past its band to extrapolate
+    geometric_stop = band == math.inf
 
     def scan(direction):
         nonlocal band_limited, unsettled, total
@@ -410,7 +430,8 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
         k = 0 if direction > 0 else -1
         quiet = rising = 0
         prev = None
-        batch = 8
+        tail = np.full((_TAIL_FIT_SHELLS, len(integrands)), np.nan)
+        batch = 16
         while k in _K_RANGE:
             n = min(batch, max_batch, _K_RANGE.stop - k if direction > 0
                     else k + 1 - _K_RANGE.start)
@@ -424,30 +445,35 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
                            axis=1)
             before = np.vstack([c[:1] if prev is None else prev, c[:-1]])
             grows = np.all(c >= before, axis=1)
-            for i in range(n):  # the one-shell stop rule, shell by shell
-                if not np.isfinite(c[i]).all():
+            run = np.vstack([tail, c])
+            geometric = (_geometric_ends(run) if geometric_stop
+                         else np.zeros(n, bool))
+            flags = zip(np.isfinite(c).all(axis=1).tolist(), clipped.tolist(),
+                        small.tolist(), grows.tolist(), geometric.tolist())
+            # the one-shell stop rule, shell by shell
+            for i, (finite, at_band, tiny, grown, geo) in enumerate(flags):
+                if not finite:
                     raise NumericalConsistencyError(
                         f"non-finite contribution {c[i]} of shell "
                         f"2^{k + direction * i}")
-                band_limited |= bool(clipped[i] and not small[i])
-                quiet = quiet + 1 if small[i] else 0
+                band_limited |= at_band and not tiny
+                quiet = quiet + 1 if tiny else 0
                 # a long run of growing shells is already conclusive divergence
                 if direction > 0 and (i or prev is not None):
-                    rising = rising + 1 if grows[i] else 0
-                stop = clipped[i] or quiet >= 3 or rising >= 40
+                    rising = rising + 1 if grown else 0
+                settled = at_band or quiet >= 3 or geo
+                stop = settled or rising >= 40
                 if stop:
                     break
             n = i + 1
             ks.extend(range(k, k + direction * n, direction))
             contribs.append(c[:n])
-            total, prev = totals[n], c[n - 1]
+            total, prev, tail = totals[n], c[n - 1], run[n:n + len(tail)]
             if stop:
                 break
             k += direction * n
             batch *= 2
-        if stop:
-            settled = clipped[i] or quiet >= 3
-        else:  # the shells kept so far, ordered outward
+        if not stop:  # the shells kept so far, ordered outward
             settled = all(map(_geometric_tail,
                               np.concatenate(contribs[first:]).T))
         if not settled:
@@ -460,6 +486,21 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
     ks = np.asarray(ks)[order]
     contribs = np.concatenate(contribs)[order].T
     return ks, contribs, band_limited, unsettled
+
+
+def _geometric_ends(run):
+    """geometric[i]: whether the shells run[:_TAIL_FIT_SHELLS + i + 1],
+    ordered outward, end in _TAIL_FIT_SHELLS + 1 positive shells whose
+    log2 ratios all lie below CONVERGENT_SLOPE and agree within
+    _GEOMETRIC_SPREAD, for every integrand (columns of run); there the
+    tail is geometric, and _extrapolated_sum adds the rest of it."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratios = np.diff(np.log2(np.where(run > 0, run, np.nan)), axis=0)
+    n = len(run) - _TAIL_FIT_SHELLS
+    windows = np.stack([ratios[j:j + n] for j in range(_TAIL_FIT_SHELLS)])
+    hi = windows.max(axis=0)  # NaN, and so False, past a shell <= 0
+    return np.all((hi < CONVERGENT_SLOPE)
+                  & (hi - windows.min(axis=0) <= _GEOMETRIC_SPREAD), axis=1)
 
 
 def _tail_slope(ks, c):

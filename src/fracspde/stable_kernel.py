@@ -15,6 +15,7 @@ coarseness shows up as wrap-around (leakage) in the tails, reported by
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import warnings
@@ -84,11 +85,12 @@ def _check_idx_grid(idx: FractionalIndex, grid: Grid):
 
 
 def _symbol_lattice(idx: FractionalIndex, grid: Grid, t: float):
-    """Semigroup symbol sampled on the grid's frequency lattice."""
+    """Semigroup symbol sampled on the grid's frequency lattice: the
+    product over axes of exp(t * term_i), each on its sparse axis of the
+    mesh, broadcast to the grid."""
     _check_idx_grid(idx, grid)
-    mesh = grid.frequency_mesh()
-    expo = sum(_symbol_terms(idx, mesh))
-    return np.exp(t * expo)
+    return functools.reduce(np.multiply, [
+        np.exp(t * term) for term in _symbol_terms(idx, grid.frequency_mesh())])
 
 
 def tail_coefficients(alpha: float, delta: float):

@@ -785,7 +785,7 @@ def _exits_with_contract(command, cfg):
         assert set(report) == {"error", "message"}
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None, derandomize=True)
 @given(cfg=_fuzzed_config("simulate"))
 def test_simulate_fuzz_exits_with_contract(cfg):
     _exits_with_contract("simulate", cfg)
@@ -793,7 +793,7 @@ def test_simulate_fuzz_exits_with_contract(cfg):
 
 @pytest.mark.parametrize("command", ["holder", "density", "kernel",
                                      "measure"])
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30, deadline=None, derandomize=True)
 @given(data=st.data())
 def test_command_fuzz_exits_with_contract(command, data):
     _exits_with_contract(command, data.draw(_fuzzed_config(command)))

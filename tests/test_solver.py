@@ -548,8 +548,10 @@ def test_frames_transformed_per_block_only_with_constant_coefficients(
     (b, sigma) for b in (Coefficient.constant(0.5), Coefficient.linear(-0.5))
     for sigma in (Coefficient.constant(1.0), Coefficient.affine(0.3, 1.0),
                   Coefficient.constant(0.0))
-], ids=["additive", "multiplicative", "noise-free", "linear-b-additive",
-        "linear-b-multiplicative", "linear-b-noise-free"])
+] + [(Coefficient.constant(0.0), Coefficient.affine(0.3, 1.0))],
+    ids=["additive", "multiplicative", "noise-free", "linear-b-additive",
+         "linear-b-multiplicative", "linear-b-noise-free",
+         "zero-b-multiplicative"])
 def test_block_steps_match_complex_step(b, sigma):
     # three 64-step noise blocks: each step k draws the stream
     # (master_seed, replicate, k); both stepping paths, with and without b
@@ -559,6 +561,26 @@ def test_block_steps_match_complex_step(b, sigma):
     for frame, ref in zip(path.frames, _complex_step_reference(cfg, 3),
                           strict=True):
         np.testing.assert_allclose(frame.values, ref, rtol=0, atol=1e-12)
+
+
+def test_stepping_never_calls_a_zero_drift():
+    # a zero b drops its term from the frame path's forcing, where
+    # dt * 0 + x would add only zeros: the frames are those of a drift
+    # that evaluates to zeros on every step
+    calls = []
+
+    def spy(u):
+        calls.append(u.shape)
+        return np.zeros_like(u)
+
+    zero = Coefficient(spy, 0.0, "constant", (0.0,))
+    sigma, u0 = Coefficient.affine(0.3, 1.0), lambda x: np.cos(x)
+    assert zero.is_zero
+    path = solve(_block_config(b=zero, sigma=sigma, u0=u0), 3)
+    assert calls == []
+    zeros = solve(_block_config(b=Coefficient.linear(0.0), sigma=sigma,
+                                u0=u0), 3)
+    assert path.values.tobytes() == zeros.values.tobytes()
 
 
 def _record_draws_and_checks(monkeypatch):

@@ -367,8 +367,11 @@ def test_node_geometry_built_once_per_alpha(monkeypatch):
 #
 # Oracle: the scan the quadrature used before shells were evaluated in
 # batches.  One shell per call, each stop rule checked after its shell.
+# ``geometric=False`` switches off the stop on a geometric tail, so that
+# the scan runs on until its shells are quiet or the shell range ends.
 
-def _one_shell_scan(measure, idx, integrands, *, n_radial=sm.N_RADIAL):
+def _one_shell_scan(measure, idx, integrands, *, n_radial=sm.N_RADIAL,
+                    geometric=True):
     radial = all(a == 2.0 for a in idx.alpha) and all(
         np.ptp(np.broadcast_to(np.asarray(w, dtype=float), (idx.d,))) == 0
         for w, _ in integrands
@@ -392,13 +395,13 @@ def _one_shell_scan(measure, idx, integrands, *, n_radial=sm.N_RADIAL):
         h = 0.5 * (ln2 - ln1)
         if not np.any(h > 0):
             return np.zeros(len(integrands)), True
-        s = h[..., None] * (gl_x + 1) + ln1[..., None]
-        r = np.exp(s).reshape(len(r1), -1)
+        s = (h[..., None] * (gl_x + 1) + ln1[..., None]).reshape(len(r1), -1)
+        r = np.exp(s)
         dens = measure.radial_density(r) * r**d
         base = (h[..., None] * gl_w).reshape(len(r1), -1) * dens
         out = np.empty(len(integrands))
         for j, (w, g) in enumerate(integrands):
-            vals = g(geom.levels(r, w))
+            vals = g(geom.levels(s, w))
             out[j] = float(((base * vals).sum(axis=1)
                             * geom.sphere_weights).sum())
         clipped = band < math.inf and bool(np.any(r2 >= band))
@@ -410,6 +413,7 @@ def _one_shell_scan(measure, idx, integrands, *, n_radial=sm.N_RADIAL):
 
     def scan(direction):
         nonlocal band_limited, total
+        first = len(contribs)
         k = 0 if direction > 0 else -1
         quiet = rising = 0
         prev = None
@@ -426,6 +430,16 @@ def _one_shell_scan(measure, idx, integrands, *, n_radial=sm.N_RADIAL):
             quiet = quiet + 1 if small else 0
             if quiet >= 3:
                 break
+            # the last shells of this scan, ordered outward
+            last = np.asarray(contribs[first:][-(sm._TAIL_FIT_SHELLS + 1):])
+            if (geometric and band == math.inf
+                    and len(last) == sm._TAIL_FIT_SHELLS + 1
+                    and (last > 0).all()):
+                ratios = np.diff(np.log2(last), axis=0)
+                if ((ratios < sm.CONVERGENT_SLOPE).all()
+                        and (np.ptp(ratios, axis=0)
+                             <= sm._GEOMETRIC_SPREAD).all()):
+                    break
             if direction > 0 and prev is not None:
                 rising = rising + 1 if np.all(c >= prev) else 0
                 if rising >= 40:
@@ -509,6 +523,10 @@ SCAN_MATRIX = {
     "alpha-0.3125-bessel-3": (SpectralMeasure.bessel(3.0, 1),
                               FractionalIndex([0.3125], [-0.3125]),
                               _admissibility_set(1.0)),
+    # shells 2^53..2^79 decay geometrically, yet the scan runs to the band
+    "tabulated-wide-band": (SpectralMeasure.tabulated([0.0, 2.0**40],
+                                                      [1.0, 1.0], 1),
+                            GAUSS1, _admissibility_set(0.6)),
 }
 
 
@@ -589,17 +607,72 @@ def test_batched_scan_bisects_the_edges_the_one_shell_scan_reads(alpha):
         assert past == 0 and bisected == read
 
 
+# -- geometric-tail stop -----------------------------------------------------------
+#
+# A scan stops at the first shell where its tail is geometric, and
+# _extrapolated_sum adds the rest.  Oracle: the one-shell scan with that
+# rule switched off, which runs on until its shells are quiet or the
+# shell range ends.
+
+GEOMETRIC_CASES = {
+    **{key: (*SCAN_MATRIX[key], sm.N_RADIAL)
+       for key in ("1d-skewed", "radial-d2", "radial-d3", "radial-d4",
+                   "aniso-2d")},
+    # shells scale as r^0.1 toward 0, too slowly to turn quiet
+    "aniso-2d-riesz-0.1": (SpectralMeasure.riesz(0.1, 2),
+                           FractionalIndex([1.5, 1.2], [0.3, 0.1]),
+                           _admissibility_set(0.9), sm.N_RADIAL),
+    # 8 radial nodes per shell keep the long 3-d oracle scan short
+    "aniso-3d-riesz-0.1": (SpectralMeasure.riesz(0.1, 3),
+                           FractionalIndex([1.9, 0.6, 1.5], [0.1, 0.1, -0.2]),
+                           _cumulative_set(1.0), 8),
+}
+# a scan that stops on quiet shells before either tail is geometric
+NEVER_GEOMETRIC = {"aniso-2d"}
+
+
+@pytest.mark.parametrize("case", list(GEOMETRIC_CASES))
+def test_geometric_stop_matches_the_full_scan(case):
+    measure, idx, integrands, n_radial = GEOMETRIC_CASES[case]
+    integrands = integrands(idx)
+    ks, c, _, unsettled = sm._dyadic_contributions(measure, idx, integrands,
+                                                   n_radial=n_radial)
+    full_ks, full, _ = _one_shell_scan(measure, idx, integrands,
+                                       n_radial=n_radial, geometric=False)
+    assert unsettled is None
+    assert (len(ks) == len(full_ks)) == (case in NEVER_GEOMETRIC)
+    # the stop drops outer shells and changes none it keeps
+    assert full[:, np.isin(full_ks, ks)].tobytes() == c.tobytes()
+    for row, full_row in zip(c, full, strict=True):
+        assert sm._extrapolated_sum(ks, row) == pytest.approx(
+            sm._extrapolated_sum(full_ks, full_row), rel=1e-9, abs=0)
+        assert sm._tail_slope(ks, row) == pytest.approx(
+            sm._tail_slope(full_ks, full_row), rel=0, abs=1e-9)
+
+
 @pytest.mark.parametrize("beta", [3.0, 0.76])
 def test_admissibility_of_a_small_alpha_index_is_quiet(beta):
-    # radii grow as 2^(3.2 k) here.  At beta = 0.76 the scan stops at
-    # k = 135, and its batch runs on to shells where r^2 overflows: the
-    # batch must neither warn nor keep them
+    # radii grow as 2^(3.2 k) here.  At beta = 0.76 the tail is geometric
+    # from k = 44 on, where the scan stops
     m = SpectralMeasure.bessel(beta, 1)
     idx = FractionalIndex([0.3125], [-0.3125])
     rep = admissibility(m, idx, 1.0)
     ks, c, _ = _one_shell_scan(m, idx, [sm._admissibility_integrand(idx, 1.0)])
     assert rep.admissible and math.isfinite(rep.integral_value)
     assert rep.integral_value == sm._extrapolated_sum(ks, c[0])
+
+
+def test_a_batch_run_past_its_stop_neither_warns_nor_keeps_shells():
+    # radii grow as 2^(3.2 k) here, and a log factor keeps the tail from
+    # turning geometric: the scan stops on quiet shells at k = 142, and its
+    # batch runs on to shells where r^2 overflows (k > 160)
+    m = SpectralMeasure.bessel(0.76, 1)
+    idx = FractionalIndex([0.3125], [-0.3125])
+    integrands = [(1.0, lambda s: (1 + s) ** -0.95 / np.log2(2 + s))]
+    ks, c, _, unsettled = sm._dyadic_contributions(m, idx, integrands)
+    want_ks, want, _ = _one_shell_scan(m, idx, integrands)
+    assert unsettled is None and ks[-1] == 142
+    assert ks.tobytes() == want_ks.tobytes() and c.tobytes() == want.tobytes()
 
 
 def test_spectral_integral_raises_on_a_non_finite_shell():
@@ -634,25 +707,38 @@ def test_spectral_integral_raises_on_growing_shells():
 
 
 @pytest.mark.parametrize("measure, alpha, closed_form", [
-    # shells scale as r^0.05 toward 0: the downward scan reaches 2^-340
+    # shells scale as r^0.05 toward 0, too slowly to turn quiet: the
+    # downward scan stops on its geometric tail near 2^-45
     (SpectralMeasure.riesz(0.05, 1), 2.0,
      lambda m, c: m.radial_density(np.array([1.0]))[0]
      * math.gamma(0.025) * c ** -0.025),
-    # shells scale as r^-0.05 toward infinity: the upward scan reaches 2^339
+    # shells scale as r^-0.05 toward infinity in cumulative_variance: its
+    # upward scan stops on its geometric tail near 2^9
     (SpectralMeasure.white(1), 1.05,
      lambda m, c: m.radial_density(np.array([1.0]))[0]
      * 2 * math.gamma(1 + 1 / 1.05) * c ** (-1 / 1.05)),
 ], ids=["riesz-0.05", "white-alpha-1.05"])
 def test_spectral_integral_extends_a_slow_geometric_tail(measure, alpha,
                                                          closed_form):
-    # a scan that runs off the shell range on a geometric decay settles:
-    # the extrapolated sum equals int m(|xi|) exp(-c |xi|^alpha) dxi
+    # a scan that stops on a slow geometric decay settles: the
+    # extrapolated sum equals int m(|xi|) exp(-c |xi|^alpha) dxi
     from fracspde.density import cumulative_variance
     idx = FractionalIndex([alpha], [0.0])
     c = 2 * 0.5 * idx.damping
     assert variance_rate(idx, measure, 0.5) == pytest.approx(
         closed_form(measure, c), rel=1e-8)
     assert math.isfinite(cumulative_variance(idx, measure, 1.0))
+
+
+def test_a_decay_that_never_turns_geometric_settles_at_the_range_end():
+    # shells fall as 2^(-0.05 k) / k: never geometric to round-off, nor
+    # quiet within the shell range, yet decaying fast enough to extend
+    integrand = (1.0, lambda s: (1 + s) ** -0.55 / np.log2(2 + s))
+    ks, _, _, unsettled = sm._dyadic_contributions(
+        SpectralMeasure.white(1), GAUSS1, [integrand])
+    assert unsettled is None and ks[-1] == sm._K_RANGE.stop - 1
+    assert math.isfinite(spectral_integral(SpectralMeasure.white(1), GAUSS1,
+                                           integrand[1]))
 
 
 def test_tabulated_band_too_short_is_inconclusive():
