@@ -54,6 +54,13 @@ def _integer(value) -> bool:
     return type(value) is int or isinstance(value, np.integer)
 
 
+def _check_dimensions(**parts):
+    """ConstraintViolationError unless the named parts share one ``d``."""
+    if len({part.d for part in parts.values()}) > 1:
+        raise ConstraintViolationError("dimensions must agree: " + ", ".join(
+            f"{name} {part.d}" for name, part in parts.items()))
+
+
 @dataclass(frozen=True)
 class FractionalIndex:
     """Stability/skewness multi-index of the fractional generator.

@@ -30,9 +30,9 @@ zero mode.  A step then makes no forward transform and no coefficient
 call, and a block is one ``_advance``, one batched ``_irfft`` and one
 check (still of every step's frame; the first failing step is the one
 reported).  When a coefficient acts on the frame, each step's forcing is
-dt*b(u) + sigma(u)*dM_k in physical space, whichever coefficient is
-constant (a zero b or a zero sigma drops its term), so that path
-transforms, steps and checks one step at a time.
+dt*b(u) + sigma(u)*dM_k in physical space (``_forcing``: a zero b or a
+zero sigma drops its term), so that path transforms, steps and checks
+one step at a time.
 
 Replicates are stepped in chunks by ``_step_rows``: the state of R
 replicates is one ``(R, *grid.shape)`` array (its half spectrum ``(R,
@@ -47,7 +47,7 @@ is the one-row call; ``moment_estimate`` and the CLI run chunks of
 ``_chunks`` (CHUNK_ELEMENTS stored values, MAX_CHUNK_ROWS rows) through
 ``_ensemble`` and its threads.  A failing row keeps stepping, and the
 chunk raises the BlowUpError a replicate-by-replicate loop would raise.
-``_picard_rows`` sweeps a chunk's whole paths by the same ``_advance``.
+``_picard_rows`` sweeps whole paths by the same ``_forcing`` and ``_advance``.
 
 Either way a noise block ends with its frames in FFT order, ``(R,
 steps, *grid.shape)``.  Its stored rows are centred by one ``_centre``
@@ -67,7 +67,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -78,8 +78,9 @@ from .errors import (
     ConstraintViolationError,
     PicardConvergenceError,
 )
-from .fields import (Field, FractionalIndex, Grid, _centre, _grid_point,
-                     _integer, _irfft, _rfft, _real_multiplier, _wrap)
+from .fields import (Field, FractionalIndex, Grid, _centre,
+                     _check_dimensions, _grid_point, _integer, _irfft, _rfft,
+                     _real_multiplier, _wrap)
 from .noise import _Synthesizer, _stream_id
 from .spectral_measure import SpectralMeasure, require_admissible
 from .stable_kernel import _symbol_lattice, apply_semigroup
@@ -103,18 +104,25 @@ CHUNK_ELEMENTS = 2**20  # most stored frame values a chunk of replicates holds
 MAX_CHUNK_ROWS = 64  # most rows a chunk steps; bounds the CLI's --threads
 
 
+_PRESETS = {
+    "constant": lambda c, u: np.full_like(np.asarray(u, dtype=float), c),
+    "linear": lambda a, u: a * u,
+    "affine": lambda a, c, u: a * u + c,
+    "sine": lambda a, w, u: a * np.sin(w * u),
+}
+
+
 @dataclass(frozen=True)
 class Coefficient:
     """Scalar coefficient with a known Lipschitz constant.
 
-    Presets: constant(c), linear(a), affine(a, c), sine(a, w) for
-    a*sin(w*u).  Custom callables need an explicit Lipschitz constant.
+    Presets: constant(c), linear(a), affine(a, c), sine(a, w) for a*sin(w*u),
+    each ``fn`` a ``_PRESETS`` function with its parameters bound, which
+    ``name`` and ``params`` read.  Custom callables need a Lipschitz constant.
     """
 
     fn: object
     lipschitz: float
-    name: str = "custom"
-    params: tuple = ()
 
     def __post_init__(self):
         if not (math.isfinite(self.lipschitz) and self.lipschitz >= 0):
@@ -127,24 +135,35 @@ class Coefficient:
 
     @classmethod
     def constant(cls, c):
-        c = float(c)
-        return cls(lambda u: np.full_like(np.asarray(u, dtype=float), c),
-                   0.0, "constant", (c,))
+        return cls(partial(_PRESETS["constant"], float(c)), 0.0)
 
     @classmethod
     def linear(cls, a):
-        a = float(a)
-        return cls(lambda u: a * u, abs(a), "linear", (a,))
+        return cls(partial(_PRESETS["linear"], float(a)), abs(float(a)))
 
     @classmethod
     def affine(cls, a, c):
-        a, c = float(a), float(c)
-        return cls(lambda u: a * u + c, abs(a), "affine", (a, c))
+        a = float(a)
+        return cls(partial(_PRESETS["affine"], a, float(c)), abs(a))
 
     @classmethod
     def sine(cls, a, w=1.0):
         a, w = float(a), float(w)
-        return cls(lambda u: a * np.sin(w * u), abs(a * w), "sine", (a, w))
+        return cls(partial(_PRESETS["sine"], a, w), abs(a * w))
+
+    @property
+    def name(self) -> str:
+        """The preset ``fn`` is, or "custom" for any other callable."""
+        fn = self.fn
+        return next((name for name, f in _PRESETS.items()
+                     if type(fn) is partial and fn.func is f
+                     and not fn.keywords
+                     and len(fn.args) == f.__code__.co_argcount - 1), "custom")
+
+    @property
+    def params(self) -> tuple:
+        """The parameters ``fn`` binds to its preset; () if it is custom."""
+        return () if self.name == "custom" else self.fn.args
 
     @property
     def is_zero(self) -> bool:
@@ -204,10 +223,7 @@ class SolverConfig:
                     f"{name} must be an integer >= 1, got {count!r}")
         if not (math.isfinite(self.picard_tol) and self.picard_tol > 0):
             raise ConstraintViolationError("picard_tol must be finite and > 0")
-        if self.idx.d != self.grid.d or self.measure.d != self.grid.d:
-            raise ConstraintViolationError(
-                "index, measure and grid dimensions must agree"
-            )
+        _check_dimensions(index=self.idx, measure=self.measure, grid=self.grid)
         require_admissible(self.measure, self.idx)
         object.__setattr__(self, "u0", _as_initial_field(self.u0, self.grid))
         if not np.isfinite(self.u0.values).all():
@@ -345,9 +361,13 @@ def _blow_ups(stack, ceiling, first_step, replicate_ids) -> dict:
     return errors
 
 
-def _constant_value(coef: Coefficient):
-    """c for a ``Coefficient.constant(c)`` preset, None for any other."""
-    return coef.params[0] if coef.name == "constant" else None
+def _forcing(config: SolverConfig, u, dm):
+    """dt * b(u) + sigma(u) * dm, without the term of a zero sigma (``dm`` is
+    then not read), nor that of a zero b unless sigma is zero too."""
+    if config.b.is_zero and not config.sigma.is_zero:
+        return config.sigma(u) * dm
+    forcing = config.dt * config.b(u)
+    return forcing if config.sigma.is_zero else forcing + config.sigma(u) * dm
 
 
 def _advance(u_hat, forcing, psi_h):
@@ -375,9 +395,9 @@ def _step_rows(config: SolverConfig, replicate_ids):
     """
     grid, dt, n = config.grid, config.dt, config.n_steps
     psi_h, noise, ceiling = config._psi_h, config._synthesizer, config._ceiling
-    b_const = _constant_value(config.b)
-    sigma_const = _constant_value(config.sigma)
-    has_drift, has_noise = not config.b.is_zero, not config.sigma.is_zero
+    b_const, sigma_const = (c.params[0] if c.name == "constant" else None
+                            for c in (config.b, config.sigma))
+    has_noise = not config.sigma.is_zero
     # with both constant the forcing is known before the block is stepped
     on_frame = b_const is None or sigma_const is None
     rows, seed = len(replicate_ids), config.master_seed
@@ -415,16 +435,11 @@ def _step_rows(config: SolverConfig, replicate_ids):
                 block = _irfft(forcing, grid)
                 check(block, start + 1)
             else:  # the block's frames in FFT order, one step at a time
-                if has_noise:
-                    dm = _irfft(dm, grid)
+                dm = _irfft(dm, grid) if has_noise else None
                 block = np.empty((rows, count) + grid.shape)
                 for j in range(count):
-                    if not has_drift:  # then sigma acts on the frame
-                        forcing = config.sigma(u) * dm[:, j]
-                    else:
-                        forcing = dt * config.b(u)
-                        if has_noise:
-                            forcing = forcing + config.sigma(u) * dm[:, j]
+                    forcing = _forcing(config, u,
+                                       None if dm is None else dm[:, j])
                     spectrum = _rfft(forcing, grid)[:, np.newaxis]
                     u_hat = _advance(u_hat, spectrum, psi_h)
                     block[:, j] = u = _irfft(u_hat, grid)
@@ -501,23 +516,22 @@ def _picard_rows(config: SolverConfig, replicate_ids):
         values, traces = zip(*[_picard_rows(config, replicate_ids[lo:][:size])
                                for lo in range(0, rows, size)])
         return np.concatenate(values), sum(traces, [])
-    dm, block = np.zeros((rows, n) + grid.shape), noise.block_steps(rows)
-    for lo in range(0, 0 if config.sigma.is_zero else n, block):
+    new = np.empty((rows, n) + grid.shape)  # a sweep's frames
+    dm = None if config.sigma.is_zero else np.empty_like(new)
+    block = noise.block_steps(rows)
+    for lo in range(0, 0 if dm is None else n, block):
         steps = range(lo, min(lo + block, n))  # ``_step_rows``'s blocks
         _irfft(noise.spectra(config.master_seed, replicate_ids, steps), grid,
                out=dm[:, lo:steps.stop])
     path = np.zeros((rows, n + 1) + grid.shape)  # FFT order, k steps in row k
     path[:, 0] = config._u0_wrapped
-    new = np.empty_like(dm)  # a sweep's forcing, then its frames
     spectra = np.zeros((rows, n) + config._psi_h.shape, dtype=complex)
     values = np.empty((rows, len(stored)) + grid.shape)
     live, traces, errors = np.ones(rows, bool), [[] for _ in range(rows)], {}
     with np.errstate(over="ignore", invalid="ignore"):  # _blow_ups checks
         for sweep in range(config.picard_max_iter + 1):
             if sweep:  # the first sweep, with no forcing, is the flow of u0
-                forcing = np.multiply(config.sigma(path[:, :-1]), dm, out=new)
-                forcing += config.dt * config.b(path[:, :-1])
-                _rfft(forcing, grid, out=spectra)
+                _rfft(_forcing(config, path[:, :-1], dm), grid, out=spectra)
             _advance(config._u0_hat, spectra, config._psi_h)
             _irfft(spectra, grid, out=new)
             residuals = np.abs(path[:, 1:] - new).reshape(rows, -1).max(1)

@@ -44,7 +44,7 @@ import math
 import numbers
 import warnings
 from dataclasses import dataclass, asdict
-from functools import lru_cache
+from functools import cache, lru_cache
 
 import numpy as np
 
@@ -55,7 +55,7 @@ from .errors import (
     InconclusiveError,
     NumericalConsistencyError,
 )
-from .fields import FractionalIndex, Grid, _integer
+from .fields import FractionalIndex, Grid, _check_dimensions, _integer
 
 __all__ = [
     "SpectralMeasure",
@@ -210,10 +210,7 @@ class SpectralMeasure:
         torus it is a global constant that carries no increment
         information.
         """
-        if grid.d != self.d:
-            raise ConstraintViolationError(
-                f"measure dimension {self.d} != grid dimension {grid.d}"
-            )
+        _check_dimensions(measure=self, grid=grid)
         mesh = grid.frequency_mesh()
         r = np.sqrt(sum(np.asarray(x) ** 2 for x in mesh))
         vals = self.radial_density(r)
@@ -248,13 +245,9 @@ def frequency_weight(xi, idx: FractionalIndex) -> float:
 # pointwise inequalities survive discretization exactly.
 # ---------------------------------------------------------------------------
 
-_GL_CACHE = {}
-
-
+@cache
 def _leggauss(n):
-    if n not in _GL_CACHE:
-        _GL_CACHE[n] = np.polynomial.legendre.leggauss(n)
-    return _GL_CACHE[n]
+    return np.polynomial.legendre.leggauss(n)
 
 
 class _NodeGeometry:
@@ -349,13 +342,6 @@ def _node_geometry(alpha: tuple, radial: bool) -> _NodeGeometry:
     return _NodeGeometry(alpha, radial)
 
 
-def _check_dimensions(measure: SpectralMeasure, idx: FractionalIndex):
-    """ConstraintViolationError unless ``measure`` and ``idx`` share d."""
-    if measure.d != idx.d:
-        raise ConstraintViolationError(
-            f"measure dimension {measure.d} != index dimension {idx.d}")
-
-
 def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
     """Shell-by-shell contributions of several integrands.
 
@@ -374,7 +360,7 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
     if not (_integer(n_radial) and n_radial >= 1):
         raise ConstraintViolationError(
             f"n_radial must be an integer >= 1, got {n_radial!r}")
-    _check_dimensions(measure, idx)
+    _check_dimensions(measure=measure, index=idx)
     # the angular factor integrates out when alpha == 2 on every axis and
     # every integrand weighs the axes alike
     radial = all(a == 2.0 for a in idx.alpha) and all(
@@ -604,7 +590,7 @@ def closed_form_critical_eta(measure: SpectralMeasure,
     gamma/2, (d-beta)+/2, (d-2)+/2, valid for alpha == 2 on every axis.
     Returns None when no closed form applies.
     """
-    _check_dimensions(measure, idx)
+    _check_dimensions(measure=measure, index=idx)
     if measure.kind == "white":
         return idx.inverse_alpha_sum
     if measure.kind == "tabulated":

@@ -29,7 +29,7 @@ from .errors import (
     TruncationError,
 )
 from .fields import (Field, FractionalIndex, Grid, _apply_symbol,
-                     to_frequency, to_physical)
+                     _check_dimensions, to_frequency, to_physical)
 
 __all__ = [
     "generator_symbol",
@@ -77,18 +77,10 @@ def semigroup_symbol(idx: FractionalIndex, xi, t):
     return complex(np.exp(t * generator_symbol(idx, xi)))
 
 
-def _check_idx_grid(idx: FractionalIndex, grid: Grid):
-    if idx.d != grid.d:
-        raise ConstraintViolationError(
-            f"index dimension {idx.d} != grid dimension {grid.d}"
-        )
-
-
 def _symbol_lattice(idx: FractionalIndex, grid: Grid, t: float):
     """Semigroup symbol sampled on the grid's frequency lattice: the
     product over axes of exp(t * term_i), each on its sparse axis of the
     mesh, broadcast to the grid."""
-    _check_idx_grid(idx, grid)
     return functools.reduce(np.multiply, [
         np.exp(t * term) for term in _symbol_terms(idx, grid.frequency_mesh())])
 
@@ -113,7 +105,7 @@ def leakage_estimate(idx: FractionalIndex, t: float, grid: Grid) -> float:
     """
     if not 0 < t < math.inf:
         raise ConstraintViolationError(f"time must be finite and > 0, got {t}")
-    _check_idx_grid(idx, grid)
+    _check_dimensions(index=idx, grid=grid)
     total = 0.0
     half = grid.box_length / 2
     for a, dl in zip(idx.alpha, idx.delta):
@@ -197,12 +189,13 @@ def apply_semigroup(field: Field, idx: FractionalIndex, t: float) -> Field:
     """Evolve a real physical field by time t under the stable semigroup.
 
     Exact (to round-off) for band-limited data; composition in t holds by
-    construction.  t=0 returns the input field unchanged; for t > 0 a
-    complex field raises ConstraintViolationError.
+    construction; t=0 returns the field as it is.  ConstraintViolationError
+    for an index of another dimension, or a complex field at t > 0.
     """
     if not 0 <= t < math.inf:
         raise ConstraintViolationError(
             f"time must be finite and >= 0, got {t}")
+    _check_dimensions(index=idx, grid=field.grid)
     if t == 0:
         return field.require_space("physical")
     return _apply_symbol(field, _symbol_lattice(idx, field.grid, t))
@@ -216,7 +209,7 @@ def apply_generator(field: Field, idx: FractionalIndex) -> Field:
     unresolved content and the result loses accuracy.
     """
     field.require_space("physical")
-    _check_idx_grid(idx, field.grid)
+    _check_dimensions(index=idx, grid=field.grid)
     grid = field.grid
     hat = to_frequency(field).values
     if grid.n_per_dim >= 4:

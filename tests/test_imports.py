@@ -46,6 +46,12 @@ def test_import_pulls_in_no_numpy_random():
     assert _modules_loaded_by_import("numpy.random") == []
 
 
+def test_import_pulls_in_no_thread_pool():
+    # ``solver._ensemble`` imports concurrent.futures when threads are
+    # asked for: at import it would add about 5 ms to every process
+    assert _modules_loaded_by_import("concurrent") == []
+
+
 def test_runtime_dependencies_name_no_scipy():
     tomllib = pytest.importorskip("tomllib")  # Python >= 3.11
     with open(ROOT / "pyproject.toml", "rb") as fh:

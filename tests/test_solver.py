@@ -1,6 +1,7 @@
 import sys
 import threading
 from dataclasses import replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -20,6 +21,7 @@ from fracspde.noise import RngStream, sample_increments
 from fracspde.solver import (
     BOOT_RESAMPLES,
     BOOT_SEED,
+    _PRESETS,
     Coefficient,
     PathSolution,
     SolverConfig,
@@ -68,6 +70,67 @@ def test_coefficient_requires_finite_lipschitz():
         Coefficient(lambda u: u**2, float("inf"))
 
 
+@pytest.mark.parametrize("make, params", [
+    (Coefficient.constant, (2.0,)), (Coefficient.constant, (0.0,)),
+    (Coefficient.linear, (-3.0,)), (Coefficient.affine, (2.0, 1.0)),
+    (Coefficient.sine, (2.0, 3.0)),
+], ids=["constant", "zero", "linear", "affine", "sine"])
+def test_a_preset_reads_its_name_and_params_off_its_function(make, params):
+    coef = make(*(int(p) for p in params))  # read as floats
+    assert (coef.name, coef.params) == (make.__name__, params)
+    assert all(type(p) is float for p in coef.params)
+    again = getattr(Coefficient, coef.name)(*coef.params)
+    u = np.linspace(-2.0, 2.0, 9)
+    assert again(u).tobytes() == coef(u).tobytes()
+    assert again.lipschitz == coef.lipschitz
+
+
+class _Ones(partial):
+    def __call__(self, u):
+        return np.ones_like(u)
+
+
+@pytest.mark.parametrize("fn", [
+    lambda u: np.zeros_like(u),
+    partial(np.multiply, 0.0),
+    partial(_PRESETS["constant"]),
+    partial(_PRESETS["constant"], 0.0, 1.0),
+    partial(_PRESETS["constant"], 0.0, u=np.zeros(3)),
+    _Ones(_PRESETS["constant"], 0.0),
+    Coefficient.constant(0.0),
+], ids=["lambda", "partial", "no-parameter", "extra-parameter",
+        "keyword", "partial-subclass", "coefficient"])
+def test_any_other_callable_reads_custom(fn):
+    # only a preset function with its parameters bound reads as a preset,
+    # so only it can be skipped as a zero or stepped as a constant
+    coef = Coefficient(fn, 0.0)
+    assert (coef.name, coef.params, coef.is_zero) == ("custom", (), False)
+
+
+def test_no_label_can_stand_in_for_a_coefficient():
+    # b = 1 + u labelled constant 3 was once stepped as b = 3
+    with pytest.raises(TypeError):
+        Coefficient(lambda u: 1.0 + u, 1.0, "constant", (3.0,))
+
+
+@pytest.mark.parametrize("runner", [solve, solve_picard])
+def test_a_custom_constant_sigma_drives_the_noise(runner):
+    # labelled constant 0, such a sigma once ran without noise (sup 0.0)
+    sigma = Coefficient(lambda u: np.ones_like(u), 0.0)
+    for name, value in (("name", "constant"), ("params", (0.0,))):
+        with pytest.raises(AttributeError):
+            object.__setattr__(sigma, name, value)
+
+    def run(sigma):
+        return runner(_config(
+            grid=Grid(1, 16, 4.0), sigma=sigma, u0=0.0, T=0.05)).values
+
+    custom = run(sigma)
+    preset = run(Coefficient.constant(1.0))
+    assert np.abs(custom).max() > 0.1
+    np.testing.assert_allclose(custom, preset, rtol=0, atol=1e-12)
+
+
 # -- config validation ---------------------------------------------------------
 
 def test_config_rejects_bad_steps():
@@ -100,6 +163,11 @@ def test_config_requires_admissible_measure():
 def test_config_dimension_mismatch():
     with pytest.raises(ConstraintViolationError):
         _config(idx=FractionalIndex([2, 2], [0, 0]))
+
+
+def test_smooth_initial_checks_dimensions_at_time_zero():
+    with pytest.raises(ConstraintViolationError, match="dimension"):
+        smooth_initial(1.0, FractionalIndex([1.5]), 0.0, Grid(2, 8, 4.0))
 
 
 # -- smooth initial -------------------------------------------------------------
@@ -563,24 +631,48 @@ def test_block_steps_match_complex_step(b, sigma):
         np.testing.assert_allclose(frame.values, ref, rtol=0, atol=1e-12)
 
 
-def test_stepping_never_calls_a_zero_drift():
+def _coefficients_called(monkeypatch):
+    """The Coefficient of each call, in order, recorded through
+    ``Coefficient.__call__``."""
+    called, call = [], Coefficient.__call__
+
+    def spy(self, u):
+        called.append(self)
+        return call(self, u)
+
+    monkeypatch.setattr(Coefficient, "__call__", spy)
+    return called
+
+
+def test_stepping_never_calls_a_zero_drift(monkeypatch):
     # a zero b drops its term from the frame path's forcing, where
     # dt * 0 + x would add only zeros: the frames are those of a drift
     # that evaluates to zeros on every step
-    calls = []
-
-    def spy(u):
-        calls.append(u.shape)
-        return np.zeros_like(u)
-
-    zero = Coefficient(spy, 0.0, "constant", (0.0,))
+    called = _coefficients_called(monkeypatch)
+    zero = Coefficient.constant(0.0)
     sigma, u0 = Coefficient.affine(0.3, 1.0), lambda x: np.cos(x)
     assert zero.is_zero
     path = solve(_block_config(b=zero, sigma=sigma, u0=u0), 3)
-    assert calls == []
+    assert not any(c is zero for c in called)
+    assert sum(c is sigma for c in called) == 150  # once a step
     zeros = solve(_block_config(b=Coefficient.linear(0.0), sigma=sigma,
                                 u0=u0), 3)
     assert path.values.tobytes() == zeros.values.tobytes()
+
+
+def test_picard_sweeps_never_call_a_zero_drift(monkeypatch):
+    # the sweeps build their forcing as the frame path does: the fixed
+    # point and its residuals are those of a drift that evaluates to zeros
+    called = _coefficients_called(monkeypatch)
+    zero, sigma = Coefficient.constant(0.0), Coefficient.affine(0.3, 1.0)
+    cfg = _block_config(b=zero, sigma=sigma, u0=lambda x: np.cos(x))
+    path, trace = solve_picard(cfg, 3, return_trace=True)
+    assert not any(c is zero for c in called)
+    assert sum(c is sigma for c in called) == len(trace)  # once a sweep
+    zeros, zeros_trace = solve_picard(replace(cfg, b=Coefficient.linear(0.0)),
+                                      3, return_trace=True)
+    assert path.values.tobytes() == zeros.values.tobytes()
+    assert trace == zeros_trace
 
 
 def _record_draws_and_checks(monkeypatch):

@@ -301,6 +301,14 @@ def test_apply_semigroup_time_zero_is_identity():
     assert apply_semigroup(f, GAUSS, 0.0) is f
 
 
+@pytest.mark.parametrize("t", [0.0, 0.1])
+def test_apply_semigroup_checks_dimensions_at_every_time(t):
+    # the t = 0 shortcut once returned the field whatever the index
+    field = Field.constant(Grid(2, 8, 4.0), 1.0)
+    with pytest.raises(ConstraintViolationError, match="dimension"):
+        apply_semigroup(field, FractionalIndex([1.5]), t)
+
+
 def test_apply_semigroup_composition():
     idx = FractionalIndex([1.5], [0.4])
     grid = Grid(1, 256, 16.0)
