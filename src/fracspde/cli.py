@@ -43,6 +43,7 @@ from .solver import (MAX_CHUNK_ROWS, Coefficient, SolverConfig, _ensemble,
 from .fields import write_array_binary  # noqa: F401
 from .solver import solve  # noqa: F401
 from .spectral_measure import (
+    _KINDS,
     SpectralMeasure,
     admissibility,
     critical_eta,
@@ -122,38 +123,6 @@ def _parse_grid(cfg, d) -> Grid:
                     _parse_float(g, "box_length"))
 
 
-def _parse_measure(cfg, d) -> SpectralMeasure:
-    with _reading("measure"):
-        spec = dict(cfg["measure"])
-        kind = spec.pop("kind")
-        makers = {
-            "white": lambda: SpectralMeasure.white(d),
-            "riesz": lambda: SpectralMeasure.riesz(
-                _parse_float(spec, "gamma"), d),
-            "bessel": lambda: SpectralMeasure.bessel(
-                _parse_float(spec, "beta"), d),
-            "free_field": lambda: SpectralMeasure.free_field(
-                _parse_float(spec, "mass"), d),
-            "tabulated": lambda: SpectralMeasure.tabulated(
-                _parse_floats(spec, "radii"), _parse_floats(spec, "values"), d
-            ),
-        }
-        if kind not in makers:
-            raise ValidationError(f"unknown measure kind {kind!r}")
-        return makers[kind]()
-
-
-# presets read their parameters when called, so at parse time
-_U0_PRESETS = {
-    "zero": lambda p: 0.0,
-    "constant": lambda p: _parse_float(p, "value", 1.0),
-    "cosine": lambda p: (
-        lambda *xs, w=_parse_float(p, "frequency", 1.0): np.cos(w * xs[0])
-    ),
-    "gaussian_bump": lambda p: _gaussian_bump(_parse_float(p, "width", 1.0)),
-}
-
-
 def _gaussian_bump(h):
     if not h > 0:
         raise ValidationError(f"width must be > 0, got {h!r}")
@@ -163,6 +132,48 @@ def _gaussian_bump(h):
         with np.errstate(over="ignore"):
             return np.exp(-sum(x**2 for x in xs) / (2 * h * h))
     return bump
+
+
+# each slot's presets: a preset's builder and its parameters with their
+# defaults, in argument order; a parameter whose default is None is required
+_COEFFICIENT_PRESETS = {
+    "constant": (Coefficient.constant, {"value": 0.0}),
+    "linear": (Coefficient.linear, {"slope": 1.0}),
+    "affine": (Coefficient.affine, {"slope": 1.0, "value": 0.0}),
+    "sine": (Coefficient.sine, {"amplitude": 1.0, "frequency": 1.0}),
+}
+_U0_PRESETS = {
+    "zero": (float, {}),
+    "constant": (float, {"value": 1.0}),
+    "cosine": (lambda w: lambda *xs: np.cos(w * xs[0]), {"frequency": 1.0}),
+    "gaussian_bump": (_gaussian_bump, {"width": 1.0}),
+}
+# a kind's constructor takes its own parameters, then the dimension
+_MEASURE_KINDS = {kind: (getattr(SpectralMeasure, kind), dict.fromkeys(names))
+                  for kind, names in _KINDS.items()}
+
+
+def _read_spec(spec, presets, what, key="preset", args=()):
+    """``spec``, a ``{key: name, ...params}`` mapping, built by the preset
+    ``name`` of ``presets`` from its parameters and then ``args``.  Every
+    parameter given is read (``radii`` and ``values`` as lists of reals,
+    any other as a real) before the preset is looked up, and one that the
+    preset does not take is invalid."""
+    spec = dict(spec)
+    params = {name: (_parse_floats if name in ("radii", "values")
+                     else _parse_float)(spec, name)
+              for name in spec if name != key}
+    preset = spec[key]
+    if preset not in presets:
+        raise ConfigurationError(f"unknown {what} {key} {preset!r}")
+    make, defaults = presets[preset]
+    for name in params:
+        if name not in defaults:
+            raise ConfigurationError(
+                f"{what} {key} {preset!r} takes no parameter {name!r}")
+    return make(*(params[name] if default is None
+                  else params.get(name, default)
+                  for name, default in defaults.items()), *args)
 
 
 def _parse_probe(cfg, key, grid: Grid):
@@ -212,49 +223,20 @@ def _real(value, key) -> float:
     return float(value)
 
 
-# each preset's constructor and its parameters' defaults, in argument order
-_COEFFICIENT_PRESETS = {
-    "constant": (Coefficient.constant, {"value": 0.0}),
-    "linear": (Coefficient.linear, {"slope": 1.0}),
-    "affine": (Coefficient.affine, {"slope": 1.0, "value": 0.0}),
-    "sine": (Coefficient.sine, {"amplitude": 1.0, "frequency": 1.0}),
-}
-
-
-def _parse_coefficient(cfg, key, default):
-    """``cfg[key]``, a ``{"preset": name, ...params}`` mapping, as a
-    Coefficient.  Every parameter given is read as a real, whether or not
-    the preset takes it, before the preset is looked up."""
-    spec = dict(cfg.get(key, default))
-    params = {name: _parse_float(spec, name)
-              for name in ("value", "slope", "amplitude", "frequency")
-              if name in spec}
-    preset = spec["preset"]
-    if preset not in _COEFFICIENT_PRESETS:
-        raise ConfigurationError(f"unknown coefficient preset {preset!r}")
-    make, defaults = _COEFFICIENT_PRESETS[preset]
-    return make(*(params.get(name, value) for name, value in defaults.items()))
-
-
-def _parse_u0(cfg):
-    spec = dict(cfg.get("u0", {"preset": "zero"}))
-    preset = spec.pop("preset")
-    if preset not in _U0_PRESETS:
-        raise ValidationError(f"unknown u0 preset {preset!r}")
-    return _U0_PRESETS[preset](spec)
-
-
 def _parse_solver_config(cfg, seed_override=None) -> SolverConfig:
     idx = _parse_idx(cfg)
     with _reading("solver config"):
         fields = dict(
-            measure=_parse_measure(cfg, idx.d),
+            measure=_read_spec(cfg["measure"], _MEASURE_KINDS, "measure",
+                               "kind", (idx.d,)),
             grid=_parse_grid(cfg, idx.d),
-            b=_parse_coefficient(cfg, "b", {"preset": "constant",
-                                            "value": 0.0}),
-            sigma=_parse_coefficient(cfg, "sigma", {"preset": "constant",
-                                                    "value": 1.0}),
-            u0=_parse_u0(cfg),
+            b=_read_spec(cfg.get("b", {"preset": "constant"}),
+                         _COEFFICIENT_PRESETS, "coefficient"),
+            sigma=_read_spec(cfg.get("sigma", {"preset": "constant",
+                                               "value": 1.0}),
+                             _COEFFICIENT_PRESETS, "coefficient"),
+            u0=_read_spec(cfg.get("u0", {"preset": "zero"}), _U0_PRESETS,
+                          "u0"),
             dt=_parse_float(cfg, "dt"),
             T=_parse_float(cfg, "T"),
             picard_max_iter=_parse_int(cfg, "picard_max_iter", 200),
@@ -312,7 +294,9 @@ def _run_kernel(cfg, outdir: Path, args):
 
 def _run_measure(cfg, outdir: Path, args):
     idx = _parse_idx(cfg)
-    measure = _parse_measure(cfg, idx.d)
+    with _reading("measure"):
+        measure = _read_spec(cfg["measure"], _MEASURE_KINDS, "measure",
+                             "kind", (idx.d,))
     etas = _parse_floats(cfg, "eta", [0.25, 0.5, 0.75, 1.0])
     T = _parse_float(cfg, "T", 1.0)
     reports = [admissibility(measure, idx, e).to_dict() for e in etas]

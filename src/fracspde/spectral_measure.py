@@ -43,7 +43,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass, asdict, fields
 from functools import cache, lru_cache
 
 import numpy as np
@@ -72,7 +72,9 @@ __all__ = [
     "spectral_integral",
 ]
 
-_KINDS = ("white", "riesz", "bessel", "free_field", "tabulated")
+# each kind's own parameters; every other field keeps its default
+_KINDS = {"white": (), "riesz": ("gamma",), "bessel": ("beta",),
+          "free_field": ("mass",), "tabulated": ("radii", "values")}
 
 # slope-fit thresholds of the divergence detector (log2 contribution per
 # dyadic shell): >= 0 divergent, < CONVERGENT_SLOPE convergent, else
@@ -107,8 +109,14 @@ class SpectralMeasure:
     values: tuple = ()
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if not (isinstance(self.kind, str) and self.kind in _KINDS):
             raise ConstraintViolationError(f"unknown measure kind {self.kind!r}")
+        own = ("kind", "d", *_KINDS[self.kind])
+        extra = [f.name for f in fields(self) if f.name not in own
+                 and getattr(self, f.name) is not f.default]
+        if extra:
+            raise ConstraintViolationError(
+                f"a {self.kind} measure takes no {extra[0]}")
         if not (_integer(self.d) and self.d >= 1):
             raise ConstraintViolationError(
                 f"dimension must be an integer >= 1, got {self.d!r}")
@@ -220,12 +228,9 @@ class SpectralMeasure:
 
     def to_dict(self):
         out = {"kind": self.kind, "d": self.d}
-        for key in ("gamma", "beta", "mass"):
-            if getattr(self, key) is not None:
-                out[key] = getattr(self, key)
-        if self.kind == "tabulated":
-            out["radii"] = list(self.radii)
-            out["values"] = list(self.values)
+        for key in _KINDS[self.kind]:
+            value = getattr(self, key)
+            out[key] = list(value) if isinstance(value, tuple) else value
         return out
 
 

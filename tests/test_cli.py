@@ -480,12 +480,10 @@ def test_malformed_input_exits_2_with_json(tmp_path, capsys, command, over,
     ({"preset": "affine", "value": 2}, ("affine", (1.0, 2.0))),
     ({"preset": "sine", "frequency": -3, "amplitude": 2},
      ("sine", (2.0, -3.0))),
-    # a parameter the preset does not take is read, then ignored
-    ({"preset": "constant", "value": 3, "slope": 9.0}, ("constant", (3.0,))),
-], ids=["sine", "constant", "linear", "affine", "sine-both",
-        "unused-parameter"])
+], ids=["sine", "constant", "linear", "affine", "sine-both"])
 def test_coefficient_spec_builds_its_preset(spec, built):
-    coef = fracspde.cli._parse_coefficient({"b": spec}, "b", None)
+    coef = fracspde.cli._read_spec(spec, fracspde.cli._COEFFICIENT_PRESETS,
+                                   "coefficient")
     assert (coef.name, coef.params) == built
 
 
@@ -506,9 +504,13 @@ def test_coefficient_spec_builds_its_preset(spec, built):
      "sequence element #0 has length 1; 2 is required"),
     ({"preset": "sine", "amplitude": 1e200, "frequency": 1e200},
      "ConstraintViolationError", "Lipschitz constant must be finite and >= 0"),
+    # a parameter the preset does not take is read, then refused
+    ({"preset": "constant", "value": 3, "slope": 9.0}, "ConfigurationError",
+     "coefficient preset 'constant' takes no parameter 'slope'"),
 ], ids=["unknown-preset", "missing-preset", "unused-parameter",
         "parameter-before-missing-preset", "parameter-before-unknown-preset",
-        "unhashable-preset", "not-a-mapping", "lipschitz-overflow"])
+        "unhashable-preset", "not-a-mapping", "lipschitz-overflow",
+        "parameter-not-taken"])
 def test_coefficient_spec_errors_exit_2(tmp_path, capsys, spec, error,
                                         message):
     rc = main(["simulate", "--config", _sim_cfg(tmp_path, b=spec),
@@ -516,6 +518,73 @@ def test_coefficient_spec_errors_exit_2(tmp_path, capsys, spec, error,
     assert rc == 2
     assert json.loads(capsys.readouterr().err) == {"error": error,
                                                    "message": message}
+
+
+# the first four ran before, as sigma = 0, affine(1, 0), u0 = 0 and white
+_NOT_TAKEN = {
+    "sigma-constant-slope": ("sigma", {"preset": "constant", "slope": 2.0},
+                             "coefficient preset 'constant' takes no "
+                             "parameter 'slope'"),
+    "sigma-affine-slop": ("sigma", {"preset": "affine", "slop": 2.0},
+                          "coefficient preset 'affine' takes no parameter "
+                          "'slop'"),
+    "u0-zero-value": ("u0", {"preset": "zero", "value": 3.0},
+                      "u0 preset 'zero' takes no parameter 'value'"),
+    "measure-white-gamma": ("measure", {"kind": "white", "gamma": 0.4},
+                            "measure kind 'white' takes no parameter "
+                            "'gamma'"),
+    "b-sine-value": ("b", {"preset": "sine", "amplitude": 0.3, "value": 1.0},
+                     "coefficient preset 'sine' takes no parameter 'value'"),
+    "u0-cosine-width": ("u0", {"preset": "cosine", "width": 2.0},
+                        "u0 preset 'cosine' takes no parameter 'width'"),
+    "measure-riesz-d": ("measure", {"kind": "riesz", "gamma": 0.5, "d": 1},
+                        "measure kind 'riesz' takes no parameter 'd'"),
+}
+
+
+@pytest.mark.parametrize("command, slot, spec, message", [
+    pytest.param(command, *case, id=f"{command}-{name}")
+    for name, case in _NOT_TAKEN.items()
+    for command in ("simulate", "holder", "density", "measure")
+    if command != "measure" or case[0] == "measure"])
+def test_a_parameter_the_preset_does_not_take_exits_2_before_any_solve(
+        tmp_path, capsys, monkeypatch, command, slot, spec, message):
+    calls = _count_solves(monkeypatch)
+    out = tmp_path / "o"
+    cfg = _sim_cfg(tmp_path, replicates=40, n_samples=600, **{slot: spec})
+    assert main([command, "--config", cfg, "--out", str(out)]) == 2
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "ConfigurationError", "message": message}
+    assert calls == []
+    assert [f.name for f in out.iterdir()] == ["manifest.json"]
+
+
+def test_every_catalog_measure_reads_back_from_its_dict():
+    # a measure report's measure entry, without its d, is a valid spec
+    from fracspde.cli import _MEASURE_KINDS, _read_spec
+    from fracspde.spectral_measure import SpectralMeasure as M
+
+    for d in (1, 2):
+        for measure in [M.white(d), M.riesz(0.5, d), M.bessel(2.5, d),
+                        M.free_field(1.5, d),
+                        M.tabulated([0.0, 1.0, 4.0], [2.0, 1.0, 0.5], d)]:
+            spec = measure.to_dict()
+            assert spec.pop("d") == d
+            assert _read_spec(json.loads(json.dumps(spec)), _MEASURE_KINDS,
+                              "measure", "kind", (d,)) == measure
+
+
+def test_the_cli_tables_cover_the_library_presets():
+    # a preset added to the library cannot be silently unreachable
+    from fracspde.cli import _COEFFICIENT_PRESETS, _MEASURE_KINDS
+    from fracspde.solver import _PRESETS
+    from fracspde.spectral_measure import _KINDS
+
+    assert _COEFFICIENT_PRESETS.keys() == _PRESETS.keys()
+    for name, (make, defaults) in _COEFFICIENT_PRESETS.items():
+        coef = make(*defaults.values())
+        assert coef.name == name and len(coef.params) == len(defaults)
+    assert _MEASURE_KINDS.keys() == _KINDS.keys()
 
 
 def test_threads_above_max_chunk_rows_exit_2_before_any_solve(

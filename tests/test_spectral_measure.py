@@ -103,6 +103,24 @@ def test_measure_invariants():
     assert SpectralMeasure.white(np.int64(2)).d == 2
 
 
+@pytest.mark.parametrize("kind, own, extra", [
+    ("riesz", {"gamma": 0.5}, {"beta": 2.0, "mass": 3.0}),
+    ("white", {}, {"gamma": 0.4}),
+    ("bessel", {"beta": 1.0}, {"radii": (0.0, 1.0)}),
+    ("free_field", {"mass": 1.0}, {"values": (1.0, 1.0)}),
+    ("tabulated", {"radii": (0.0, 1.0), "values": (1.0, 1.0)}, {"mass": 1.0}),
+])
+def test_a_measure_takes_only_its_kinds_fields(kind, own, extra):
+    # riesz(0.5, 1) with a beta and a mass once reported both, and compared
+    # unequal to riesz(0.5, 1)
+    with pytest.raises(ConstraintViolationError,
+                       match=f"a {kind} measure takes no {next(iter(extra))}$"):
+        SpectralMeasure(kind, 1, **own, **extra)
+    assert SpectralMeasure(kind, 1, **own).to_dict() == {
+        "kind": kind, "d": 1, **{k: (list(v) if isinstance(v, tuple) else v)
+                                 for k, v in own.items()}}
+
+
 _I1 = FractionalIndex([1.5], [0.3])
 _M2 = SpectralMeasure.bessel(2.0, 2)
 _W1, _GAUSS_2D = SpectralMeasure.white(1), FractionalIndex([2.0, 2.0])
