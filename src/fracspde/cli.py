@@ -8,6 +8,9 @@ simulate   trajectories (binary frame dumps) plus a reproducibility manifest
 holder     Hölder-exponent report from a fresh ensemble
 density    Monte-Carlo law diagnostics and the variance-bound report
 
+``simulate`` and ``holder`` step their replicates in chunks; ``--threads
+N`` runs the chunks on N forked worker processes (``solver._ensemble``).
+
 Every run writes ``manifest.json`` embedding the full config, tool
 version and seed; rerunning an identical manifest reproduces artifacts
 byte for byte, independent of --threads.  Validation failures exit 2,
@@ -158,11 +161,13 @@ def _read_spec(spec, presets, what, key="preset", args=()):
     ``name`` of ``presets`` from its parameters and then ``args``.  Every
     parameter given is read (``radii`` and ``values`` as lists of reals,
     any other as a real) before the preset is looked up, and one that the
-    preset does not take is invalid."""
+    preset does not take is invalid; errors name the slot ``what``."""
     spec = dict(spec)
     params = {name: (_parse_floats if name in ("radii", "values")
                      else _parse_float)(spec, name)
               for name in spec if name != key}
+    if key not in spec:
+        raise ConfigurationError(f"{what} spec has no {key!r}")
     preset = spec[key]
     if preset not in presets:
         raise ConfigurationError(f"unknown {what} {key} {preset!r}")
@@ -231,10 +236,10 @@ def _parse_solver_config(cfg, seed_override=None) -> SolverConfig:
                                "kind", (idx.d,)),
             grid=_parse_grid(cfg, idx.d),
             b=_read_spec(cfg.get("b", {"preset": "constant"}),
-                         _COEFFICIENT_PRESETS, "coefficient"),
+                         _COEFFICIENT_PRESETS, "b"),
             sigma=_read_spec(cfg.get("sigma", {"preset": "constant",
                                                "value": 1.0}),
-                             _COEFFICIENT_PRESETS, "coefficient"),
+                             _COEFFICIENT_PRESETS, "sigma"),
             u0=_read_spec(cfg.get("u0", {"preset": "zero"}), _U0_PRESETS,
                           "u0"),
             dt=_parse_float(cfg, "dt"),
@@ -260,7 +265,8 @@ def _parse_scheme(cfg, command) -> str:
 
 
 def _write_manifest(outdir: Path, command, cfg, seed):
-    # thread count is deliberately not recorded: outputs do not depend on it
+    # the worker count (--threads) is deliberately not recorded: outputs do
+    # not depend on it
     _dump_json(outdir / "manifest.json", {
         "command": command,
         "config": cfg,
@@ -368,17 +374,17 @@ def _run_holder(cfg, outdir: Path, args):
     _spatial_offsets(config.grid, min_lag_cells)
 
     at_probe = (slice(None), slice(None)) + x_probe
-    series = np.empty((n_rep, len(times)))
-    fields = np.empty((n_rep,) + config.grid.shape)
 
-    def probes(ids):
-        mine = slice(ids.start, ids.stop)
+    def probes(ids):  # the chunk's rows of series and fields
+        series = np.empty((len(ids), len(times)))
         for first, rows in _step_rows(config, ids):
-            series[mine, first:first + rows.shape[1]] = rows[at_probe]
+            series[:, first:first + rows.shape[1]] = rows[at_probe]
             if first <= row < first + rows.shape[1]:
-                fields[mine] = rows[:, row - first]
+                fields = rows[:, row - first].copy()
+        return series, fields
 
-    _ensemble(config, n_rep, probes, args.threads)
+    series, fields = map(np.concatenate, zip(
+        *_ensemble(config, n_rep, probes, args.threads)))
     with _in_float_range("the Hölder estimate"):
         temporal = estimate_temporal(
             series, times, min_replicates=min_rep,
@@ -461,7 +467,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", default="out", help="output directory")
     parser.add_argument("--seed", type=int, default=None,
                         help="override the config master seed")
-    parser.add_argument("--threads", type=int, default=1)
+    parser.add_argument("--threads", type=int, default=1,
+                        help="forked worker processes for the replicates")
     parser.add_argument("--format", choices=["csv", "json"], default="json")
     return parser
 
@@ -477,6 +484,12 @@ def main(argv=None) -> int:
         if not 1 <= args.threads <= MAX_CHUNK_ROWS:
             raise ValidationError(
                 f"--threads={args.threads} must be in [1, {MAX_CHUNK_ROWS}]")
+        if args.threads > 1:  # workers are forked (solver._ensemble)
+            import multiprocessing
+            if "fork" not in multiprocessing.get_all_start_methods():
+                raise ValidationError(
+                    f"--threads={args.threads} needs the 'fork' start "
+                    "method, which this platform lacks; use --threads 1")
         cfg = _load_config(args.config)
         outdir = Path(args.out)
         outdir.mkdir(parents=True, exist_ok=True)

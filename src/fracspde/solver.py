@@ -45,8 +45,9 @@ spans BLOCK_ELEMENTS // (R * grid points) steps, and at least one
 ``_Synthesizer.spectra`` for each block by its range of steps.  ``solve``
 is the one-row call; ``moment_estimate`` and the CLI run chunks of
 ``_chunks`` (CHUNK_ELEMENTS stored values, MAX_CHUNK_ROWS rows) through
-``_ensemble`` and its threads.  A failing row keeps stepping, and the
-chunk raises the BlowUpError a replicate-by-replicate loop would raise.
+``_ensemble``, one after another or on forked worker processes (the
+CLI's ``--threads``).  A failing row keeps stepping, and the chunk raises
+the BlowUpError a replicate-by-replicate loop would raise.
 ``_picard_rows`` sweeps whole paths by the same ``_forcing`` and ``_advance``.
 
 Either way a noise block ends with its frames in FFT order, ``(R,
@@ -463,25 +464,50 @@ def _stored_values(config: SolverConfig, replicate_ids) -> np.ndarray:
     return values
 
 
-def _chunks(config: SolverConfig, n_replicates: int, threads: int = 1):
+def _chunks(config: SolverConfig, n_replicates: int, workers: int = 1):
     """Replicate ids ``0..n_replicates-1`` in the chunks stepped together:
-    at most CHUNK_ELEMENTS stored values and MAX_CHUNK_ROWS // ``threads``
-    rows each, and at least ``threads`` chunks if there are as many ids."""
+    at most CHUNK_ELEMENTS stored values and MAX_CHUNK_ROWS // ``workers``
+    rows each, and at least ``workers`` chunks if there are as many ids."""
     per_row = len(config._stored_steps) * config.u0.values.size
-    size = max(1, min(MAX_CHUNK_ROWS // threads, CHUNK_ELEMENTS // per_row,
-                      -(-n_replicates // threads)))
+    size = max(1, min(MAX_CHUNK_ROWS // workers, CHUNK_ELEMENTS // per_row,
+                      -(-n_replicates // workers)))
     return [range(lo, min(lo + size, n_replicates))
             for lo in range(0, n_replicates, size)]
 
 
-def _ensemble(config: SolverConfig, n_replicates: int, fn, threads: int = 1):
-    """``fn(ids)`` for each chunk of ``_chunks``, in replicate order; the
-    chunks run one after another, or on a pool of ``threads`` threads."""
-    if threads == 1:
-        return [fn(ids) for ids in _chunks(config, n_replicates)]
-    from concurrent.futures import ThreadPoolExecutor  # imported on use: 5 ms
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, _chunks(config, n_replicates, threads)))
+_WORK = None  # (fn, chunks) of the ``_ensemble`` run a worker was forked for
+
+
+def _adopt(fn, chunks):
+    """Worker initializer: keep the run's ``fn`` and chunks, which a forked
+    worker inherits rather than unpickles."""
+    global _WORK
+    _WORK = fn, chunks
+
+
+def _run_chunk(i: int):
+    fn, chunks = _WORK
+    return fn(chunks[i])
+
+
+def _ensemble(config: SolverConfig, n_replicates: int, fn, workers: int = 1):
+    """``[fn(ids) for ids in _chunks(config, n_replicates, workers)]``, in
+    replicate order.  With ``workers`` > 1 and more than one chunk, the
+    chunks run on as many forked worker processes: ``fn`` and the chunks
+    reach them by inheritance, so ``fn`` may be a closure, but each result
+    (or error) is pickled back, and a write ``fn`` makes to the caller's
+    memory is the worker's own.  Every worker has exited on return."""
+    chunks = _chunks(config, n_replicates, workers)
+    workers = min(workers, len(chunks))
+    if workers == 1:
+        return [fn(ids) for ids in chunks]
+    # imported on use: concurrent.futures alone adds about 5 ms to an import
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                             initializer=_adopt,
+                             initargs=(fn, chunks)) as pool:
+        return list(pool.map(_run_chunk, range(len(chunks))))
 
 
 def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import multiprocessing
 import tempfile
 from pathlib import Path
 
@@ -48,6 +49,19 @@ def _sim_cfg(tmp_path, **over):
 
 # a holder config whose windows fit (4 temporal and 4 spatial scales)
 _HOLDER_OK = {"frame_stride": 1, "T": 1.28}
+
+
+def _fork_queue():
+    """A queue that the forked workers of ``--threads`` can put to, as the
+    test's own process can; ``_drain`` reads back what was put."""
+    return multiprocessing.get_context("fork").SimpleQueue()
+
+
+def _drain(queue) -> list:
+    items = []
+    while not queue.empty():
+        items.append(queue.get())
+    return items
 
 
 def test_kernel_command_reports_pass(tmp_path):
@@ -174,16 +188,41 @@ def test_chunked_simulate_reports_the_serial_blow_up(tmp_path, monkeypatch,
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "BlowUpError", "message": str(serial.value)}
         assert not (tmp_path / threads / "frames_0000.bin").exists()
+        assert multiprocessing.active_children() == []  # no worker is left
+
+
+def test_holder_on_two_workers_leaves_no_worker_running(tmp_path):
+    cfg = _sim_cfg(tmp_path, **_HOLDER_OK, replicates=8, min_replicates=8)
+    assert main(["holder", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--threads", "2"]) == 0
+    assert multiprocessing.active_children() == []
+
+
+def test_threads_without_fork_exit_2_before_any_solve(tmp_path, capsys,
+                                                      monkeypatch):
+    # where processes cannot be forked (Windows), only --threads 1 runs
+    calls = _count_solves(monkeypatch)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                        lambda: ["spawn"])
+    cfg = _sim_cfg(tmp_path, replicates=4)
+    rc = main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+               "--threads", "2"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ValidationError" and "fork" in err["message"]
+    assert calls == [] and not (tmp_path / "o").exists()
+    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--threads", "1"]) == 0
 
 
 def test_two_threads_step_a_2d_final_frame_simulate_in_two_chunks(
         tmp_path, monkeypatch):
     # 2 frames of 128**2 points allow 32 rows a chunk, and so do 64 rows
-    # over 2 threads: the 32 replicates need a chunk per thread
-    rows, step_rows = [], fracspde.cli._step_rows
+    # over 2 workers: the 32 replicates need a chunk per worker
+    rows, step_rows = _fork_queue(), fracspde.cli._step_rows
 
     def stepping(config, ids):
-        rows.append(len(ids))
+        rows.put(len(ids))
         yield from step_rows(config, ids)
 
     monkeypatch.setattr(fracspde.cli, "_step_rows", stepping)
@@ -194,7 +233,7 @@ def test_two_threads_step_a_2d_final_frame_simulate_in_two_chunks(
     for threads in ("1", "2"):
         assert main(["simulate", "--config", cfg, "--out",
                      str(tmp_path / threads), "--threads", threads]) == 0
-    assert rows == [32, 16, 16]
+    assert _drain(rows) == [32, 16, 16]
     assert _outputs(tmp_path / "2") == _outputs(tmp_path / "1")
 
 
@@ -203,16 +242,16 @@ def test_picard_simulate_solves_the_shared_chunks(tmp_path, monkeypatch,
                                                    threads):
     import fracspde.solver
 
-    chunks, ensemble = [], fracspde.cli._ensemble
-    swept, picard_rows = [], fracspde.cli._picard_rows
+    chunks, ensemble = _fork_queue(), fracspde.cli._ensemble
+    swept, picard_rows = _fork_queue(), fracspde.cli._picard_rows
 
-    def recording(config, n, fn, threads=1):
-        return ensemble(config, n, lambda ids: chunks.append(ids) or fn(ids),
-                        threads)
+    def recording(config, n, fn, workers=1):
+        return ensemble(config, n, lambda ids: chunks.put(ids) or fn(ids),
+                        workers)
 
     monkeypatch.setattr(fracspde.cli, "_ensemble", recording)
     monkeypatch.setattr(fracspde.cli, "_picard_rows", lambda config, ids: (
-        swept.append(ids) or picard_rows(config, ids)))
+        swept.put(ids) or picard_rows(config, ids)))
     # 3 frames of 64 points: 3 rows a chunk
     monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS", 3 * 3 * 64)
     cfg = _sim_cfg(tmp_path, scheme="picard", replicates=7,
@@ -220,6 +259,7 @@ def test_picard_simulate_solves_the_shared_chunks(tmp_path, monkeypatch,
                    sigma={"preset": "affine", "slope": 0.2, "value": 1.0})
     assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
                  "--threads", threads]) == 0
+    chunks, swept = _drain(chunks), _drain(swept)
     assert sorted(chunks, key=min) == [range(0, 3), range(3, 6), range(6, 7)]
     assert sorted(swept, key=min) == sorted(chunks, key=min)  # once a chunk
     config = _solver_config(cfg)
@@ -488,9 +528,8 @@ def test_coefficient_spec_builds_its_preset(spec, built):
 
 
 @pytest.mark.parametrize("spec, error, message", [
-    ({"preset": "cubic"}, "ConfigurationError",
-     "unknown coefficient preset 'cubic'"),
-    ({"value": 1.0}, "MissingConfigKey", "'preset'"),
+    ({"preset": "cubic"}, "ConfigurationError", "unknown b preset 'cubic'"),
+    ({"value": 1.0}, "ConfigurationError", "b spec has no 'preset'"),
     # every parameter is read before the preset is looked up
     ({"preset": "constant", "slope": "x"}, "ValidationError",
      "slope must be a real number, got 'x'"),
@@ -506,7 +545,7 @@ def test_coefficient_spec_builds_its_preset(spec, built):
      "ConstraintViolationError", "Lipschitz constant must be finite and >= 0"),
     # a parameter the preset does not take is read, then refused
     ({"preset": "constant", "value": 3, "slope": 9.0}, "ConfigurationError",
-     "coefficient preset 'constant' takes no parameter 'slope'"),
+     "b preset 'constant' takes no parameter 'slope'"),
 ], ids=["unknown-preset", "missing-preset", "unused-parameter",
         "parameter-before-missing-preset", "parameter-before-unknown-preset",
         "unhashable-preset", "not-a-mapping", "lipschitz-overflow",
@@ -520,21 +559,36 @@ def test_coefficient_spec_errors_exit_2(tmp_path, capsys, spec, error,
                                                    "message": message}
 
 
+@pytest.mark.parametrize("slot, spec, message", [  # b: missing-preset above
+    ("sigma", {"slope": 2.0}, "sigma spec has no 'preset'"),
+    ("u0", {}, "u0 spec has no 'preset'"),
+    ("measure", {"gamma": 0.5}, "measure spec has no 'kind'"),
+])
+def test_a_spec_without_its_preset_exits_2_naming_the_slot(
+        tmp_path, capsys, slot, spec, message):
+    for command in ("simulate", "measure") if slot == "measure" else (
+            "simulate",):
+        rc = main([command, "--config", _sim_cfg(tmp_path, **{slot: spec}),
+                   "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "ConfigurationError", "message": message}
+
+
 # the first four ran before, as sigma = 0, affine(1, 0), u0 = 0 and white
 _NOT_TAKEN = {
     "sigma-constant-slope": ("sigma", {"preset": "constant", "slope": 2.0},
-                             "coefficient preset 'constant' takes no "
-                             "parameter 'slope'"),
+                             "sigma preset 'constant' takes no parameter "
+                             "'slope'"),
     "sigma-affine-slop": ("sigma", {"preset": "affine", "slop": 2.0},
-                          "coefficient preset 'affine' takes no parameter "
-                          "'slop'"),
+                          "sigma preset 'affine' takes no parameter 'slop'"),
     "u0-zero-value": ("u0", {"preset": "zero", "value": 3.0},
                       "u0 preset 'zero' takes no parameter 'value'"),
     "measure-white-gamma": ("measure", {"kind": "white", "gamma": 0.4},
                             "measure kind 'white' takes no parameter "
                             "'gamma'"),
     "b-sine-value": ("b", {"preset": "sine", "amplitude": 0.3, "value": 1.0},
-                     "coefficient preset 'sine' takes no parameter 'value'"),
+                     "b preset 'sine' takes no parameter 'value'"),
     "u0-cosine-width": ("u0", {"preset": "cosine", "width": 2.0},
                         "u0 preset 'cosine' takes no parameter 'width'"),
     "measure-riesz-d": ("measure", {"kind": "riesz", "gamma": 0.5, "d": 1},
@@ -876,10 +930,10 @@ def test_one_stream_per_replicate_step(tmp_path, monkeypatch):
     from fracspde.density import sample_law
     from fracspde.noise import RngStream
 
-    calls, generator = [], RngStream.generator
+    calls, generator = _fork_queue(), RngStream.generator
 
     def counted(stream):
-        calls.append((stream.replicate_id, stream.step_id))
+        calls.put((stream.replicate_id, stream.step_id))
         return generator(stream)
 
     monkeypatch.setattr(RngStream, "generator", counted)
@@ -888,9 +942,8 @@ def test_one_stream_per_replicate_step(tmp_path, monkeypatch):
     n = config.n_steps
 
     def each_once(replicates):
-        assert sorted(calls) == [(r, k) for r in replicates
-                                 for k in range(n)]
-        calls.clear()
+        assert sorted(_drain(calls)) == [(r, k) for r in replicates
+                                         for k in range(n)]
 
     fracspde.solver.solve(config, 5)
     each_once([5])

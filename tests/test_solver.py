@@ -1,5 +1,6 @@
-import sys
-import threading
+import multiprocessing
+import os
+import pickle
 from dataclasses import replace
 from functools import partial
 from unittest import mock
@@ -1064,37 +1065,44 @@ def test_ensemble_returns_chunk_results_in_replicate_order(threads):
     assert _ensemble(cfg, 7, list, threads) == [list(c) for c in chunks]
 
 
-def test_ensemble_runs_a_chunk_on_each_thread():
+def test_ensemble_runs_a_chunk_in_each_worker():
     # each chunk waits for the other: run one after the other, the first
     # would time out
     cfg = _config(frame_stride=10**9)
-    barrier = threading.Barrier(2, timeout=30)
+    barrier = multiprocessing.get_context("fork").Barrier(2, timeout=30)
 
     def meet(ids):
         barrier.wait()
-        return threading.get_ident()
+        return os.getpid()
 
-    assert len(set(_ensemble(cfg, 2, meet, threads=2))) == 2
+    pids = _ensemble(cfg, 2, meet, workers=2)
+    assert len(set(pids)) == 2 and os.getpid() not in pids
     assert barrier.n_waiting == 0 and not barrier.broken
 
 
-def test_ensemble_threads_fill_their_own_rows_of_one_array():
-    # more threads than cores, switching often: each chunk's writes land
-    # in its own rows only, as CLI holder's do
+def test_ensemble_returns_each_chunks_rows_at_its_ids():
+    # more workers than cores: each chunk's rows come back in chunk order,
+    # so placed one after another they land at their own ids
     cfg = _config(frame_stride=10**9)
-    out = np.zeros((64, 1000))
+    chunks = _chunks(cfg, 64, 8)
+    assert len(chunks) == 8
 
-    def fill(ids):
-        for _ in range(20):
-            out[ids.start:ids.stop] += np.arange(ids.start, ids.stop)[:, None]
+    def rows(ids):
+        return np.arange(ids.start, ids.stop)[:, None] * np.ones(1000)
 
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        _ensemble(cfg, 64, fill, threads=8)
-    finally:
-        sys.setswitchinterval(interval)
-    assert (out == 20 * np.arange(64)[:, None]).all()
+    results = _ensemble(cfg, 64, rows, workers=8)
+    assert [len(r) for r in results] == [len(c) for c in chunks]
+    assert (np.concatenate(results) == np.arange(64)[:, None]).all()
+
+
+def test_solver_errors_keep_their_attributes_through_pickle():
+    # a worker's error reaches the caller pickled
+    blow_up = pickle.loads(pickle.dumps(BlowUpError("sup-norm", 42, 7)))
+    assert (str(blow_up), blow_up.step, blow_up.replicate_id) == (
+        "sup-norm", 42, 7)
+    picard = pickle.loads(pickle.dumps(
+        PicardConvergenceError("no convergence", [0.5, 0.25])))
+    assert (str(picard), picard.residuals) == ("no convergence", [0.5, 0.25])
 
 
 # -- moments ----------------------------------------------------------------------
