@@ -48,7 +48,7 @@ from .regularity import (
 )
 from .density import DensityEstimate, kde, sample_law, variance_bound_check
 
-__version__ = "0.16.0"
+__version__ = "0.17.0"
 
 __all__ = [
     "Field",

@@ -40,7 +40,7 @@ from .regularity import (_check_ensemble, _check_window_inputs,
                          _spatial_offsets, _temporal_window, build_report,
                          estimate_spatial, estimate_temporal)
 from .solver import (MAX_CHUNK_ROWS, Coefficient, SolverConfig, _ensemble,
-                     _frame_index, _picard_rows, _step_rows)
+                     _frame_index, _picard_rows, _step_rows, _sweep_values)
 # not called here since chunks are stepped together; kept as names of this
 # module, which benchmarks/spans.py rebinds to trace them
 from .fields import write_array_binary  # noqa: F401
@@ -321,32 +321,32 @@ def _run_simulate(cfg, outdir: Path, args):
     picard = _parse_scheme(cfg, "simulate") == "picard"
     n_rep = _parse_int(cfg, "replicates", 1, minimum=1)
     times = list(config._stored_times)
+    files = [outdir / f"frames_{rep:04d}.bin" for rep in range(n_rep)]
 
     def paths(ids):
         # each block's rows go straight to the replicates' frame files; a
         # Picard chunk is one block, swept to its fixed point first
         blocks = ([(0, _picard_rows(config, ids)[0])] if picard
                   else _step_rows(config, ids))
-        files = [outdir / f"frames_{rep:04d}.bin" for rep in ids]
-        try:
-            with ExitStack() as stack:
-                dumps = [stack.enter_context(open(f, "wb")) for f in files]
-                for fh in dumps:
-                    _write_dump_header(fh, (len(times),) + config.grid.shape)
-                for _first, rows in blocks:
-                    for fh, frames in zip(dumps, rows):
-                        _write_dump_entries(fh, frames)
-        except BaseException:  # no partial frame file is left behind
-            for f in files:
-                f.unlink(missing_ok=True)
-            raise
+        with ExitStack() as stack:
+            dumps = [stack.enter_context(open(files[r], "wb")) for r in ids]
+            for fh in dumps:
+                _write_dump_header(fh, (len(times),) + config.grid.shape)
+            for _first, rows in blocks:
+                for fh, frames in zip(dumps, rows):
+                    _write_dump_entries(fh, frames)
         # the last block's last rows are the final frames
         final_sup = np.abs(rows[:, -1]).reshape(len(ids), -1).max(axis=1)
-        return [{"replicate": rep, "file": f.name, "times": times,
-                 "final_sup": float(sup)}
-                for rep, f, sup in zip(ids, files, final_sup)]
+        return [{"replicate": rep, "file": files[rep].name, "times": times,
+                 "final_sup": float(sup)} for rep, sup in zip(ids, final_sup)]
 
-    chunks = _ensemble(config, n_rep, paths, args.threads)
+    try:
+        chunks = _ensemble(config, n_rep, paths, args.threads,
+                           _sweep_values(config) if picard else None)
+    except BaseException:  # a failed run leaves no frame file or index
+        for f in (*files, outdir / "frames_index.json"):
+            f.unlink(missing_ok=True)
+        raise
     entries = [entry for chunk in chunks for entry in chunk]
     _dump_json(outdir / "frames_index.json", {"replicates": entries})
     return 0

@@ -17,16 +17,14 @@ real FFTs.  In the half-spectrum layout of ``fields._rfft`` the increment is
 
 and ``irfftn`` of that is dM, real by construction.
 
-Increments are drawn in blocks of consecutive steps of R replicates
-stepped together, with a leading row axis: a block is an ``(R, steps,
-*grid.shape)`` white array of at most BLOCK_ELEMENTS values, so it spans
-BLOCK_ELEMENTS // (R * grid points) steps, and at least one (see
-``_Synthesizer.block_steps``); the solver's ``_step_rows`` asks
-``_Synthesizer.spectra`` for each block it steps by the block's steps.
-A block is drawn replicate-major, each (replicate, step) white array from
-its own stream, and transformed by one batched ``rfftn``.  The solver
-adds the spectra directly when b and sigma are both constant and
-transforms the block back with one batched ``irfftn`` otherwise.
+``_Synthesizer.spectra`` draws the increments of R replicates over a run
+of consecutive steps as one ``(R, steps, *grid.shape)`` white array: the
+solver's ``_step_rows`` asks for blocks of at most BLOCK_ELEMENTS values
+(``_Synthesizer.block_steps`` steps each), and a Picard sweep for its
+whole path.  A block is drawn replicate-major, each (replicate, step)
+white array from its own stream, and transformed by one batched
+``rfftn``; the solver transforms it back with one batched ``irfftn``
+unless b and sigma are both constant and it adds the spectra directly.
 Neither the row count nor the block length changes a byte of any
 increment, so the rows of ``sample_increments``, one step of many
 replicates, are the solver's increments.

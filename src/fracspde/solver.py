@@ -39,16 +39,15 @@ replicates is one ``(R, *grid.shape)`` array (its half spectrum ``(R,
 *half)``), and every operation above runs on it with the row axis
 leading, so each numpy call does the chunk's work at once.  Each row's
 arithmetic, its order and its FFT calls are those of a one-row run, so
-a row's bytes depend on neither the chunk nor its size.  A noise block
-spans BLOCK_ELEMENTS // (R * grid points) steps, and at least one
-(``_Synthesizer.block_steps``), and ``_step_rows`` asks
-``_Synthesizer.spectra`` for each block by its range of steps.  ``solve``
-is the one-row call; ``moment_estimate`` and the CLI run chunks of
-``_chunks`` (CHUNK_ELEMENTS stored values, MAX_CHUNK_ROWS rows) through
-``_ensemble``, one after another or on forked worker processes (the
-CLI's ``--threads``).  A failing row keeps stepping, and the chunk raises
-the BlowUpError a replicate-by-replicate loop would raise.
-``_picard_rows`` sweeps whole paths by the same ``_forcing`` and ``_advance``.
+a row's bytes depend on neither the chunk nor its size.  ``_step_rows``
+draws each noise block of ``_Synthesizer.block_steps`` steps by one
+``_Synthesizer.spectra`` call.  ``solve`` is the one-row call;
+``moment_estimate`` and the CLI run the chunks that ``_chunks`` alone
+plans through ``_ensemble``, one after another or on forked worker
+processes (the CLI's ``--threads``).  A failing row keeps stepping, and
+the chunk raises the BlowUpError a replicate-by-replicate loop would
+raise.  ``_picard_rows`` sweeps a chunk's whole paths by the same
+``_forcing`` and ``_advance``, their noise drawn by one ``spectra`` call.
 
 Either way a noise block ends with its frames in FFT order, ``(R,
 steps, *grid.shape)``.  Its stored rows are centred by one ``_centre``
@@ -101,7 +100,7 @@ BLOWUP_FACTOR = 1e6
 TIME_RTOL = 1e-9  # relative tolerance for matching step and frame times
 MIN_MOMENT_REPLICATES = 100
 BOOT_RESAMPLES, BOOT_SEED = 200, 0  # every bootstrap interval uses these
-CHUNK_ELEMENTS = 2**20  # most stored frame values a chunk of replicates holds
+CHUNK_ELEMENTS = 2**20  # most values a chunk of replicates holds
 MAX_CHUNK_ROWS = 64  # most rows a chunk steps; bounds the CLI's --threads
 
 
@@ -464,11 +463,13 @@ def _stored_values(config: SolverConfig, replicate_ids) -> np.ndarray:
     return values
 
 
-def _chunks(config: SolverConfig, n_replicates: int, workers: int = 1):
-    """Replicate ids ``0..n_replicates-1`` in the chunks stepped together:
-    at most CHUNK_ELEMENTS stored values and MAX_CHUNK_ROWS // ``workers``
-    rows each, and at least ``workers`` chunks if there are as many ids."""
-    per_row = len(config._stored_steps) * config.u0.values.size
+def _chunks(config: SolverConfig, n_replicates: int, workers: int = 1,
+            per_row: int | None = None):
+    """Replicate ids ``0..n_replicates-1`` in the chunks run together: each
+    of at most MAX_CHUNK_ROWS // ``workers`` rows and CHUNK_ELEMENTS values,
+    a row holding ``per_row`` (default: its stored frames), and at least
+    ``workers`` chunks if there are as many ids."""
+    per_row = per_row or len(config._stored_steps) * config.u0.values.size
     size = max(1, min(MAX_CHUNK_ROWS // workers, CHUNK_ELEMENTS // per_row,
                       -(-n_replicates // workers)))
     return [range(lo, min(lo + size, n_replicates))
@@ -490,14 +491,15 @@ def _run_chunk(i: int):
     return fn(chunks[i])
 
 
-def _ensemble(config: SolverConfig, n_replicates: int, fn, workers: int = 1):
-    """``[fn(ids) for ids in _chunks(config, n_replicates, workers)]``, in
-    replicate order.  With ``workers`` > 1 and more than one chunk, the
-    chunks run on as many forked worker processes: ``fn`` and the chunks
-    reach them by inheritance, so ``fn`` may be a closure, but each result
-    (or error) is pickled back, and a write ``fn`` makes to the caller's
-    memory is the worker's own.  Every worker has exited on return."""
-    chunks = _chunks(config, n_replicates, workers)
+def _ensemble(config: SolverConfig, n_replicates: int, fn, workers: int = 1,
+              per_row: int | None = None):
+    """``fn`` of each chunk of ``_chunks(config, n_replicates, workers,
+    per_row)``, in order.  With ``workers`` > 1 and more than one chunk,
+    the chunks run on as many forked worker processes: ``fn`` and the
+    chunks reach them by inheritance, so ``fn`` may be a closure, but each
+    result (or error) is pickled back, and a write ``fn`` makes to the
+    caller's memory is the worker's own.  No worker outlives the call."""
+    chunks = _chunks(config, n_replicates, workers, per_row)
     workers = min(workers, len(chunks))
     if workers == 1:
         return [fn(ids) for ids in chunks]
@@ -530,25 +532,24 @@ def solve(config: SolverConfig, replicate_id: int = 0) -> PathSolution:
                         replicate_id)
 
 
+def _sweep_values(config: SolverConfig) -> int:
+    """The ``per_row`` of Picard chunks: a sweep holds about seven arrays of
+    a replicate's path (path, noise, forcing, spectra, frames, temporaries)."""
+    return 7 * (config.n_steps + 1) * config.u0.values.size
+
+
 def _picard_rows(config: SolverConfig, replicate_ids):
     """Stored frames ``(R, F, *grid.shape)`` and residual traces of the fixed
     points of ``replicate_ids``, each kept as its row converges, or the
-    lowest failing row's error.  A sweep holds about seven arrays of its
-    rows' paths, so rows sweep in groups of at most CHUNK_ELEMENTS values."""
-    grid, n, noise = config.grid, config.n_steps, config._synthesizer
+    lowest failing row's error.  The rows sweep together and their whole
+    paths' increments are drawn at once: a chunk planned with
+    ``_sweep_values`` keeps the sweep within CHUNK_ELEMENTS values."""
+    grid, n = config.grid, config.n_steps
     rows, stored = len(replicate_ids), list(config._stored_steps)
-    size = max(1, CHUNK_ELEMENTS // (7 * (n + 1) * config.u0.values.size))
-    if rows > size:  # groups in order: the first to fail has the lowest row
-        values, traces = zip(*[_picard_rows(config, replicate_ids[lo:][:size])
-                               for lo in range(0, rows, size)])
-        return np.concatenate(values), sum(traces, [])
+    dm = None if config.sigma.is_zero else _irfft(
+        config._synthesizer.spectra(config.master_seed, replicate_ids,
+                                    range(n)), grid)
     new = np.empty((rows, n) + grid.shape)  # a sweep's frames
-    dm = None if config.sigma.is_zero else np.empty_like(new)
-    block = noise.block_steps(rows)
-    for lo in range(0, 0 if dm is None else n, block):
-        steps = range(lo, min(lo + block, n))  # ``_step_rows``'s blocks
-        _irfft(noise.spectra(config.master_seed, replicate_ids, steps), grid,
-               out=dm[:, lo:steps.stop])
     path = np.zeros((rows, n + 1) + grid.shape)  # FFT order, k steps in row k
     path[:, 0] = config._u0_wrapped
     spectra = np.zeros((rows, n) + config._psi_h.shape, dtype=complex)

@@ -153,8 +153,10 @@ def test_chunked_outputs_equal_one_replicate_at_a_time(tmp_path, monkeypatch,
     assert main([command, *run, "--out", str(tmp_path / "one")]) == 0
     monkeypatch.undo()
     # 3 rows a chunk: 8 replicates are chunks of 3, 3 and 2
-    stored = 3 * (129 if command == "holder" else 3) * 64
-    monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS", stored)
+    per_row = (fracspde.solver._sweep_values(_solver_config(cfg))
+               if over.get("scheme") == "picard"
+               else (129 if command == "holder" else 3) * 64)
+    monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS", 3 * per_row)
     expected = _outputs(tmp_path / "one")
     assert len(expected) == (10 if command == "simulate" else 3)
     for threads in ("1", "2", "3"):
@@ -180,15 +182,39 @@ def test_chunked_simulate_reports_the_serial_blow_up(tmp_path, monkeypatch,
     fracspde.solver.solve(config, 1)
     with pytest.raises(BlowUpError) as serial:
         fracspde.solver.solve(config, 2)
-    monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS", 3 * 2 * 16)
-    for threads in ("1", "2"):
-        rc = main(["simulate", "--config", cfg, "--out",
-                   str(tmp_path / threads), "--threads", threads])
+    # in chunks of 3, chunk [9] finishes at --threads 2; at --threads 5 the
+    # default budget makes chunks of 2, and chunk [0, 1] finishes: the
+    # failed run removes their frame files too
+    for threads, budget in (("1", 3 * 2 * 16), ("2", 3 * 2 * 16),
+                            ("5", fracspde.solver.CHUNK_ELEMENTS)):
+        monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS", budget)
+        out = tmp_path / threads
+        rc = main(["simulate", "--config", cfg, "--out", str(out),
+                   "--threads", threads])
         assert rc == 3
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "BlowUpError", "message": str(serial.value)}
-        assert not (tmp_path / threads / "frames_0000.bin").exists()
+        assert [f.name for f in out.iterdir()] == ["manifest.json"]
         assert multiprocessing.active_children() == []  # no worker is left
+
+
+def test_a_failed_simulate_removes_an_earlier_runs_index(tmp_path):
+    # the directory of a finished run, rerun with a config that blows up:
+    # no index is left to name frame files that the failed run removed
+    over = {"alpha": [1.5], "delta": [0.3],
+            "grid": {"n_per_dim": 16, "box_length": 8.0}, "T": 2.0,
+            "replicates": 10, "seed": 3, "frame_stride": 10**9}
+    ok = _sim_cfg(tmp_path, **over)
+    bad = _write(tmp_path, "bad.json", dict(
+        json.loads(Path(ok).read_text()),
+        sigma={"preset": "constant", "value": 6e5}))
+    for threads in ("1", "2"):
+        out = str(tmp_path / threads)
+        assert main(["simulate", "--config", ok, "--out", out]) == 0
+        assert main(["simulate", "--config", bad, "--out", out,
+                     "--threads", threads]) == 3
+        assert [f.name for f in (tmp_path / threads).iterdir()] == [
+            "manifest.json"]
 
 
 def test_holder_on_two_workers_leaves_no_worker_running(tmp_path):
@@ -245,28 +271,35 @@ def test_picard_simulate_solves_the_shared_chunks(tmp_path, monkeypatch,
     chunks, ensemble = _fork_queue(), fracspde.cli._ensemble
     swept, picard_rows = _fork_queue(), fracspde.cli._picard_rows
 
-    def recording(config, n, fn, workers=1):
+    def recording(config, n, fn, workers=1, per_row=None):
         return ensemble(config, n, lambda ids: chunks.put(ids) or fn(ids),
-                        workers)
+                        workers, per_row)
 
     monkeypatch.setattr(fracspde.cli, "_ensemble", recording)
     monkeypatch.setattr(fracspde.cli, "_picard_rows", lambda config, ids: (
         swept.put(ids) or picard_rows(config, ids)))
-    # 3 frames of 64 points: 3 rows a chunk
-    monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS", 3 * 3 * 64)
-    cfg = _sim_cfg(tmp_path, scheme="picard", replicates=7,
-                   b={"preset": "sine", "amplitude": 0.3},
-                   sigma={"preset": "affine", "slope": 0.2, "value": 1.0})
-    assert main(["simulate", "--config", cfg, "--out", str(tmp_path / "o"),
-                 "--threads", threads]) == 0
-    chunks, swept = _drain(chunks), _drain(swept)
-    assert sorted(chunks, key=min) == [range(0, 3), range(3, 6), range(6, 7)]
-    assert sorted(swept, key=min) == sorted(chunks, key=min)  # once a chunk
-    config = _solver_config(cfg)
-    for rep in range(7):
-        frames = read_array_binary(tmp_path / "o" / f"frames_{rep:04d}.bin")
-        assert frames.tobytes() == fracspde.solver.solve_picard(
-            config, rep).values.tobytes()
+    # 3 frames, or the final frame only, of 64 points; a budget of 3 sweeps
+    # of 11 steps: 3 rows a chunk, where the stored frames would allow more
+    for stride in (5, 10**9):
+        cfg = _sim_cfg(tmp_path, scheme="picard", replicates=7,
+                       b={"preset": "sine", "amplitude": 0.3},
+                       sigma={"preset": "affine", "slope": 0.2,
+                              "value": 1.0}, frame_stride=stride)
+        config = _solver_config(cfg)
+        monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS",
+                            3 * fracspde.solver._sweep_values(config))
+        assert len(fracspde.solver._chunks(config, 7, int(threads))) < 3
+        out = tmp_path / str(stride)
+        assert main(["simulate", "--config", cfg, "--out", str(out),
+                     "--threads", threads]) == 0
+        ran, ids = _drain(chunks), _drain(swept)
+        assert sorted(ran, key=min) == [range(0, 3), range(3, 6),
+                                        range(6, 7)]
+        assert sorted(ids, key=min) == sorted(ran, key=min)  # once a chunk
+        for rep in range(7):
+            frames = read_array_binary(out / f"frames_{rep:04d}.bin")
+            assert frames.tobytes() == fracspde.solver.solve_picard(
+                config, rep).values.tobytes()
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
@@ -286,7 +319,8 @@ def test_picard_simulate_reports_the_lowest_failing_replicate(
     fracspde.solver.solve_picard(config, 0)
     with pytest.raises(BlowUpError) as serial:
         fracspde.solver.solve_picard(config, 1)
-    monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS", 3 * 2 * 16)
+    monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS",
+                        3 * fracspde.solver._sweep_values(config))
     out = tmp_path / "o"
     rc = main(["simulate", "--config", cfg, "--out", str(out),
                "--threads", threads])

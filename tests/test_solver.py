@@ -32,6 +32,7 @@ from fracspde.solver import (
     _ensemble,
     _picard_rows,
     _stored_values,
+    _sweep_values,
     moment_estimate,
     smooth_initial,
     solve,
@@ -731,17 +732,35 @@ def test_step_rows_draws_each_block_by_its_steps(monkeypatch, sigma, ids):
         assert frames == [k + 1 for k in drawn]
 
 
-def test_picard_draws_the_blocks_of_a_one_row_solve(monkeypatch):
+@pytest.mark.parametrize("ids", [[1], [4, 0, 7]], ids=["solve", "chunk"])
+def test_picard_draws_a_groups_noise_in_one_call(monkeypatch, ids):
+    # the stepper draws 150 one-step blocks at a budget of 2**10 values,
+    # and 3 (one row) or 8 (three rows) at 2**16; a Picard group draws its
+    # whole path at once, and its frames and residuals are the same at
+    # either budget
+    import fracspde.noise
+    from fracspde.noise import _Synthesizer
+
     cfg = _block_config(b=Coefficient.sine(0.5),
                         sigma=Coefficient.affine(0.3, 1.0))
-    events = _record_draws_and_checks(monkeypatch)
-    solve(cfg, 1)
-    solved = [steps for kind, steps in events if kind == "draw"]
-    events.clear()
-    solve_picard(cfg, 1)
-    assert [steps for kind, steps in events if kind == "draw"] == solved
-    assert solved == [list(range(0, 64)), list(range(64, 128)),
-                      list(range(128, 150))]
+    draws, spectra = [], _Synthesizer.spectra
+
+    def drawing(self, master_seed, replicate_ids, steps):
+        draws.append((list(replicate_ids), list(steps)))
+        return spectra(self, master_seed, replicate_ids, steps)
+
+    monkeypatch.setattr(_Synthesizer, "spectra", drawing)
+    swept = []
+    for budget, blocks in ((2**10, 150), (2**16, 3 if len(ids) == 1 else 8)):
+        monkeypatch.setattr(fracspde.noise, "BLOCK_ELEMENTS", budget)
+        _stored_values(cfg, ids)
+        assert len(draws) == blocks
+        draws.clear()
+        values, traces = _picard_rows(cfg, ids)
+        assert draws == [(ids, list(range(150)))]
+        draws.clear()
+        swept.append((values.tobytes(), traces))
+    assert swept[0] == swept[1]
 
 
 # -- chunks of replicates stepped together ------------------------------------
@@ -997,27 +1016,59 @@ def test_picard_chunk_raises_the_lowest_of_rows_failing_in_one_sweep():
     _assert_picard_chunk_is_serial(cfg, range(2, 7), serial)
 
 
-def test_picard_sweeps_at_most_the_group_bound(monkeypatch):
-    # with the final frame only a chunk may get many rows; each row's sweep
-    # holds about seven arrays of its path, 51 frames of 16 points, so 3
-    # rows sweep at once
+def test_picard_sweeps_at_most_the_group_bound(tmp_path, monkeypatch):
+    # with the final frame only the stored frames allow 10 rows a chunk;
+    # each row's sweep holds about seven arrays of its path, 51 frames of
+    # 16 points, so a CLI Picard simulate plans chunks of 3 rows
+    import json
+
+    import fracspde.cli
     import fracspde.solver
+    from fracspde.fields import read_array_binary
 
     cfg = _picard_config(frame_stride=10**9)
     serial = _serial_picard(cfg, range(10))
-    swept, blow_ups = [], fracspde.solver._blow_ups
+    events = multiprocessing.get_context("fork").SimpleQueue()
+    picard_rows, blow_ups = fracspde.cli._picard_rows, fracspde.solver._blow_ups
+
+    def sweeping(config, ids):
+        events.put(("chunk", ids))
+        return picard_rows(config, ids)
 
     def spying(stack, *args):
-        swept.append(stack.shape)
+        events.put(("swept", stack.shape))
         return blow_ups(stack, *args)
 
+    monkeypatch.setattr(fracspde.cli, "_picard_rows", sweeping)
     monkeypatch.setattr(fracspde.solver, "_blow_ups", spying)
     monkeypatch.setattr(fracspde.solver, "CHUNK_ELEMENTS",
                         7 * 4 * 51 * 16 - 1)
     assert [len(c) for c in _chunks(cfg, 10)] == [10]
-    _assert_picard_chunk_is_serial(cfg, range(10), serial)
-    assert max(rows for rows, *_ in swept) == 3
-    assert {tuple(frames) for _, *frames in swept} == {(50, 16)}
+    spec = tmp_path / "picard.json"
+    spec.write_text(json.dumps({
+        "alpha": [1.5], "delta": [0.3], "measure": {"kind": "white"},
+        "grid": {"n_per_dim": 16, "box_length": 8.0},
+        "b": {"preset": "sine", "amplitude": 0.5},
+        "sigma": {"preset": "affine", "slope": 0.5, "value": 1.0},
+        "u0": {"preset": "zero"}, "dt": 0.01, "T": 0.5, "seed": 2,
+        "frame_stride": 10**9, "replicates": 10, "scheme": "picard"}))
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        assert fracspde.cli.main(["simulate", "--config", str(spec), "--out",
+                                  str(out), "--threads", str(threads)]) == 0
+        seen = []
+        while not events.empty():
+            seen.append(events.get())
+        chunks = sorted((ids for kind, ids in seen if kind == "chunk"),
+                        key=min)
+        assert chunks == _chunks(cfg, 10, threads, _sweep_values(cfg))
+        assert [len(c) for c in chunks] == [3, 3, 3, 1]
+        swept = [shape for kind, shape in seen if kind == "swept"]
+        assert max(rows for rows, *_ in swept) == 3
+        assert {tuple(frames) for _, *frames in swept} == {(50, 16)}
+        for rep in range(10):
+            frames = read_array_binary(out / f"frames_{rep:04d}.bin")
+            assert frames.tobytes() == serial[rep][0]
 
 
 @pytest.mark.parametrize("threads, paths, finals", [
