@@ -16,9 +16,7 @@ from .fields import Field, FractionalIndex, Grid, to_frequency, to_physical
 from .stable_kernel import (
     apply_generator,
     apply_semigroup,
-    generator_symbol,
     kernel,
-    semigroup_symbol,
 )
 from .spectral_measure import (
     AdmissibilityReport,
@@ -26,8 +24,6 @@ from .spectral_measure import (
     admissibility,
     critical_eta,
     cumulative_bound_check,
-    frequency_weight,
-    variance_rate,
     weighted_spectral_integral,
 )
 from .noise import RngStream, empirical_covariance, sample_increments
@@ -48,7 +44,7 @@ from .regularity import (
 )
 from .density import DensityEstimate, kde, sample_law, variance_bound_check
 
-__version__ = "0.17.0"
+__version__ = "0.18.0"
 
 __all__ = [
     "Field",
@@ -58,16 +54,12 @@ __all__ = [
     "to_physical",
     "apply_generator",
     "apply_semigroup",
-    "generator_symbol",
     "kernel",
-    "semigroup_symbol",
     "AdmissibilityReport",
     "SpectralMeasure",
     "admissibility",
     "critical_eta",
     "cumulative_bound_check",
-    "frequency_weight",
-    "variance_rate",
     "weighted_spectral_integral",
     "RngStream",
     "empirical_covariance",

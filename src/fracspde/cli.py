@@ -322,6 +322,11 @@ def _run_simulate(cfg, outdir: Path, args):
     n_rep = _parse_int(cfg, "replicates", 1, minimum=1)
     times = list(config._stored_times)
     files = [outdir / f"frames_{rep:04d}.bin" for rep in range(n_rep)]
+    for f in outdir.glob("frames_*.bin"):  # an earlier run's extra replicates
+        rep = f.name[len("frames_"):-len(".bin")]
+        if (rep.isdecimal() and int(rep) >= n_rep
+                and f.name == f"frames_{int(rep):04d}.bin"):
+            f.unlink()
 
     def paths(ids):
         # each block's rows go straight to the replicates' frame files; a

@@ -41,7 +41,6 @@ __all__ = [
     "to_physical",
     "write_array_binary",
     "read_array_binary",
-    "read_field_binary",
 ]
 
 # alpha values this close to the excluded point 1 are rejected outright:
@@ -114,16 +113,6 @@ class FractionalIndex:
     def damping(self) -> np.ndarray:
         """cos(delta_i*pi/2) per axis: the symbol's modulus damping factor."""
         return np.cos(np.asarray(self.delta) * np.pi / 2)
-
-    def _frequency(self, xi) -> np.ndarray:
-        """``xi``, a scalar (d=1) or a length-d sequence, as a float array;
-        ConstraintViolationError unless it has d finite components."""
-        xi = np.atleast_1d(np.asarray(xi, dtype=float))
-        if xi.shape != (self.d,) or not np.isfinite(xi).all():
-            raise ConstraintViolationError(
-                f"frequency must be {self.d} finite components, got "
-                f"{xi.tolist()}")
-        return xi
 
     @property
     def min_damping(self) -> float:
@@ -372,12 +361,3 @@ def read_array_binary(path) -> np.ndarray:
         shape = struct.unpack(f"<{ndim}Q", fh.read(8 * ndim))
         data = np.frombuffer(fh.read(), dtype="<f8").reshape(shape)
     return np.array(data)
-
-
-def read_field_binary(path, grid: Grid) -> Field:
-    data = read_array_binary(path)
-    if data.shape != grid.shape:
-        raise ConstraintViolationError(
-            f"{path}: dump shape {data.shape} != grid shape {grid.shape}"
-        )
-    return Field(grid, data, PHYSICAL, _skip_copy=True)

@@ -361,13 +361,16 @@ def _blow_ups(stack, ceiling, first_step, replicate_ids) -> dict:
     return errors
 
 
-def _forcing(config: SolverConfig, u, dm):
-    """dt * b(u) + sigma(u) * dm, without the term of a zero sigma (``dm`` is
-    then not read), nor that of a zero b unless sigma is zero too."""
-    if config.b.is_zero and not config.sigma.is_zero:
-        return config.sigma(u) * dm
-    forcing = config.dt * config.b(u)
-    return forcing if config.sigma.is_zero else forcing + config.sigma(u) * dm
+def _forcing(config: SolverConfig, u, dm, out=None):
+    """dt * b(u) + sigma(u) * dm (into ``out`` if given), without the term of
+    a zero sigma (``dm`` is then not read), nor that of a zero b unless sigma
+    is zero too."""
+    if config.sigma.is_zero:
+        return np.multiply(config.dt, config.b(u), out=out)
+    forcing = np.multiply(config.sigma(u), dm, out=out)
+    if not config.b.is_zero:
+        forcing += config.dt * config.b(u)
+    return forcing
 
 
 def _advance(u_hat, forcing, psi_h):
@@ -549,7 +552,10 @@ def _picard_rows(config: SolverConfig, replicate_ids):
     dm = None if config.sigma.is_zero else _irfft(
         config._synthesizer.spectra(config.master_seed, replicate_ids,
                                     range(n)), grid)
-    new = np.empty((rows, n) + grid.shape)  # a sweep's frames
+    # a sweep's forcing, then its frames; the residual is taken in place in
+    # the path that the frames replace.  A path-sized temporary freed every
+    # sweep can go back to the system and be faulted in again on the next.
+    new = np.empty((rows, n) + grid.shape)
     path = np.zeros((rows, n + 1) + grid.shape)  # FFT order, k steps in row k
     path[:, 0] = config._u0_wrapped
     spectra = np.zeros((rows, n) + config._psi_h.shape, dtype=complex)
@@ -558,10 +564,12 @@ def _picard_rows(config: SolverConfig, replicate_ids):
     with np.errstate(over="ignore", invalid="ignore"):  # _blow_ups checks
         for sweep in range(config.picard_max_iter + 1):
             if sweep:  # the first sweep, with no forcing, is the flow of u0
-                _rfft(_forcing(config, path[:, :-1], dm), grid, out=spectra)
+                _rfft(_forcing(config, path[:, :-1], dm, new), grid,
+                      out=spectra)
             _advance(config._u0_hat, spectra, config._psi_h)
             _irfft(spectra, grid, out=new)
-            residuals = np.abs(path[:, 1:] - new).reshape(rows, -1).max(1)
+            change = np.subtract(path[:, 1:], new, out=path[:, 1:])
+            residuals = np.abs(change, out=change).reshape(rows, -1).max(1)
             path[:, 1:] = new
             if not sweep:  # the flow is neither checked nor a residual
                 continue

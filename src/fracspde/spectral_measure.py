@@ -60,11 +60,9 @@ from .fields import FractionalIndex, Grid, _check_dimensions, _integer
 __all__ = [
     "SpectralMeasure",
     "AdmissibilityReport",
-    "frequency_weight",
     "admissibility",
     "closed_form_critical_eta",
     "critical_eta",
-    "variance_rate",
     "cumulative_bound_check",
     "CumulativeBoundReport",
     "weighted_spectral_integral",
@@ -232,12 +230,6 @@ class SpectralMeasure:
             value = getattr(self, key)
             out[key] = list(value) if isinstance(value, tuple) else value
         return out
-
-
-def frequency_weight(xi, idx: FractionalIndex) -> float:
-    """Anisotropic frequency weight sum_i |xi_i|^alpha_i."""
-    return float(sum(abs(x) ** a
-                     for x, a in zip(idx._frequency(xi), idx.alpha)))
 
 
 # ---------------------------------------------------------------------------
@@ -711,21 +703,6 @@ def _cumulative_integrand(idx: FractionalIndex, T: float):
         return -np.expm1(-2 * T * s) / (2 * s)
 
     return idx.damping, g
-
-
-def variance_rate(idx: FractionalIndex, measure: SpectralMeasure,
-                  t: float) -> float:
-    """Instantaneous variance rate of the stochastic convolution:
-    the squared semigroup modulus integrated against the measure.
-
-    Decreasing in t; requires admissibility at eta = 1.
-    """
-    if not 0 < t < math.inf:
-        raise ConstraintViolationError(f"time must be finite and > 0, got {t}")
-    require_admissible(measure, idx)
-    w = 2.0 * t * idx.damping
-    return spectral_integral(measure, idx, lambda s: np.exp(-s),
-                             axis_weights=w)
 
 
 @dataclass(frozen=True)

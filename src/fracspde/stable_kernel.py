@@ -32,8 +32,6 @@ from .fields import (Field, FractionalIndex, Grid, _apply_symbol,
                      _check_dimensions, to_frequency, to_physical)
 
 __all__ = [
-    "generator_symbol",
-    "semigroup_symbol",
     "kernel",
     "KernelDiagnostics",
     "apply_semigroup",
@@ -58,23 +56,6 @@ def _symbol_terms(idx: FractionalIndex, xi_axes):
         phase = np.exp(-1j * dl * (np.pi / 2) * np.sign(x))
         terms.append(-np.abs(x) ** a * phase)
     return terms
-
-
-def generator_symbol(idx: FractionalIndex, xi):
-    """Fourier multiplier of the generator at frequency ``xi``.
-
-    ``xi`` is a scalar (d=1) or a length-d sequence of finite values.  The
-    real part is always <= 0; the imaginary part encodes the skew.
-    """
-    return complex(sum(_symbol_terms(idx, idx._frequency(xi))))
-
-
-def semigroup_symbol(idx: FractionalIndex, xi, t):
-    """exp(t * generator_symbol(idx, xi)); modulus <= 1 for t >= 0."""
-    if not 0 <= t < math.inf:
-        raise ConstraintViolationError(
-            f"time must be finite and >= 0, got {t}")
-    return complex(np.exp(t * generator_symbol(idx, xi)))
 
 
 def _symbol_lattice(idx: FractionalIndex, grid: Grid, t: float):

@@ -217,6 +217,41 @@ def test_a_failed_simulate_removes_an_earlier_runs_index(tmp_path):
             "manifest.json"]
 
 
+_TWELVE = {"alpha": [1.5], "delta": [0.3],
+           "grid": {"n_per_dim": 16, "box_length": 8.0}, "T": 0.5,
+           "replicates": 12, "seed": 3, "frame_stride": 10**9}
+
+
+def test_simulate_removes_an_earlier_runs_extra_frames(tmp_path):
+    # 12 replicates, then 10 into the same directory: the directory holds
+    # the frames its index lists, and files simulate does not name stay
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", _sim_cfg(tmp_path, **_TWELVE),
+                 "--out", str(out)]) == 0
+    others = ["frames_00012.bin", "frames_0012.txt", "frames_x.bin"]
+    for name in others:
+        (out / name).write_bytes(b"")
+    assert main(["simulate", "--config",
+                 _sim_cfg(tmp_path, **_TWELVE | {"replicates": 10}),
+                 "--out", str(out)]) == 0
+    frames = [f"frames_{rep:04d}.bin" for rep in range(10)]
+    assert sorted(f.name for f in out.iterdir()) == sorted(
+        frames + others + ["frames_index.json", "manifest.json"])
+    index = json.loads((out / "frames_index.json").read_text())
+    assert [e["file"] for e in index["replicates"]] == frames
+
+
+def test_a_failed_simulate_removes_an_earlier_runs_extra_frames(tmp_path):
+    out = tmp_path / "o"
+    assert main(["simulate", "--config", _sim_cfg(tmp_path, **_TWELVE),
+                 "--out", str(out)]) == 0
+    bad = _sim_cfg(tmp_path, **_TWELVE | {
+        "replicates": 10, "sigma": {"preset": "constant", "value": 6e5},
+        "T": 2.0})
+    assert main(["simulate", "--config", bad, "--out", str(out)]) == 3
+    assert [f.name for f in out.iterdir()] == ["manifest.json"]
+
+
 def test_holder_on_two_workers_leaves_no_worker_running(tmp_path):
     cfg = _sim_cfg(tmp_path, **_HOLDER_OK, replicates=8, min_replicates=8)
     assert main(["holder", "--config", cfg, "--out", str(tmp_path / "o"),

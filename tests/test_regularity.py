@@ -130,6 +130,19 @@ def test_spatial_estimate_rough_field_calibration():
     assert abs(est.value) < 0.05
 
 
+def test_spatial_estimate_of_a_2d_grid_reads_the_first_axis():
+    # a 2-d ensemble constant along its second axis: its estimate is that
+    # of the 1-d ensemble along the first
+    n, L = 128, 8.0
+    f = np.random.default_rng(4).normal(size=(20, n)).cumsum(axis=1)
+    one = estimate_spatial(f, Grid(1, n, L), min_replicates=1)
+    two = estimate_spatial(np.repeat(f[:, :, None], n, axis=2),
+                           Grid(2, n, L), min_replicates=1)
+    np.testing.assert_allclose([two.value, two.ci_low, two.ci_high],
+                               [one.value, one.ci_low, one.ci_high],
+                               rtol=0, atol=1e-12)
+
+
 def test_spatial_estimate_needs_stored_time():
     # the spatial estimate reads the frames at one stored time: frame_at
     # (and the holder command before any solve) rejects any other time

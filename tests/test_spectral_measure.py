@@ -22,10 +22,8 @@ from fracspde.spectral_measure import (
     closed_form_critical_eta,
     critical_eta,
     cumulative_bound_check,
-    frequency_weight,
     require_admissible,
     spectral_integral,
-    variance_rate,
     weighted_spectral_integral,
 )
 
@@ -36,31 +34,32 @@ GAUSS2 = FractionalIndex([2.0, 2.0], [0.0, 0.0])
 RIESZ_RATE_ORACLE = 1.1753699734553476
 
 
+def _variance_rate(idx, measure, t):
+    """int |psi(t, xi)|^2 m(dxi), the rate of the stochastic convolution's
+    variance: exp(-2 t sum_i cos(delta_i pi/2) |xi_i|^alpha_i) integrated."""
+    return spectral_integral(measure, idx, lambda s: np.exp(-s),
+                             axis_weights=2 * t * idx.damping)
+
+
 # -- frequency weight ---------------------------------------------------------
 
 def test_frequency_weight_examples():
-    assert frequency_weight((1.0, 2.0), FractionalIndex([2.0, 0.5], [0, 0])) \
-        == pytest.approx(1 + math.sqrt(2))
-    assert frequency_weight((0.0, 0.0), GAUSS2) == 0.0
-    assert frequency_weight(-3.0, FractionalIndex([1.5], [0])) \
-        == pytest.approx(3.0**1.5)
-
-
-@pytest.mark.parametrize("xi", [math.nan, math.inf, (1.0, -math.inf)],
-                         ids=["nan", "inf", "-inf-axis"])
-def test_frequency_weight_rejects_non_finite_frequencies(xi):
-    # each returned nan or inf
-    d = np.size(xi)
-    with pytest.raises(ConstraintViolationError, match="finite"):
-        frequency_weight(xi, FractionalIndex([1.5] * d, [0.3] * d))
+    # the quadrature's weight sum_i w_i |xi_i|^alpha_i at xi = r * omega,
+    # for the direction nodes omega of each path
+    geom = sm._NodeGeometry((1.5,), False)
+    assert geom.levels(np.log(3.0), 1.0) == pytest.approx(3.0**1.5)
+    geom = sm._NodeGeometry((2.0, 0.5), False)
+    r, w = math.sqrt(5), np.array([1.0, 3.0])
+    want = (w * (r * geom.comps) ** geom.alpha).sum(axis=1)
+    np.testing.assert_allclose(geom.levels(np.log(r), w)[:, 0], want,
+                               rtol=1e-14)
 
 
 def test_frequency_weight_zero_only_at_origin():
-    idx = FractionalIndex([1.5, 0.5], [0, 0])
-    rng = np.random.default_rng(2)
-    for xi in rng.normal(0, 2, size=(30, 2)):
-        if np.any(xi != 0):
-            assert frequency_weight(xi, idx) > 0
+    geom = sm._NodeGeometry((1.5, 0.5), False)
+    s = np.linspace(-30, 5, 36)
+    assert np.all(geom.levels(s, 1.0) > 0)
+    assert np.all(geom.levels(-np.inf, 1.0) == 0)
 
 
 # -- measure catalog ----------------------------------------------------------
@@ -743,7 +742,7 @@ def test_spectral_integral_extends_a_slow_geometric_tail(measure, alpha,
     from fracspde.density import cumulative_variance
     idx = FractionalIndex([alpha], [0.0])
     c = 2 * 0.5 * idx.damping
-    assert variance_rate(idx, measure, 0.5) == pytest.approx(
+    assert _variance_rate(idx, measure, 0.5) == pytest.approx(
         closed_form(measure, c), rel=1e-8)
     assert math.isfinite(cumulative_variance(idx, measure, 1.0))
 
@@ -849,7 +848,7 @@ def test_critical_eta_quadrature_bisection():
 def test_variance_rate_white_closed_form():
     m = SpectralMeasure.white(1)
     for t in [0.05, 0.4, 1.0, 3.0]:
-        assert variance_rate(GAUSS1, m, t) == pytest.approx(
+        assert _variance_rate(GAUSS1, m, t) == pytest.approx(
             (8 * np.pi * t) ** -0.5, rel=1e-10
         )
 
@@ -872,7 +871,7 @@ def test_anisotropic_quadrature_matches_separable_closed_form():
 def test_variance_rate_riesz_fractional_oracle():
     idx = FractionalIndex([1.5], [0.3])
     m = SpectralMeasure.riesz(0.5, 1)
-    got = variance_rate(idx, m, 1.0)
+    got = _variance_rate(idx, m, 1.0)
     assert got == pytest.approx(RIESZ_RATE_ORACLE, rel=1e-8)
     # independent two-stage adaptive quadrature
     mu_c = m.riesz_constant
@@ -886,15 +885,9 @@ def test_variance_rate_decreasing_in_time():
     idx = FractionalIndex([1.5], [0.3])
     m = SpectralMeasure.bessel(1.0, 1)
     ts = np.geomspace(0.01, 5.0, 12)
-    vals = [variance_rate(idx, m, t) for t in ts]
+    vals = [_variance_rate(idx, m, t) for t in ts]
     assert np.all(np.diff(vals) < 0)
     assert np.all(np.asarray(vals) > 0)
-
-
-def test_variance_rate_rejects_inadmissible():
-    m = SpectralMeasure.white(2)
-    with pytest.raises(DivergenceError):
-        variance_rate(GAUSS2, m, 1.0)
 
 
 # -- cumulative bounds ---------------------------------------------------------
@@ -940,10 +933,8 @@ def test_cumulative_bounds_raise_where_the_shells_never_settle():
     lambda idx, m: cumulative_bound_check(idx, m, math.inf),
     # raised DivergenceError
     lambda idx, m: cumulative_variance(idx, m, math.inf),
-    # returned 0.0
-    lambda idx, m: variance_rate(idx, m, math.inf),
 ], ids=["weighted-T-inf", "weight-nan", "weight-inf", "cumulative-T-inf",
-        "variance-rho-inf", "rate-t-inf"])
+        "variance-rho-inf"])
 def test_non_finite_horizons_and_exponents_are_rejected(call):
     idx, m = FractionalIndex([1.5], [0.3]), SpectralMeasure.riesz(0.5, 1)
     with pytest.raises(ConstraintViolationError, match="finite"):
@@ -955,7 +946,7 @@ def test_cumulative_bounds_match_time_quadrature():
     idx = FractionalIndex([1.5], [0.3])
     m = SpectralMeasure.riesz(0.5, 1)
     rep = cumulative_bound_check(idx, m, 0.5)
-    slow = quad(lambda s: variance_rate(idx, m, s), 0, 0.5, points=[0.01],
+    slow = quad(lambda s: _variance_rate(idx, m, s), 0, 0.5, points=[0.01],
                 limit=200)[0]
     assert rep.integral == pytest.approx(slow, rel=1e-6)
 
