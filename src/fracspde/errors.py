@@ -27,10 +27,6 @@ class EllipticityError(ValidationError):
     """The diffusion coefficient is not bounded below by a > 0."""
 
 
-class InconclusiveError(ValidationError):
-    """Not enough frequency range to decide convergence or divergence."""
-
-
 class NumericalError(FracspdeError):
     """A computation produced a numerically unacceptable result."""
 

@@ -274,8 +274,7 @@ def _grid_point(x, grid: Grid, name: str = "x") -> tuple:
     point = (tuple(x) if isinstance(x, (tuple, list)) or getattr(x, "ndim", 0)
              else (x,))
     if len(point) != grid.d or not all(
-            (type(i) is int or isinstance(i, np.integer))
-            and 0 <= i < grid.n_per_dim for i in point):
+            _integer(i) and 0 <= i < grid.n_per_dim for i in point):
         raise ConfigurationError(
             f"{name}={x!r} is not a point of the {grid.d}-d grid with "
             f"{grid.n_per_dim} points per axis")

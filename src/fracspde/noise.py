@@ -217,8 +217,7 @@ def empirical_covariance(increments, lags):
     out = {}
     for lag in lags:
         shift = lag if isinstance(lag, tuple) else (lag,)
-        if len(shift) != len(axes) or not all(
-                type(s) is int or isinstance(s, np.integer) for s in shift):
+        if len(shift) != len(axes) or not all(map(_integer, shift)):
             raise ConfigurationError(
                 f"lag {lag!r} is not one integer offset per axis of a "
                 f"{len(axes)}-d grid")

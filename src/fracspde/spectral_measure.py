@@ -52,7 +52,6 @@ from .errors import (
     AccuracyWarning,
     ConstraintViolationError,
     DivergenceError,
-    InconclusiveError,
     NumericalConsistencyError,
 )
 from .fields import FractionalIndex, Grid, _check_dimensions, _integer
@@ -346,11 +345,11 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
     any shape.  Consecutive shells are evaluated as one batch of at most
     _BATCH_NODES nodes, and a scan keeps exactly the shells up to its stop;
     a kept shell that is not finite raises NumericalConsistencyError.
-    Returns (ks, contribs[n_int, n_k], band_limited, unsettled): unsettled
-    is None when each scan stopped on quiet shells, at the band or on a
-    geometric tail, or ran to the end of _K_RANGE on shells decaying
-    geometrically enough for _extrapolated_sum to add the rest; else it
-    names where a scan stopped.
+    Returns (ks, contribs[n_int, n_k], unsettled): unsettled is None when
+    each scan stopped on quiet shells, at the band or on a geometric tail,
+    or ran to the end of _K_RANGE on shells decaying geometrically enough
+    for _extrapolated_sum to add the rest; else it names where a scan
+    stopped.
     ConstraintViolationError unless n_radial, the Gauss nodes per shell,
     is a non-bool integer >= 1.
     """
@@ -402,13 +401,13 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
         return out, empty | clipped
 
     ks, contribs = [], []
-    band_limited, unsettled = False, None
+    unsettled = None
     total = np.zeros(len(integrands))
     # a band-limited density has no tail past its band to extrapolate
     geometric_stop = band == math.inf
 
     def scan(direction):
-        nonlocal band_limited, unsettled, total
+        nonlocal unsettled, total
         first = len(contribs)
         k = 0 if direction > 0 else -1
         quiet = rising = 0
@@ -439,7 +438,6 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
                     raise NumericalConsistencyError(
                         f"non-finite contribution {c[i]} of shell "
                         f"2^{k + direction * i}")
-                band_limited |= at_band and not tiny
                 quiet = quiet + 1 if tiny else 0
                 # a long run of growing shells is already conclusive divergence
                 if direction > 0 and (i or prev is not None):
@@ -468,7 +466,7 @@ def _dyadic_contributions(measure, idx, integrands, *, n_radial=N_RADIAL):
     order = np.argsort(ks)
     ks = np.asarray(ks)[order]
     contribs = np.concatenate(contribs)[order].T
-    return ks, contribs, band_limited, unsettled
+    return ks, contribs, unsettled
 
 
 def _geometric_ends(run):
@@ -505,9 +503,9 @@ def _geometric_tail(c):
             and c[pos[-1]] < 0.999 * c[pos[-2]])
 
 
-def _extrapolated_sum(ks, c, band_limit=math.inf):
-    """Total with geometric extensions beyond both ends; the plain shell
-    sum for a band-limited measure, which has nothing beyond its band."""
+def _extrapolated_sum(c, band_limit):
+    """Total of the shells c with geometric extensions beyond both ends;
+    the plain shell sum for a band-limited measure: nothing lies past it."""
     total = float(c.sum())
     pos = np.where(c > 0)[0]
     if band_limit == math.inf and len(pos) >= 3:
@@ -520,20 +518,15 @@ def _extrapolated_sum(ks, c, band_limit=math.inf):
     return total
 
 
-def _tail_verdict(ks, c, band_limited, what):
-    """(finite, conclusive, value, slope) read off the tail slope: >= 0
-    divergent, < CONVERGENT_SLOPE finite, else inconclusive with value inf.
-    Raises InconclusiveError when no tail slope can be fitted."""
+def _tail_verdict(ks, c, band_limit):
+    """(value, finite, conclusive, slope) of the shells c.  A band-limited
+    measure's integral is finite, its shell sum.  Otherwise the verdict is
+    read off the tail slope: >= 0 divergent, < CONVERGENT_SLOPE finite,
+    else, or with no slope, inconclusive with value inf."""
     slope = _tail_slope(ks, c)
-    if band_limited or slope is None:
-        raise InconclusiveError(
-            f"insufficient frequency range to classify {what}"
-        )
-    if slope >= 0:
-        return False, True, math.inf, slope
-    finite = slope < CONVERGENT_SLOPE
-    value = _extrapolated_sum(ks, c) if finite else math.inf
-    return finite, finite, value, slope
+    if band_limit == math.inf and (slope is None or slope >= CONVERGENT_SLOPE):
+        return math.inf, False, slope is not None and slope >= 0, slope
+    return _extrapolated_sum(c, band_limit), True, True, slope
 
 
 def _settled_sums(measure, idx, integrands, *, n_radial=N_RADIAL) -> list:
@@ -541,12 +534,12 @@ def _settled_sums(measure, idx, integrands, *, n_radial=N_RADIAL) -> list:
     takes them) on shared nodes; a non-finite shell raises
     NumericalConsistencyError, and a scan that does not settle
     DivergenceError."""
-    ks, c, _, unsettled = _dyadic_contributions(
+    _, c, unsettled = _dyadic_contributions(
         measure, idx, integrands, n_radial=n_radial)
     if unsettled:
         raise DivergenceError(
             f"the spectral integral does not settle: {unsettled}")
-    return [_extrapolated_sum(ks, row, measure.band_limit) for row in c]
+    return [_extrapolated_sum(row, measure.band_limit) for row in c]
 
 
 def spectral_integral(measure, idx, g, axis_weights=1.0, *,
@@ -598,9 +591,8 @@ def closed_form_critical_eta(measure: SpectralMeasure,
         return measure.gamma / 2
     if measure.kind == "bessel":
         return max(measure.d - measure.beta, 0.0) / 2
-    if measure.kind == "free_field":
-        return max(measure.d - 2, 0.0) / 2
-    return None
+    # free_field, the last of _KINDS
+    return max(measure.d - 2, 0.0) / 2
 
 
 def _admissibility_integrand(idx, eta):
@@ -615,13 +607,13 @@ def admissibility(measure: SpectralMeasure, idx: FractionalIndex, eta: float,
     ----------
     method : "auto" | "quadrature"
         "auto" prefers the closed-form threshold when one exists and falls
-        back to dyadic-shell quadrature.
+        back to dyadic-shell quadrature.  Both total a band-limited
+        measure's integral as its shell sum.
 
     Raises
     ------
-    InconclusiveError
-        For ``method="quadrature"`` on a tabulated measure whose band ends
-        before the tail behavior is established.
+    ConstraintViolationError
+        Unless 0 < eta <= 1 and method is "auto" or "quadrature".
     """
     if not (0 < eta <= 1):
         raise ConstraintViolationError(f"eta must lie in (0, 1], got {eta}")
@@ -629,20 +621,18 @@ def admissibility(measure: SpectralMeasure, idx: FractionalIndex, eta: float,
     if method not in ("auto", "quadrature"):
         raise ConstraintViolationError(f"unknown method {method!r}")
 
-    ks, c, band_limited, _ = _dyadic_contributions(
-        measure, idx, [_admissibility_integrand(idx, eta)]
-    )
+    ks, c, _ = _dyadic_contributions(measure, idx,
+                                     [_admissibility_integrand(idx, eta)])
 
     if method != "quadrature" and eta_crit is not None:
         admissible = eta > eta_crit
-        value = (_extrapolated_sum(ks, c[0], measure.band_limit)
+        value = (_extrapolated_sum(c[0], measure.band_limit)
                  if admissible else math.inf)
         return AdmissibilityReport(eta, value, admissible, "closed_form",
                                    True, _tail_slope(ks, c[0]))
 
-    admissible, conclusive, value, slope = _tail_verdict(
-        ks, c[0], band_limited, "the admissibility tail"
-    )
+    value, admissible, conclusive, slope = _tail_verdict(
+        ks, c[0], measure.band_limit)
     return AdmissibilityReport(eta, value, admissible, "quadrature",
                                conclusive, slope)
 
@@ -660,7 +650,11 @@ def critical_eta(measure: SpectralMeasure, idx: FractionalIndex) -> float:
         return crit
     eta = 0.5
     for _ in range(4):
-        # raises InconclusiveError when no tail slope can be fitted
+        # only unbounded kinds get here, and each has a tail slope: the
+        # upward scan keeps >= 4 shells (2^0 is never quiet against a total
+        # that holds it; three quiet shells are the quickest stop), the
+        # downward scan >= 3, and each is positive, as density and integrand
+        # are on (0, inf): 7 positive shells, more than _TAIL_FIT_SHELLS
         rep = admissibility(measure, idx, eta, method="quadrature")
         shift = rep.tail_slope
         eta = min(max(eta + shift, 0.02), 1.0)
@@ -773,7 +767,8 @@ def weighted_spectral_integral(idx: FractionalIndex, measure: SpectralMeasure,
         int_0^T dr int exp(-2 r kappa W(xi)) W(xi)^weight_exponent m d(xi)
 
     evaluated with the time integral done analytically.  Divergence is
-    detected by tail-slope fitting and reported as a flag, not raised.
+    detected by tail-slope fitting and reported as a flag, not raised; a
+    band-limited measure's integral is its shell sum.
     """
     if not 0 < T < math.inf:
         raise ConstraintViolationError(
@@ -788,10 +783,6 @@ def weighted_spectral_integral(idx: FractionalIndex, measure: SpectralMeasure,
         s = np.maximum(s, 1e-300)
         return s**p * (-np.expm1(-2 * kappa * T * s)) / (2 * kappa * s)
 
-    ks, c, band_limited, _ = _dyadic_contributions(
-        measure, idx, [(np.ones(idx.d), g)]
-    )
-    finite, conclusive, value, slope = _tail_verdict(
-        ks, c[0], band_limited, "the weighted integral"
-    )
-    return WeightedIntegralReport(p, T, value, finite, conclusive, slope)
+    ks, c, _ = _dyadic_contributions(measure, idx, [(np.ones(idx.d), g)])
+    return WeightedIntegralReport(p, T, *_tail_verdict(ks, c[0],
+                                                       measure.band_limit))

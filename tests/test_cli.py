@@ -2,6 +2,9 @@ import contextlib
 import io
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -11,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import fracspde.cli
 from fracspde.cli import main
-from fracspde.fields import read_array_binary
+from fracspde.fields import Grid, read_array_binary
 
 
 def _write(tmp_path, name, payload):
@@ -252,6 +255,47 @@ def test_a_failed_simulate_removes_an_earlier_runs_extra_frames(tmp_path):
     assert [f.name for f in out.iterdir()] == ["manifest.json"]
 
 
+def _run_module(*argv):
+    """``python -m fracspde.cli`` in a subprocess: (exit code, stderr)."""
+    src = str(Path(fracspde.cli.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-m", "fracspde.cli", *argv],
+                          capture_output=True, text=True, timeout=300,
+                          env={**os.environ, "PYTHONPATH": path})
+    return proc.returncode, proc.stderr
+
+
+def test_the_module_entry_point_keeps_the_exit_code_contract(tmp_path):
+    measure = _write(tmp_path, "m.json", {
+        "alpha": [2.0], "measure": {"kind": "white"}, "eta": [1.0]})
+    assert _run_module("measure", "--config", measure,
+                       "--out", str(tmp_path / "m")) == (0, "")
+    malformed = tmp_path / "bad.json"
+    malformed.write_text("{not json")
+    rc, err = _run_module("measure", "--config", str(malformed),
+                          "--out", str(tmp_path / "b"))
+    assert rc == 2 and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "ValidationError"
+    blow_up = _sim_cfg(tmp_path, **_TWELVE | {
+        "replicates": 10, "sigma": {"preset": "constant", "value": 6e5},
+        "T": 2.0})
+    rc, err = _run_module("simulate", "--config", blow_up,
+                          "--out", str(tmp_path / "s"))
+    assert rc == 3 and len(err.splitlines()) == 1
+    assert json.loads(err)["error"] == "BlowUpError"
+
+
+def test_gaussian_bump_u0_is_the_first_frame(tmp_path):
+    width = 0.7
+    cfg = _sim_cfg(tmp_path, replicates=1,
+                   u0={"preset": "gaussian_bump", "width": width})
+    assert main(["simulate", "--config", cfg,
+                 "--out", str(tmp_path / "o")]) == 0
+    x = Grid(1, 64, 8.0).axis_coordinates()  # _sim_cfg's grid, centred
+    first = read_array_binary(tmp_path / "o" / "frames_0000.bin")[0]
+    assert first.tobytes() == np.exp(-x**2 / (2 * width**2)).tobytes()
+
+
 def test_holder_on_two_workers_leaves_no_worker_running(tmp_path):
     cfg = _sim_cfg(tmp_path, **_HOLDER_OK, replicates=8, min_replicates=8)
     assert main(["holder", "--config", cfg, "--out", str(tmp_path / "o"),
@@ -419,7 +463,14 @@ def test_density_command(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "o" / "density_report.json").read_text())
     assert report["variance_bounds"]["c1"] > 0
-    assert (tmp_path / "o" / "density.csv").exists()
+    # the default format writes the same estimate as JSON
+    assert main(["density", "--config", cfg,
+                 "--out", str(tmp_path / "j")]) == 0
+    rows = np.loadtxt(tmp_path / "o" / "density.csv", delimiter=",",
+                      skiprows=1)
+    dumped = json.loads((tmp_path / "j" / "density.json").read_text())
+    assert dumped == {"grid": rows[:, 0].tolist(),
+                      "values": rows[:, 1].tolist()}
 
 
 def test_holder_command(tmp_path):
@@ -571,6 +622,7 @@ def test_unreadable_config_exits_2(tmp_path):
     ("density", {"rho_grid": [0.01, "0.02"]}, []),
     ("simulate", {}, ["--seed", str(2**64)]),
     ("simulate", {"seed": 2**64}, []),
+    ("simulate", {"u0": {"preset": "gaussian_bump", "width": 0}}, []),
 ])
 def test_malformed_input_exits_2_with_json(tmp_path, capsys, command, over,
                                            argv):

@@ -78,6 +78,10 @@ def test_sample_law_time_must_be_stored(monkeypatch):
     cfg = _config(u0=5.0, dt=0.01, T=0.25)
     with pytest.raises(ConfigurationError):
         sample_law(cfg, 0.1, 128, 3)
+    # t = 0 is stored, but u0 is no sample of the law; t < 0 is no time
+    for t in (0.0, -0.1):
+        with pytest.raises(ConfigurationError, match="no frame stored"):
+            sample_law(cfg, t, 128, 3)
     assert calls == []
 
 

@@ -159,6 +159,14 @@ def test_array_binary_roundtrip(tmp_path):
     assert np.array_equal(read_array_binary(path), arr)
 
 
+def test_read_array_binary_rejects_a_file_without_the_magic(tmp_path):
+    path = tmp_path / "a.bin"
+    write_array_binary(path, np.arange(3.0))
+    path.write_bytes(b"FSPX" + path.read_bytes()[4:])
+    with pytest.raises(ConstraintViolationError, match="not an array dump"):
+        read_array_binary(path)
+
+
 @pytest.mark.parametrize("batch", [(), (3,)])
 @pytest.mark.parametrize("d,n", [(1, 256), (1, 33), (2, 16), (2, 7),
                                  (3, 8), (3, 5)])

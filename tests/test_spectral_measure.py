@@ -9,7 +9,6 @@ from fracspde.errors import (
     AccuracyWarning,
     ConstraintViolationError,
     DivergenceError,
-    InconclusiveError,
     NumericalConsistencyError,
 )
 from fracspde import spectral_measure as sm
@@ -298,7 +297,7 @@ def test_riesz_dyadic_self_similarity():
     from fracspde.spectral_measure import _dyadic_contributions, _admissibility_integrand
     gamma, eta = 1.0, 0.8
     m = SpectralMeasure.riesz(gamma, 2)
-    ks, c, _, _ = _dyadic_contributions(m, GAUSS2,
+    ks, c, _ = _dyadic_contributions(m, GAUSS2,
                                      [_admissibility_integrand(GAUSS2, eta)])
     tail = c[0][-6:]
     ratios = tail[1:] / tail[:-1]
@@ -425,11 +424,10 @@ def _one_shell_scan(measure, idx, integrands, *, n_radial=sm.N_RADIAL,
         return out, clipped
 
     ks, contribs = [], []
-    band_limited = False
     total = np.zeros(len(integrands))
 
     def scan(direction):
-        nonlocal band_limited, total
+        nonlocal total
         first = len(contribs)
         k = 0 if direction > 0 else -1
         quiet = rising = 0
@@ -440,8 +438,6 @@ def _one_shell_scan(measure, idx, integrands, *, n_radial=sm.N_RADIAL,
             contribs.append(c)
             total = total + np.abs(c)
             small = np.all(c <= sm._REL_TOL * np.maximum(total, 1e-300))
-            if clipped and not small:
-                band_limited = True
             if clipped:
                 break
             quiet = quiet + 1 if small else 0
@@ -469,7 +465,7 @@ def _one_shell_scan(measure, idx, integrands, *, n_radial=sm.N_RADIAL,
     order = np.argsort(ks)
     ks = np.asarray(ks)[order]
     contribs = np.asarray(contribs)[order].T
-    return ks, contribs, band_limited
+    return ks, contribs
 
 
 def _assert_scan_matches_oracle(measure, idx, integrands):
@@ -485,7 +481,6 @@ def _assert_scan_matches_oracle(measure, idx, integrands):
     assert got[0].tobytes() == want[0].tobytes()
     assert got[1].shape == want[1].shape
     assert got[1].tobytes() == want[1].tobytes()
-    assert got[2] == want[2]
     return want
 
 
@@ -550,13 +545,8 @@ SCAN_MATRIX = {
 @pytest.mark.parametrize("case", list(SCAN_MATRIX))
 def test_batched_scan_matches_one_shell_scan(case):
     measure, idx, integrands = SCAN_MATRIX[case]
-    ks, c, band_limited = _assert_scan_matches_oracle(measure, idx,
-                                                      integrands(idx))
+    ks, c = _assert_scan_matches_oracle(measure, idx, integrands(idx))
     assert np.isfinite(c).all()
-    if measure.kind != "tabulated":
-        assert not band_limited
-    if case == "tabulated-too-short":
-        assert band_limited
     if case == "divergent-rising":
         # stopped by 40 growing shells, well inside the k range
         assert ks[-1] < sm._K_RANGE.stop - 1
@@ -652,17 +642,17 @@ NEVER_GEOMETRIC = {"aniso-2d"}
 def test_geometric_stop_matches_the_full_scan(case):
     measure, idx, integrands, n_radial = GEOMETRIC_CASES[case]
     integrands = integrands(idx)
-    ks, c, _, unsettled = sm._dyadic_contributions(measure, idx, integrands,
-                                                   n_radial=n_radial)
-    full_ks, full, _ = _one_shell_scan(measure, idx, integrands,
+    ks, c, unsettled = sm._dyadic_contributions(measure, idx, integrands,
+                                                n_radial=n_radial)
+    full_ks, full = _one_shell_scan(measure, idx, integrands,
                                        n_radial=n_radial, geometric=False)
     assert unsettled is None
     assert (len(ks) == len(full_ks)) == (case in NEVER_GEOMETRIC)
     # the stop drops outer shells and changes none it keeps
     assert full[:, np.isin(full_ks, ks)].tobytes() == c.tobytes()
     for row, full_row in zip(c, full, strict=True):
-        assert sm._extrapolated_sum(ks, row) == pytest.approx(
-            sm._extrapolated_sum(full_ks, full_row), rel=1e-9, abs=0)
+        assert sm._extrapolated_sum(row, math.inf) == pytest.approx(
+            sm._extrapolated_sum(full_row, math.inf), rel=1e-9, abs=0)
         assert sm._tail_slope(ks, row) == pytest.approx(
             sm._tail_slope(full_ks, full_row), rel=0, abs=1e-9)
 
@@ -674,9 +664,9 @@ def test_admissibility_of_a_small_alpha_index_is_quiet(beta):
     m = SpectralMeasure.bessel(beta, 1)
     idx = FractionalIndex([0.3125], [-0.3125])
     rep = admissibility(m, idx, 1.0)
-    ks, c, _ = _one_shell_scan(m, idx, [sm._admissibility_integrand(idx, 1.0)])
+    _, c = _one_shell_scan(m, idx, [sm._admissibility_integrand(idx, 1.0)])
     assert rep.admissible and math.isfinite(rep.integral_value)
-    assert rep.integral_value == sm._extrapolated_sum(ks, c[0])
+    assert rep.integral_value == sm._extrapolated_sum(c[0], math.inf)
 
 
 def test_a_batch_run_past_its_stop_neither_warns_nor_keeps_shells():
@@ -686,8 +676,8 @@ def test_a_batch_run_past_its_stop_neither_warns_nor_keeps_shells():
     m = SpectralMeasure.bessel(0.76, 1)
     idx = FractionalIndex([0.3125], [-0.3125])
     integrands = [(1.0, lambda s: (1 + s) ** -0.95 / np.log2(2 + s))]
-    ks, c, _, unsettled = sm._dyadic_contributions(m, idx, integrands)
-    want_ks, want, _ = _one_shell_scan(m, idx, integrands)
+    ks, c, unsettled = sm._dyadic_contributions(m, idx, integrands)
+    want_ks, want = _one_shell_scan(m, idx, integrands)
     assert unsettled is None and ks[-1] == 142
     assert ks.tobytes() == want_ks.tobytes() and c.tobytes() == want.tobytes()
 
@@ -751,24 +741,21 @@ def test_a_decay_that_never_turns_geometric_settles_at_the_range_end():
     # shells fall as 2^(-0.05 k) / k: never geometric to round-off, nor
     # quiet within the shell range, yet decaying fast enough to extend
     integrand = (1.0, lambda s: (1 + s) ** -0.55 / np.log2(2 + s))
-    ks, _, _, unsettled = sm._dyadic_contributions(
+    ks, _, unsettled = sm._dyadic_contributions(
         SpectralMeasure.white(1), GAUSS1, [integrand])
     assert unsettled is None and ks[-1] == sm._K_RANGE.stop - 1
     assert math.isfinite(spectral_integral(SpectralMeasure.white(1), GAUSS1,
                                            integrand[1]))
 
 
-def test_tabulated_band_too_short_is_inconclusive():
-    radii = np.linspace(0, 4.0, 16)
-    m = SpectralMeasure.tabulated(radii, np.ones_like(radii), 1)
-    with pytest.raises(InconclusiveError):
-        admissibility(m, GAUSS1, 0.9, method="quadrature")
-
-
+# the band's level 4^1.5 = 2^3 falls on a shell edge; 4.5^1.5 and 1000^1.5
+# do not.  Neither may change how a reader totals the band
 BAND_LIMITED = [
     ([0.0, 1.0, 2.0, 4.0], [1.0, 1.0, 1.0, 1.0]),
     ([0.0, 1.0, 2.0, 4.0], [1.0, 1.0, 0.5, 0.0]),
     ([0.0, 50.0], [1.0, 1.0]),
+    ([0.0, 1.0, 2.0, 4.5], [1.0, 1.0, 1.0, 1.0]),
+    ([0.0, 1000.0], [1.0, 1.0]),
 ]
 
 
@@ -784,6 +771,11 @@ def test_band_limited_measure_settled_in_closed_form(radii, values):
         rep = admissibility(m, idx, eta)
         assert rep.admissible and rep.conclusive
         assert rep.method == "closed_form"
+        # quadrature totals the band as the closed form does
+        by_quad = admissibility(m, idx, eta, method="quadrature")
+        assert ((by_quad.integral_value, by_quad.admissible,
+                 by_quad.conclusive)
+                == (rep.integral_value, rep.admissible, rep.conclusive))
     SolverConfig(idx=idx, measure=m, grid=Grid(1, 64, 8.0),
                  b=Coefficient.constant(0.0), sigma=Coefficient.constant(1.0),
                  u0=0.0, dt=0.01, T=0.1)
@@ -801,6 +793,25 @@ def test_band_limited_integral_is_the_shell_sum():
                     / (2 * kappa * x**1.5), 0, 4.0)[0]
     assert cumulative_bound_check(idx, m, T).integral == pytest.approx(
         want, rel=1e-9)
+    # at weight exponent 1 the weighted integrand is
+    # -expm1(-2 kappa T W) / (2 kappa); quad takes the knots as breakpoints
+    T = 0.5
+    for radii, values in BAND_LIMITED:
+        rep = weighted_spectral_integral(
+            idx, SpectralMeasure.tabulated(radii, values, 1), 1.0, T)
+        want = 2 * quad(lambda x: np.interp(x, radii, values)
+                        * -math.expm1(-2 * kappa * T * x**1.5) / (2 * kappa),
+                        0, radii[-1], points=radii[1:-1] or None)[0]
+        assert rep.finite and rep.conclusive
+        assert rep.value == pytest.approx(want, rel=1e-9), radii
+    # radial 2-d at alpha = 2 (kappa = 1): 2 pi int m(r) r g(r^2) dr
+    radii, values = KINKED
+    rep = weighted_spectral_integral(
+        GAUSS2, SpectralMeasure.tabulated(radii, values, 2), 1.0, T)
+    want = 2 * np.pi * quad(lambda r: np.interp(r, radii, values) * r
+                            * -math.expm1(-2 * T * r**2) / 2,
+                            0, radii[-1], points=radii[1:-1])[0]
+    assert rep.value == pytest.approx(want, rel=1e-9)
 
 
 def test_tabulated_kinks_break_the_radial_nodes():
