@@ -58,19 +58,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 
 
-def _json_default(obj):
-    if isinstance(obj, (np.floating, np.integer, np.bool_)):
-        return obj.item()
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not serializable: {type(obj)}")
-
-
 def _dump_json(path: Path, payload):
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True, default=_json_default)
-        + "\n"
-    )
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _load_config(path):

@@ -19,8 +19,9 @@ weight.  Closed-form thresholds are implemented for the alpha == 2
 families, for white noise at any alpha and for band-limited (tabulated)
 densities, which are finite at every eta; everything else goes through
 dyadic-annulus quadrature with power-law tail extrapolation: integrate
-over shells W in [2^k, 2^(k+1)), fit the log-contribution slope over the
-top shells, and read convergence off the slope sign.  Shells are
+over shells W in [2^k, 2^(k+1)), and read an integral as finite exactly
+when both scans below settle; the log-contribution slope over the top
+shells is reported with it and drives critical_eta.  Shells are
 evaluated in batches, with integrands applied elementwise to node arrays
 of any shape; a kept shell that is not finite raises
 NumericalConsistencyError.
@@ -73,11 +74,11 @@ __all__ = [
 _KINDS = {"white": (), "riesz": ("gamma",), "bessel": ("beta",),
           "free_field": ("mass",), "tabulated": ("radii", "values")}
 
-# slope-fit thresholds of the divergence detector (log2 contribution per
-# dyadic shell): >= 0 divergent, < CONVERGENT_SLOPE convergent, else
-# inconclusive.  The fit runs over shells deep in the power-law regime, so
-# its noise floor is far below this margin; the margin is set by the
-# required 2% decision band around critical parameters.
+# a scan's tail counts as decaying (log2 contribution per dyadic shell)
+# only below CONVERGENT_SLOPE, in its geometric stop and at the end of its
+# range.  The ratios there lie deep in the power-law regime, so their
+# noise floor is far below this margin; the margin is set by the required
+# 2% decision band around critical parameters.
 CONVERGENT_SLOPE = -0.01
 _TAIL_FIT_SHELLS = 5
 # widest spread of the log2 ratios of _TAIL_FIT_SHELLS + 1 shells that
@@ -518,13 +519,13 @@ def _extrapolated_sum(c, band_limit):
     return total
 
 
-def _tail_verdict(ks, c, band_limit):
-    """(value, finite, conclusive, slope) of the shells c.  A band-limited
-    measure's integral is finite, its shell sum.  Otherwise the verdict is
-    read off the tail slope: >= 0 divergent, < CONVERGENT_SLOPE finite,
-    else, or with no slope, inconclusive with value inf."""
+def _tail_verdict(ks, c, band_limit, unsettled):
+    """(value, finite, conclusive, slope) of the shells c, as the scan that
+    made them (its ``unsettled``) decides: finite, with _extrapolated_sum's
+    value, when both scans settled; else value inf, conclusively divergent
+    only where the tail slope is >= 0."""
     slope = _tail_slope(ks, c)
-    if band_limit == math.inf and (slope is None or slope >= CONVERGENT_SLOPE):
+    if unsettled:
         return math.inf, False, slope is not None and slope >= 0, slope
     return _extrapolated_sum(c, band_limit), True, True, slope
 
@@ -621,8 +622,8 @@ def admissibility(measure: SpectralMeasure, idx: FractionalIndex, eta: float,
     if method not in ("auto", "quadrature"):
         raise ConstraintViolationError(f"unknown method {method!r}")
 
-    ks, c, _ = _dyadic_contributions(measure, idx,
-                                     [_admissibility_integrand(idx, eta)])
+    ks, c, unsettled = _dyadic_contributions(
+        measure, idx, [_admissibility_integrand(idx, eta)])
 
     if method != "quadrature" and eta_crit is not None:
         admissible = eta > eta_crit
@@ -632,7 +633,7 @@ def admissibility(measure: SpectralMeasure, idx: FractionalIndex, eta: float,
                                    True, _tail_slope(ks, c[0]))
 
     value, admissible, conclusive, slope = _tail_verdict(
-        ks, c[0], measure.band_limit)
+        ks, c[0], measure.band_limit, unsettled)
     return AdmissibilityReport(eta, value, admissible, "quadrature",
                                conclusive, slope)
 
@@ -766,9 +767,10 @@ def weighted_spectral_integral(idx: FractionalIndex, measure: SpectralMeasure,
 
         int_0^T dr int exp(-2 r kappa W(xi)) W(xi)^weight_exponent m d(xi)
 
-    evaluated with the time integral done analytically.  Divergence is
-    detected by tail-slope fitting and reported as a flag, not raised; a
-    band-limited measure's integral is its shell sum.
+    evaluated with the time integral done analytically.  The value is
+    finite exactly when both dyadic scans settle, as for
+    ``spectral_integral``; divergence is reported as a flag, not raised.
+    A band-limited measure's integral is its shell sum.
     """
     if not 0 < T < math.inf:
         raise ConstraintViolationError(
@@ -783,6 +785,7 @@ def weighted_spectral_integral(idx: FractionalIndex, measure: SpectralMeasure,
         s = np.maximum(s, 1e-300)
         return s**p * (-np.expm1(-2 * kappa * T * s)) / (2 * kappa * s)
 
-    ks, c, _ = _dyadic_contributions(measure, idx, [(np.ones(idx.d), g)])
-    return WeightedIntegralReport(p, T, *_tail_verdict(ks, c[0],
-                                                       measure.band_limit))
+    ks, c, unsettled = _dyadic_contributions(measure, idx,
+                                             [(np.ones(idx.d), g)])
+    return WeightedIntegralReport(
+        p, T, *_tail_verdict(ks, c[0], measure.band_limit, unsettled))

@@ -988,3 +988,98 @@ def test_report_shapes():
     assert isinstance(rep, AdmissibilityReport)
     d = rep.to_dict()
     assert set(d) >= {"eta", "integral_value", "admissible", "method"}
+
+
+# -- one convergence rule --------------------------------------------------------
+#
+# Every reader of a dyadic scan reads its integral as finite exactly when
+# both scans settle.  A weight W^p with p <= -sum 1/alpha_i diverges at the
+# origin against a density bounded there, and against a Riesz density at
+# larger p: the downward scan runs to the end of the shell range on
+# shells that grow toward it, while the upward tail decays.
+
+ORIGIN_DIVERGENT = {
+    "white-1d": (FractionalIndex([1.5], [0.3]), SpectralMeasure.white(1)),
+    "tabulated-1d": (FractionalIndex([1.5], [0.3]),
+                     SpectralMeasure.tabulated([0, 1, 2, 4], [1, 1, 1, 1], 1)),
+    "riesz-aniso-2d": (FractionalIndex([1.5, 1.2], [0.3, 0.1]),
+                       SpectralMeasure.riesz(1.0, 2)),
+}
+
+
+def _record_scans(monkeypatch):
+    """The (ks, contribs, unsettled) of every later scan, in call order."""
+    scans, scan = [], sm._dyadic_contributions
+
+    def recorded(*args, **kwargs):
+        scans.append(scan(*args, **kwargs))
+        return scans[-1]
+
+    monkeypatch.setattr(sm, "_dyadic_contributions", recorded)
+    return scans
+
+
+@pytest.mark.parametrize("case", list(ORIGIN_DIVERGENT))
+def test_weighted_integral_diverging_at_the_origin_is_not_finite(
+        case, monkeypatch):
+    idx, m = ORIGIN_DIVERGENT[case]
+    scans = _record_scans(monkeypatch)
+    rep = weighted_spectral_integral(idx, m, -1.0, 0.5)
+    assert (rep.value, rep.finite, rep.conclusive) == (math.inf, False, False)
+    # the slope of the upward tail alone would have read it as finite
+    assert rep.tail_slope < sm.CONVERGENT_SLOPE
+    [(_, _, unsettled)] = scans
+    assert unsettled.endswith(f"at shell 2^{sm._K_RANGE.start}")
+
+
+def _slope_rule_verdict(ks, c, band_limit):
+    """Reference (value, finite, conclusive, slope) read off the upward
+    tail slope alone: >= 0 divergent, < CONVERGENT_SLOPE finite, else, or
+    with no slope, inconclusive with value inf; a band-limited measure's
+    shell sum is finite.  It never looks at the downward scan, so it must
+    agree with the settle rule wherever the origin is integrable."""
+    slope = sm._tail_slope(ks, c)
+    if band_limit == math.inf and (slope is None
+                                   or slope >= sm.CONVERGENT_SLOPE):
+        return math.inf, False, slope is not None and slope >= 0, slope
+    return sm._extrapolated_sum(c, band_limit), True, True, slope
+
+
+def _catalog_sweep(n, seed=7):
+    """n frozen random (measure, index, eta, p, T) over every kind, d = 1-3,
+    eta in (0.02, 1] and p in (0, 1].  In 3-d alpha is 2 on every axis: an
+    anisotropic 3-d scan costs about half a second."""
+    rng = np.random.default_rng(seed)
+    alphas = [0.5, 0.8, 1.5, 1.9, 2.0]
+    for i in range(n):
+        kind, d = list(sm._KINDS)[i % 5], int(rng.integers(1, 4))
+        alpha = [alphas[j] if d < 3 else 2.0
+                 for j in rng.integers(0, len(alphas), d)]
+        delta = [rng.uniform(-0.9, 0.9) * min(a, 2 - a) for a in alpha]
+        param = {"white": (), "riesz": (rng.uniform(0.05, 0.95) * d,),
+                 "bessel": (rng.uniform(0.2, 3.0),),
+                 "free_field": (rng.uniform(0.2, 2.0),),
+                 "tabulated": (np.cumsum(rng.uniform(0.2, 3.0, 3)) - 0.2,
+                               rng.uniform(0.0, 1.0, 3))}[kind]
+        yield (getattr(SpectralMeasure, kind)(*param, d),
+               FractionalIndex(alpha, delta), 1 - rng.uniform(0, 0.98),
+               1 - rng.uniform(0, 1), rng.uniform(0.1, 2.0))
+
+
+def test_settle_rule_matches_the_slope_rule_where_the_origin_is_integrable(
+        monkeypatch):
+    scans = _record_scans(monkeypatch)
+    verdicts = set()
+    for m, idx, eta, p, T in _catalog_sweep(30):
+        adm = admissibility(m, idx, eta, method="quadrature")
+        weighted = weighted_spectral_integral(idx, m, p, T)
+        for got, (ks, c, _) in zip(
+                [(adm.integral_value, adm.admissible, adm.conclusive,
+                  adm.tail_slope),
+                 (weighted.value, weighted.finite, weighted.conclusive,
+                  weighted.tail_slope)], scans[-2:], strict=True):
+            assert got == _slope_rule_verdict(ks, c[0], m.band_limit), (
+                m, idx, eta, p, T)
+            verdicts.add(got[1:3])
+    assert len(scans) == 60
+    assert verdicts == {(True, True), (False, True)}
