@@ -44,7 +44,7 @@ from .regularity import (
 )
 from .density import DensityEstimate, kde, sample_law, variance_bound_check
 
-__version__ = "0.20.0"
+__version__ = "0.21.0"
 
 __all__ = [
     "Field",

@@ -36,13 +36,15 @@ counter=[0, step, 0, 0])``.  The ids name the stream directly, so streams
 are disjoint and reproducible, and replicates and steps can be generated
 in any order or in parallel with identical results.  A stream counts its
 Philox blocks in counter word 0, so it reaches the next step's counter
-only after 2**64 blocks.  The
-triple is formed here alone: ``_Synthesizer.spectra`` takes the master
-seed, the replicate ids and the steps and draws row (r, k) from
-``RngStream(master_seed, r, k).generator()``, one call per replicate-step;
-the solver and ``sample_increments`` pass only the seed, their ids and
-their steps.  ``_stream_id`` checks ids where they enter the package and
-hands on plain ints.
+only after 2**64 blocks.  A stream is its key and counter words alone, so
+one Philox set to each stream in turn draws what a new one per stream
+would, byte for byte.  The triple is formed here alone:
+``_Synthesizer.spectra`` takes the master seed, the replicate ids and the
+steps and draws row (r, k) from ``RngStream(master_seed, r,
+k).generator(rng)``, one call per replicate-step, each re-keying the one
+Generator ``rng`` the call builds; the solver and ``sample_increments``
+pass only the seed, their ids and their steps.  ``_stream_id`` checks ids
+where they enter the package and hands on plain ints.
 """
 
 from __future__ import annotations
@@ -78,27 +80,23 @@ def _stream_id(value, name: str) -> int:
 
 
 @functools.cache
-def _philox_key_type() -> type:
-    """The seed-sequence type that hands ``Philox`` its key words.
+def _unkeyed() -> object:
+    """The seed sequence a new stream's ``Philox`` is built from: it hands
+    over zero key words, which ``RngStream.generator`` then overwrites.
 
-    ``Philox(key=...)`` first seeds itself from OS entropy, which makes a
-    stream about three times as costly.  Built on first use: importing
-    ``numpy.random`` when the package is imported would add about 17 ms
-    and 6 MB to every process.
+    ``Philox()`` and ``Philox(key=...)`` first seed themselves from OS
+    entropy, which makes a new generator about three times as costly.
+    Built on first use: importing ``numpy.random`` when the package is
+    imported would add about 17 ms and 6 MB to every process.
     """
     from numpy.random.bit_generator import ISeedSequence
 
-    class PhiloxKey(ISeedSequence):
+    class Unkeyed(ISeedSequence):
         # Philox seeds itself with generate_state(2, np.uint64)
-        __slots__ = ("key",)
-
-        def __init__(self, key: np.ndarray):
-            self.key = key
-
         def generate_state(self, n_words, dtype=np.uint32):
-            return self.key
+            return np.zeros(n_words, dtype)
 
-    return PhiloxKey
+    return Unkeyed()
 
 
 @dataclass(frozen=True)
@@ -109,10 +107,12 @@ class RngStream:
     replicate_id: int = 0
     step_id: int = 0
 
-    def generator(self) -> np.random.Generator:
-        """A new Generator on ``Philox(key=[master_seed, replicate_id],
-        counter=[0, step_id, 0, 0])``; ConstraintViolationError unless each
-        id is a non-bool integer in [0, 2**64)."""
+    def generator(self, reuse=None) -> np.random.Generator:
+        """A Generator at the start of the stream ``Philox(key=[master_seed,
+        replicate_id], counter=[0, step_id, 0, 0])``: ``reuse``, a Generator
+        on a Philox, set to it in place, or a new one if ``reuse`` is None.
+        ConstraintViolationError unless each id is a non-bool integer in
+        [0, 2**64)."""
         master, rep, step = self.master_seed, self.replicate_id, self.step_id
         # the plain ints in range that the package passes skip the checks
         if not (type(master) is type(rep) is type(step) is int
@@ -120,9 +120,16 @@ class RngStream:
             master = _stream_id(master, "master_seed")
             rep = _stream_id(rep, "replicate id")
             step = _stream_id(step, "step")
-        words = np.array([master, rep, 0, step, 0, 0], dtype=np.uint64)
-        return np.random.Generator(np.random.Philox(
-            _philox_key_type()(words[:2]), counter=words[2:]))
+        if reuse is None:
+            reuse = np.random.Generator(np.random.Philox(_unkeyed()))
+        # the whole state of a new keyed Philox: its buffer empty, no uint32
+        # held; a Generator keeps no state of its own
+        reuse.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, step, 0, 0], "key": [master, rep]},
+            "buffer": [0, 0, 0, 0], "buffer_pos": 4,
+            "has_uint32": 0, "uinteger": 0}
+        return reuse
 
 
 class _Synthesizer:
@@ -150,12 +157,14 @@ class _Synthesizer:
     def spectra(self, master_seed: int, replicate_ids, steps) -> np.ndarray:
         """Half spectra of the increments at ``steps``, one row per replicate:
         shape ``(len(replicate_ids), len(steps), *half)``.  Drawn
-        replicate-major, row (r, k) from ``RngStream(master_seed, r, k)``."""
+        replicate-major, row (r, k) from ``RngStream(master_seed, r,
+        k).generator``, which re-keys the one Generator the call builds."""
         white = np.empty((len(replicate_ids), len(steps)) + self.grid.shape)
+        rng = None
         for rows, r in zip(white, replicate_ids):
             for row, k in zip(rows, steps):
-                RngStream(master_seed, r, k).generator().standard_normal(
-                    out=row)
+                rng = RngStream(master_seed, r, k).generator(rng)
+                rng.standard_normal(out=row)
         return self.weight * np.conj(_rfft(white, self.grid))
 
 

@@ -151,19 +151,26 @@ class Coefficient:
         a, w = float(a), float(w)
         return cls(partial(_PRESETS["sine"], a, w), abs(a * w))
 
-    @property
-    def name(self) -> str:
-        """The preset ``fn`` is, or "custom" for any other callable."""
+    @cached_property
+    def _preset(self) -> tuple:
+        """(name, params) of the preset ``fn`` is, read once: neither ``fn``
+        nor a partial's bound arguments rebind."""
         fn = self.fn
-        return next((name for name, f in _PRESETS.items()
+        name = next((name for name, f in _PRESETS.items()
                      if type(fn) is partial and fn.func is f
                      and not fn.keywords
                      and len(fn.args) == f.__code__.co_argcount - 1), "custom")
+        return name, () if name == "custom" else fn.args
+
+    @property
+    def name(self) -> str:
+        """The preset ``fn`` is, or "custom" for any other callable."""
+        return self._preset[0]
 
     @property
     def params(self) -> tuple:
         """The parameters ``fn`` binds to its preset; () if it is custom."""
-        return () if self.name == "custom" else self.fn.args
+        return self._preset[1]
 
     @property
     def is_zero(self) -> bool:
@@ -303,8 +310,9 @@ class PathSolution:
             )
         if len(values) != len(self.times):
             raise ConstraintViolationError("frames/times length mismatch")
-        if (not len(self.times) or self.times[0] != 0
-                or np.any(np.diff(self.times) <= 0)):
+        times = self.times
+        if (not len(times) or times[0] != 0
+                or not all(a < b for a, b in zip(times, times[1:]))):
             raise ConstraintViolationError(
                 "times must be strictly increasing from 0"
             )

@@ -1053,9 +1053,9 @@ def test_one_stream_per_replicate_step(tmp_path, monkeypatch):
 
     calls, generator = _fork_queue(), RngStream.generator
 
-    def counted(stream):
+    def counted(stream, *args, **kwargs):
         calls.put((stream.replicate_id, stream.step_id))
-        return generator(stream)
+        return generator(stream, *args, **kwargs)
 
     monkeypatch.setattr(RngStream, "generator", counted)
     cfg = _sim_cfg(tmp_path, replicates=7, T=0.2)

@@ -291,6 +291,41 @@ def test_stream_state_equals_keyed_philox(master, rep, step):
             == want.standard_normal(300).tobytes())
 
 
+@settings(max_examples=200, deadline=None)
+@given(master=_IDS, rep=_IDS, step=_IDS)
+def test_rekeyed_generator_equals_a_new_one(master, rep, step):
+    # a generator that has drawn, its Philox buffer partly used and a
+    # uint32 buffered, re-keyed is at the start of the named stream
+    used = RngStream(7, 8, 9).generator()
+    used.bit_generator.random_raw(5)
+    used.integers(0, 2**31, 1, dtype=np.uint32)
+    state = used.bit_generator.state
+    assert 0 < state["buffer_pos"] < 4 and state["has_uint32"] == 1
+    want = RngStream(master, rep, step).generator()
+    got = RngStream(master, rep, step).generator(used)
+    assert got is used
+    assert (_state_items(got.bit_generator.state)
+            == _state_items(want.bit_generator.state))
+    assert (got.standard_normal(300).tobytes()
+            == want.standard_normal(300).tobytes())
+
+
+def test_spectra_builds_one_philox_per_call(monkeypatch):
+    from fracspde.noise import _Synthesizer
+
+    synth, built, philox = _Synthesizer(GRID, WHITE, DT), [], np.random.Philox
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    for rows, steps in ((1, 1), (1, 130), (5, 1), (3, 7)):
+        built.clear()
+        synth.spectra(2, tuple(range(rows)), range(steps))
+        assert len(built) == 1
+
+
 @pytest.mark.parametrize("ids,draws", [
     ((0, 0, 0),
      [0.15929546600623282, -1.7741885208017214, 1.3265118818830892]),

@@ -441,6 +441,8 @@ def test_path_solution_validation():
     with pytest.raises(ConstraintViolationError):
         PathSolution(two, grid, (0.0, 0.0), 0)  # times not increasing
     with pytest.raises(ConstraintViolationError):
+        PathSolution(two, grid, (0.0, np.nan), 0)  # NaN is not increasing
+    with pytest.raises(ConstraintViolationError):
         PathSolution(two[:1], grid, (0.5,), 0)  # must start at 0
     with pytest.raises(ConstraintViolationError):
         PathSolution(two, grid, (0.0,), 0)  # rows/times mismatch
