@@ -220,6 +220,10 @@ class Field:
         return (f"Field(space={self.space!r}, shape={self.values.shape}, "
                 f"dtype={self.values.dtype})")
 
+    def __reduce__(self):
+        # a pickled or deep-copied Field is rebuilt frozen and re-checked
+        return Field, (self.grid, self.values, self.space)
+
     @classmethod
     def constant(cls, grid, value):
         return cls(grid, np.full(grid.shape, float(value)), PHYSICAL,

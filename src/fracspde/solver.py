@@ -67,7 +67,7 @@ import math
 import sys
 import warnings
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -113,12 +113,23 @@ _PRESETS = {
 
 
 @dataclass(frozen=True)
+class _Preset:
+    """A ``_PRESETS`` function by name, with its parameters bound."""
+
+    name: str
+    params: tuple
+
+    def __call__(self, u):
+        return _PRESETS[self.name](*self.params, u)
+
+
+@dataclass(frozen=True)
 class Coefficient:
     """Scalar coefficient with a known Lipschitz constant.
 
     Presets: constant(c), linear(a), affine(a, c), sine(a, w) for a*sin(w*u),
-    each ``fn`` a ``_PRESETS`` function with its parameters bound, which
-    ``name`` and ``params`` read.  Custom callables need a Lipschitz constant.
+    each ``fn`` a ``_Preset`` (name, params), so presets compare, hash and
+    pickle by value.  Custom callables need a Lipschitz constant.
     """
 
     fn: object
@@ -135,42 +146,31 @@ class Coefficient:
 
     @classmethod
     def constant(cls, c):
-        return cls(partial(_PRESETS["constant"], float(c)), 0.0)
+        return cls(_Preset("constant", (float(c),)), 0.0)
 
     @classmethod
     def linear(cls, a):
-        return cls(partial(_PRESETS["linear"], float(a)), abs(float(a)))
+        return cls(_Preset("linear", (float(a),)), abs(float(a)))
 
     @classmethod
     def affine(cls, a, c):
         a = float(a)
-        return cls(partial(_PRESETS["affine"], a, float(c)), abs(a))
+        return cls(_Preset("affine", (a, float(c))), abs(a))
 
     @classmethod
     def sine(cls, a, w=1.0):
         a, w = float(a), float(w)
-        return cls(partial(_PRESETS["sine"], a, w), abs(a * w))
-
-    @cached_property
-    def _preset(self) -> tuple:
-        """(name, params) of the preset ``fn`` is, read once: neither ``fn``
-        nor a partial's bound arguments rebind."""
-        fn = self.fn
-        name = next((name for name, f in _PRESETS.items()
-                     if type(fn) is partial and fn.func is f
-                     and not fn.keywords
-                     and len(fn.args) == f.__code__.co_argcount - 1), "custom")
-        return name, () if name == "custom" else fn.args
+        return cls(_Preset("sine", (a, w)), abs(a * w))
 
     @property
     def name(self) -> str:
         """The preset ``fn`` is, or "custom" for any other callable."""
-        return self._preset[0]
+        return self.fn.name if type(self.fn) is _Preset else "custom"
 
     @property
     def params(self) -> tuple:
-        """The parameters ``fn`` binds to its preset; () if it is custom."""
-        return self._preset[1]
+        """The parameters of ``fn``'s preset; () if it is custom."""
+        return self.fn.params if type(self.fn) is _Preset else ()
 
     @property
     def is_zero(self) -> bool:
@@ -316,6 +316,11 @@ class PathSolution:
             raise ConstraintViolationError(
                 "times must be strictly increasing from 0"
             )
+
+    def __reduce__(self):
+        # rebuilt frozen and re-checked, without the ``frames`` cache
+        return PathSolution, (self.values, self.grid, self.times,
+                              self.replicate_id)
 
     @cached_property
     def frames(self) -> tuple:

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -103,6 +106,18 @@ def test_field_values_frozen():
     f = Field.constant(grid, 2.0)
     with pytest.raises(ValueError):
         f.values[0] = 1.0
+
+
+@pytest.mark.parametrize("space", ["physical", "frequency"])
+@pytest.mark.parametrize("copier", [lambda f: pickle.loads(pickle.dumps(f)),
+                                    copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_field_copies_stay_frozen(space, copier):
+    grid = Grid(2, 4, 1.0)
+    f = Field(grid, np.arange(16.0).reshape(4, 4) * (1 + 2j), space)
+    g = copier(f)
+    assert (g.grid, g.space) == (grid, space)
+    assert g.values.tobytes() == f.values.tobytes()
+    assert not g.values.flags.writeable
 
 
 def test_transform_roundtrip():

@@ -1,3 +1,4 @@
+import copy
 import multiprocessing
 import os
 import pickle
@@ -87,6 +88,77 @@ def test_a_preset_reads_its_name_and_params_off_its_function(make, params):
     assert again.lipschitz == coef.lipschitz
 
 
+_PRESET_ARGS = {"constant": (2.0,), "linear": (-3.0,), "affine": (2.0, 1.0),
+                "sine": (2.0, 3.0)}
+
+
+@pytest.mark.parametrize("name", _PRESET_ARGS)
+def test_presets_compare_and_hash_by_name_and_params(name):
+    make, args = getattr(Coefficient, name), _PRESET_ARGS[name]
+    coef = make(*args)
+    assert coef == make(*(int(a) for a in args))
+    assert hash(coef) == hash(make(*args))
+    for i in range(len(args)):
+        moved = args[:i] + (args[i] + 0.5,) + args[i + 1:]
+        assert coef != make(*moved)
+    other = next(n for n in _PRESET_ARGS
+                 if len(_PRESET_ARGS[n]) == len(args) and n != name)
+    assert coef.fn != getattr(Coefficient, other)(*args).fn
+
+
+@pytest.mark.parametrize("name", _PRESET_ARGS)
+def test_a_preset_survives_pickle(name):
+    coef = getattr(Coefficient, name)(*_PRESET_ARGS[name])
+    back = pickle.loads(pickle.dumps(coef))
+    assert back == coef and hash(back) == hash(coef)
+    u = np.linspace(-2.0, 2.0, 9)
+    assert back(u).tobytes() == coef(u).tobytes()
+
+
+# module level: pickling a lambda local to a function raises AttributeError
+_LAMBDA_COEFFICIENT = Coefficient(lambda u: 2.0 * u, 2.0)
+
+
+def test_a_custom_coefficient_pickles_only_if_its_callable_does():
+    with pytest.raises(pickle.PicklingError):
+        pickle.dumps(_LAMBDA_COEFFICIENT)
+    coef = Coefficient(np.sin, 1.0)
+    assert pickle.loads(pickle.dumps(coef)) == coef
+
+
+def test_a_preset_config_survives_pickle():
+    cfg = _config(grid=Grid(1, 64, 8.0), measure=SpectralMeasure.riesz(0.5, 1),
+                  b=Coefficient.sine(0.3), sigma=Coefficient.affine(0.2, 1.0),
+                  T=0.1)
+    path = solve(cfg, 3)
+    back = pickle.loads(pickle.dumps(cfg))
+    assert (back.b, back.sigma) == (cfg.b, cfg.sigma)
+    again = solve(back, 3)
+    assert again.times == path.times
+    assert again.values.tobytes() == path.values.tobytes()
+
+
+@pytest.mark.parametrize("copier", [lambda p: pickle.loads(pickle.dumps(p)),
+                                    copy.deepcopy], ids=["pickle", "deepcopy"])
+def test_path_solution_copies_stay_frozen(copier):
+    path = solve(_config(sigma=Coefficient.constant(1.0), T=0.05), 2)
+    path.frames  # a cached frame tuple is not carried over
+    back = copier(path)
+    assert (back.grid, back.times, back.replicate_id) == (
+        path.grid, path.times, 2)
+    assert back.values.tobytes() == path.values.tobytes()
+    assert not back.values.flags.writeable
+    assert "frames" not in vars(back)
+    assert not back.frames[-1].values.flags.writeable
+
+
+class _Labelled:
+    name, params = "constant", (0.0,)
+
+    def __call__(self, u):
+        return np.ones_like(u)
+
+
 class _Ones(partial):
     def __call__(self, u):
         return np.ones_like(u)
@@ -100,11 +172,13 @@ class _Ones(partial):
     partial(_PRESETS["constant"], 0.0, u=np.zeros(3)),
     _Ones(_PRESETS["constant"], 0.0),
     Coefficient.constant(0.0),
+    _Labelled(),
 ], ids=["lambda", "partial", "no-parameter", "extra-parameter",
-        "keyword", "partial-subclass", "coefficient"])
+        "keyword", "partial-subclass", "coefficient", "labelled"])
 def test_any_other_callable_reads_custom(fn):
-    # only a preset function with its parameters bound reads as a preset,
-    # so only it can be skipped as a zero or stepped as a constant
+    # only a preset that a class method built reads as a preset, whatever
+    # name and params another callable carries, so only it can be skipped
+    # as a zero or stepped as a constant
     coef = Coefficient(fn, 0.0)
     assert (coef.name, coef.params, coef.is_zero) == ("custom", (), False)
 
