@@ -38,11 +38,12 @@ DEFAULT_MIN_REPLICATES = 200
 
 
 def _check_window_inputs(rho: float, eta: float):
-    """ConstraintViolationError unless rho and eta both lie in (0, 1)."""
+    """ConstraintViolationError unless rho lies in (0, 1) and eta in
+    [0, 1): eta* is 0 for a measure admissible at every eta > 0."""
     if not (0 < rho < 1):
         raise ConstraintViolationError(f"rho must lie in (0, 1), got {rho}")
-    if not (0 < eta < 1):
-        raise ConstraintViolationError(f"eta must lie in (0, 1), got {eta}")
+    if not (0 <= eta < 1):
+        raise ConstraintViolationError(f"eta must lie in [0, 1), got {eta}")
 
 
 def theoretical_exponents(idx: FractionalIndex, rho: float, eta: float):

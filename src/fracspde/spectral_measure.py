@@ -15,16 +15,17 @@ tabulated   piecewise-linear samples on a finite radial band
 
 High-frequency admissibility asks whether int m / (1 + W(xi))^eta is
 finite, with W(xi) = sum_i |xi_i|^alpha_i the anisotropic frequency
-weight.  Closed-form thresholds are implemented for the alpha == 2
-families, for white noise at any alpha and for band-limited (tabulated)
-densities, which are finite at every eta; everything else goes through
-dyadic-annulus quadrature with power-law tail extrapolation: integrate
-over shells W in [2^k, 2^(k+1)), and read an integral as finite exactly
-when both scans below settle; the log-contribution slope over the top
-shells is reported with it and drives critical_eta.  Shells are
-evaluated in batches, with integrands applied elementwise to node arrays
-of any shape; a kept shell that is not finite raises
-NumericalConsistencyError.
+weight.  It is finite iff eta > eta*, and critical_eta gives eta* in
+closed form for every kind at every alpha, in any dimension, from the
+decay of m and the sorted alpha; the solver's existence gate is
+eta* < 1.  Integral values go through dyadic-annulus quadrature with
+power-law tail extrapolation: integrate over shells W in [2^k, 2^(k+1)),
+and read an integral as finite exactly when both scans below settle;
+the log-contribution slope over the top shells is reported with it.
+Shells are evaluated in batches, with integrands applied elementwise to
+node arrays of any shape; a kept shell that is not finite raises
+NumericalConsistencyError.  The anisotropic quadrature is implemented
+for d <= 3; alpha == 2 on every axis reduces to the radial path in any d.
 
 Two scans walk outward from W = 1, up and down, and each stops at the
 first shell where one of these holds: the shell reaches the band of a
@@ -43,14 +44,12 @@ from __future__ import annotations
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, asdict, fields
 from functools import cache, lru_cache
 
 import numpy as np
 
 from .errors import (
-    AccuracyWarning,
     ConstraintViolationError,
     DivergenceError,
     NumericalConsistencyError,
@@ -90,7 +89,6 @@ N_RADIAL = 24  # log-radial nodes per dyadic shell: the one quadrature knob
 _N_THETA = 48  # angular nodes per axis
 _REL_TOL = 1e-10  # three shells this small relative to the total end a scan
 _K_RANGE = range(-340, 340)  # the shells 2^k a scan may visit
-_CRITICAL_ETA_TOL = 0.01  # tail-slope shift at which critical_eta stops
 _BATCH_NODES = 2**14  # most quadrature nodes of the shells evaluated at once
 
 
@@ -571,29 +569,34 @@ class AdmissibilityReport:
         return asdict(self)
 
 
-def closed_form_critical_eta(measure: SpectralMeasure,
-                             idx: FractionalIndex) -> float | None:
-    """Critical exponent eta* (admissible iff eta > eta*), where known.
+def critical_eta(measure: SpectralMeasure, idx: FractionalIndex) -> float:
+    """Critical exponent eta* (admissible iff eta > eta*), in closed form.
 
-    White noise: sum_i 1/alpha_i for any alpha.  Tabulated: 0 for any
-    alpha, since a bounded density on a bounded band integrates to a
-    finite value at every eta.  Riesz/Bessel/free-field: thresholds
-    gamma/2, (d-beta)+/2, (d-2)+/2, valid for alpha == 2 on every axis.
-    Returns None when no closed form applies.
+    Sort the axes by alpha, smallest first, and spend the decay k of the
+    density at most one unit per axis in that order,
+    k_i = min(1, max(0, k - (i - 1))); then
+    eta* = sum_i (1 - k_i)/alpha_(i).
+    This is the anisotropic polar decomposition (Folland & Stein, Hardy
+    Spaces on Homogeneous Groups, 1982, ch. 1) applied to Dalang's
+    condition: on a shell W ~ s, |xi| is set by the smallest-alpha axes.
+    It gives sum_i 1/alpha_i for white noise, gamma/2, (d-beta)+/2 and
+    (d-2)+/2 at alpha == 2, and 0 for a tabulated measure.
     """
     _check_dimensions(measure=measure, index=idx)
-    if measure.kind == "white":
-        return idx.inverse_alpha_sum
-    if measure.kind == "tabulated":
-        return 0.0
-    if any(a != 2.0 for a in idx.alpha):
-        return None
+    # the decay k, m ~ |xi|^-k at infinity; a band-limited density decays
+    # faster than any power
     if measure.kind == "riesz":
-        return measure.gamma / 2
-    if measure.kind == "bessel":
-        return max(measure.d - measure.beta, 0.0) / 2
-    # free_field, the last of _KINDS
-    return max(measure.d - 2, 0.0) / 2
+        k = measure.d - measure.gamma
+    else:
+        k = {"white": 0.0, "bessel": measure.beta, "free_field": 2.0,
+             "tabulated": math.inf}[measure.kind]
+    rank = np.argsort(np.argsort(idx.alpha, kind="stable"))  # 0: smallest
+    # 1 - k_i, summed in axis order so white noise is inverse_alpha_sum
+    return float(sum(min(1.0, max(0.0, i + 1 - k)) / a
+                     for i, a in zip(rank.tolist(), idx.alpha)))
+
+
+closed_form_critical_eta = critical_eta
 
 
 def _admissibility_integrand(idx, eta):
@@ -607,9 +610,11 @@ def admissibility(measure: SpectralMeasure, idx: FractionalIndex, eta: float,
     Parameters
     ----------
     method : "auto" | "quadrature"
-        "auto" prefers the closed-form threshold when one exists and falls
-        back to dyadic-shell quadrature.  Both total a band-limited
-        measure's integral as its shell sum.
+        "auto" decides by ``critical_eta`` (admissible iff eta > eta*) and
+        reports the dyadic-shell value where admissible; "quadrature"
+        decides by the dyadic scans alone, as ``_tail_verdict`` reads
+        them.  Both total a band-limited measure's integral as its shell
+        sum.
 
     Raises
     ------
@@ -618,14 +623,14 @@ def admissibility(measure: SpectralMeasure, idx: FractionalIndex, eta: float,
     """
     if not (0 < eta <= 1):
         raise ConstraintViolationError(f"eta must lie in (0, 1], got {eta}")
-    eta_crit = closed_form_critical_eta(measure, idx)
+    eta_crit = critical_eta(measure, idx)
     if method not in ("auto", "quadrature"):
         raise ConstraintViolationError(f"unknown method {method!r}")
 
     ks, c, unsettled = _dyadic_contributions(
         measure, idx, [_admissibility_integrand(idx, eta)])
 
-    if method != "quadrature" and eta_crit is not None:
+    if method != "quadrature":
         admissible = eta > eta_crit
         value = (_extrapolated_sum(c[0], measure.band_limit)
                  if admissible else math.inf)
@@ -638,47 +643,8 @@ def admissibility(measure: SpectralMeasure, idx: FractionalIndex, eta: float,
                                conclusive, slope)
 
 
-def critical_eta(measure: SpectralMeasure, idx: FractionalIndex) -> float:
-    """Critical admissibility exponent, closed form where known.
-
-    Quadrature fallback exploits that the dyadic tail slope is linear in
-    eta with unit coefficient for power-law tails, so the root of the
-    slope is read off directly and confirmed by a second evaluation.
-    The root is clamped to [0.02, 1], so it never reports less than 0.02.
-    """
-    crit = closed_form_critical_eta(measure, idx)
-    if crit is not None:
-        return crit
-    eta = 0.5
-    for _ in range(4):
-        # only unbounded kinds get here, and each has a tail slope: the
-        # upward scan keeps >= 4 shells (2^0 is never quiet against a total
-        # that holds it; three quiet shells are the quickest stop), the
-        # downward scan >= 3, and each is positive, as density and integrand
-        # are on (0, inf): 7 positive shells, more than _TAIL_FIT_SHELLS
-        rep = admissibility(measure, idx, eta, method="quadrature")
-        shift = rep.tail_slope
-        eta = min(max(eta + shift, 0.02), 1.0)
-        if abs(shift) < _CRITICAL_ETA_TOL:
-            break
-    return eta
-
-
-@lru_cache(maxsize=256)
-def _admissible_at_one(measure: SpectralMeasure, idx: FractionalIndex) -> bool:
-    rep = admissibility(measure, idx, 1.0)
-    if not rep.conclusive:
-        warnings.warn(
-            f"admissibility of the {measure.kind} measure at eta=1 is "
-            f"inconclusive (tail slope {rep.tail_slope:.3g}); accepted",
-            AccuracyWarning,
-            stacklevel=3,
-        )
-    return rep.admissible or not rep.conclusive
-
-
 def require_admissible(measure, idx):
-    if not _admissible_at_one(measure, idx):
+    if not critical_eta(measure, idx) < 1:
         raise DivergenceError(
             f"{measure.kind} measure is not admissible at eta=1 "
             f"for alpha={idx.alpha}"

@@ -496,6 +496,26 @@ def test_holder_command(tmp_path):
                 == (tmp_path / "p" / name).read_bytes())
 
 
+@pytest.mark.parametrize("alpha, measure", [
+    ([2.0], {"kind": "tabulated", "radii": [0.0, 4.0], "values": [1.0, 0.0]}),
+    ([2.0], {"kind": "bessel", "beta": 1.5}),
+    ([1.5], {"kind": "bessel", "beta": 1.5}),
+])
+def test_holder_defaults_eta_to_a_critical_exponent_of_zero(tmp_path, alpha,
+                                                            measure):
+    # eta* = 0: admissible at every eta > 0; it once exited 2 on the
+    # default eta, or read 0.02 where no closed form applied
+    from fracspde.regularity import theoretical_exponents
+
+    cfg = _sim_cfg(tmp_path, alpha=alpha, measure=measure, rho=0.9,
+                   **_HOLDER_OK, replicates=8, min_replicates=8)
+    assert main(["holder", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = json.loads((tmp_path / "holder_report.json").read_text())
+    idx = _solver_config(cfg).idx
+    assert ([report["gamma1_max"], report["gamma2_max"]]
+            == list(theoretical_exponents(idx, 0.9, 0.0)))
+
+
 def test_holder_keeps_copies_not_views_of_each_path(tmp_path, monkeypatch):
     # a view of a chunk's rows would keep its frames alive
     import fracspde.cli
@@ -792,6 +812,8 @@ def test_threads_above_max_chunk_rows_exit_2_before_any_solve(
     ("simulate", {"u0": {"preset": "constant", "value": 1e303}}),
     ("density", {"t": -1.0, "rho_grid": [0.001, 0.01]}),
     ("density", {"t": 0.0}),
+    ("holder", {"eta": -0.1}),
+    ("holder", {"eta": 1.0}),
 ])
 def test_out_of_range_setting_exits_2_before_solving(tmp_path, capsys,
                                                      monkeypatch, command,

@@ -1,12 +1,14 @@
 import math
+import warnings
+from functools import cache
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import CubicSpline
 
 from fracspde.errors import (
-    AccuracyWarning,
     ConstraintViolationError,
     DivergenceError,
     NumericalConsistencyError,
@@ -368,7 +370,8 @@ def test_node_geometry_built_once_per_alpha(monkeypatch):
     monkeypatch.setattr(sm._NodeGeometry, "_bisect_edges", counting_bisect)
     idx = FractionalIndex([1.5, 1.2], [0.3, 0.1])
     m = SpectralMeasure.bessel(1.0, 2)
-    eta = critical_eta(m, idx)
+    eta = 2 / 3  # critical_eta, in closed form: it builds no geometry
+    admissibility(m, idx, eta + 0.05)
     first = list(bisected)
     for shift in (0.05, -0.05, 0.05):
         admissibility(m, idx, eta + shift)
@@ -835,23 +838,127 @@ def test_tabulated_kinks_break_the_radial_nodes():
     assert got == pytest.approx(want, rel=1e-9)
 
 
-def test_inconclusive_admissibility_warns_when_accepted():
-    # riesz gamma/alpha = 0.994: the eta=1 tail slope -0.006 is inside the
-    # inconclusive band
-    from fracspde.spectral_measure import _admissible_at_one
-    _admissible_at_one.cache_clear()
+def test_require_admissible_reads_the_critical_exponent_without_warning():
+    # riesz gamma/alpha = 0.994: the eta=1 tail slope -0.006 leaves the
+    # scan inconclusive, and the gate once accepted it with a warning; it
+    # now reads eta* < 1
     idx = FractionalIndex([0.5], [0.0])
     m = SpectralMeasure.riesz(0.497, 1)
-    assert not admissibility(m, idx, 1.0).conclusive
-    with pytest.warns(AccuracyWarning, match="inconclusive"):
+    assert not admissibility(m, idx, 1.0, method="quadrature").conclusive
+    assert critical_eta(m, idx) == pytest.approx(0.994, abs=1e-15)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         require_admissible(m, idx)
 
 
-def test_critical_eta_quadrature_bisection():
-    # riesz with fractional alpha: tail exponent gives eta* = gamma/alpha
+def test_critical_eta_riesz_at_fractional_alpha_is_exact():
+    # k = 1 - gamma on the one axis: eta* = gamma/alpha
     idx = FractionalIndex([1.5], [0.3])
     m = SpectralMeasure.riesz(0.5, 1)
-    assert critical_eta(m, idx) == pytest.approx(0.5 / 1.5, abs=0.02)
+    assert critical_eta(m, idx) == 1 / 3
+
+
+# the tail slope once read 0.8333, 0.7895, 0.8889, 1.0 (a clamp), 0.02 (a
+# clamp) and 0.02 here: the slow axis's band fell between its directions
+@pytest.mark.parametrize("measure, alpha, eta_star", [
+    (SpectralMeasure.bessel(0.5, 2), (1.5, 1.8), 0.5 / 1.5 + 1 / 1.8),
+    (SpectralMeasure.bessel(0.5, 2), (1.2, 1.9), 0.5 / 1.2 + 1 / 1.9),
+    (SpectralMeasure.riesz(1.6, 2), (1.5, 1.8), 0.6 / 1.5 + 1 / 1.8),
+    (SpectralMeasure.riesz(1.6, 2), (1.5, 1.2), 0.6 / 1.2 + 1 / 1.5),
+    (SpectralMeasure.bessel(1.0, 1), (1.5,), 0.0),
+    (SpectralMeasure.free_field(1.0, 1), (1.5,), 0.0),
+])
+def test_critical_eta_spends_the_decay_on_the_smallest_alpha_first(
+        measure, alpha, eta_star):
+    idx = FractionalIndex(list(alpha), [0.0] * len(alpha))
+    assert critical_eta(measure, idx) == pytest.approx(eta_star, abs=1e-15)
+    assert closed_form_critical_eta(measure, idx) == critical_eta(measure, idx)
+    if eta_star >= 1:
+        with pytest.raises(DivergenceError, match="not admissible"):
+            require_admissible(measure, idx)
+    else:
+        require_admissible(measure, idx)
+
+
+_LOG_TAU = np.linspace(-60.0, 60.0, 1201)
+
+
+@cache
+def _log_gauss_factor(alpha):
+    """log G(tau) as a spline in v = log tau on _LOG_TAU, where
+    G(tau) = int_R exp(-tau x^2 - |x|^alpha) dx, each node by quad."""
+    def g(tau):
+        if tau <= 1:
+            return 2 * quad(lambda y: math.exp(-tau * y * y - y**alpha),
+                            0, math.inf)[0]
+        r = tau**-0.5  # x = r z keeps the Gaussian's width at 1
+        return 2 * r * quad(lambda z: math.exp(-z * z - (r * z) ** alpha),
+                            0, math.inf)[0]
+
+    return CubicSpline(_LOG_TAU, np.log([g(math.exp(v)) for v in _LOG_TAU]))
+
+
+def _log_g(alpha, v):
+    """log G(e^v), with G's limits G(0) below _LOG_TAU and
+    sqrt(pi/tau) above it (to within e^-36)."""
+    spline, lo, hi = _log_gauss_factor(alpha), _LOG_TAU[0], _LOG_TAU[-1]
+    inside = spline(np.clip(v, lo, hi))
+    return np.where(v > hi, spline(hi) - 0.5 * (v - hi), inside)
+
+
+def _log_power_law_mass(alpha, k, log_s, du=0.02):
+    """log J(s), J(s) = int |xi|^-k exp(-W(xi)/s) dxi, 0 < k < d.
+
+    Gaussian subordination, |xi|^-k = Gamma(k/2)^-1
+    int_0^inf t^(k/2-1) exp(-t |xi|^2) dt, splits J into a t-integral of a
+    product of 1-d integrals; x = s^(1/alpha) y turns each into
+    s^(1/alpha_i) G(t s^(2/alpha_i)).  In u = log t the integrand is
+    smooth and decays like e^(k u/2) below and e^((k-d) u/2) above, so a
+    trapezoid sum on a range wide enough for e^-40 at both ends is exact
+    to round-off.
+    """
+    d = len(alpha)
+    u = np.arange(-2 * log_s / min(alpha) - 80 / k,
+                  -2 * log_s / max(alpha) + 80 / (d - k), du)
+    log_f = 0.5 * k * u + sum(_log_g(a, u + 2 * log_s / a) for a in alpha)
+    top = log_f.max()
+    return (top + math.log(np.exp(log_f - top).sum() * du)
+            + log_s * sum(1 / a for a in alpha) - math.lgamma(k / 2))
+
+
+# J(s) grows like s^eta*: int m / (1 + W)^eta is finite iff eta > eta*
+@pytest.mark.parametrize("alpha, k", [
+    ((1.5, 1.8), 1.5), ((1.2, 1.9), 1.5), ((1.5, 1.8), 0.4),
+    ((1.5, 1.2), 0.4), ((1.2, 1.5, 1.8), 0.5), ((1.2, 1.5, 1.8), 1.5),
+    ((1.2, 1.5, 1.8), 2.4),
+])
+def test_critical_eta_is_the_growth_of_the_power_law_mass(alpha, k):
+    log_s = 300 * math.log(2)
+    growth = (_log_power_law_mass(alpha, k, log_s + math.log(2))
+              - _log_power_law_mass(alpha, k, log_s)) / math.log(2)
+    d = len(alpha)
+    idx = FractionalIndex(list(alpha), [0.0] * d)
+    # the Riesz density is the power law; Bessel's decays like it
+    for m in (SpectralMeasure.riesz(d - k, d), SpectralMeasure.bessel(k, d)):
+        assert critical_eta(m, idx) == pytest.approx(growth, abs=0.005)
+
+
+def test_a_four_dimensional_anisotropic_config_builds_and_solves():
+    # the eta = 1 gate reads eta* = 0.1/1.95 and runs no quadrature, whose
+    # anisotropic path stops at d = 3
+    from fracspde.solver import Coefficient, SolverConfig, solve
+    idx = FractionalIndex([1.9, 1.8, 1.9, 1.95], [0.0] * 4)
+    m = SpectralMeasure.bessel(3.9, 4)
+    assert critical_eta(m, idx) == pytest.approx(0.1 / 1.95, abs=1e-15)
+    cfg = SolverConfig(idx=idx, measure=m, grid=Grid(4, 4, 8.0),
+                       b=Coefficient.constant(0.0),
+                       sigma=Coefficient.constant(1.0),
+                       u0=0.0, dt=0.01, T=0.05, master_seed=3)
+    values = solve(cfg, 0).values
+    assert values.shape == (6, 4, 4, 4, 4) and np.isfinite(values).all()
+    assert np.abs(values[-1]).max() > 0
+    with pytest.raises(ConstraintViolationError, match="d <= 3"):
+        admissibility(m, idx, 0.5)
 
 
 # -- variance rate ------------------------------------------------------------
@@ -925,13 +1032,12 @@ def test_cumulative_bounds_factor_two_at_zero_skew():
 
 
 def test_cumulative_bounds_raise_where_the_shells_never_settle():
-    # Riesz gamma = 0.499 at alpha = 0.5: admissibility is inconclusive and
-    # accepted, and the upward scan runs to the end of the shell range,
-    # where the check once returned a finite integral of 398.5
+    # Riesz gamma = 0.499 at alpha = 0.5: admissible (eta* = 0.998), and
+    # the upward scan runs to the end of the shell range, where the check
+    # once returned a finite integral of 398.5
     idx = FractionalIndex([0.5], [0.0])
     m = SpectralMeasure.riesz(0.499, 1)
-    with pytest.warns(AccuracyWarning, match="inconclusive"), \
-            pytest.raises(DivergenceError, match=r"end of the shell range"):
+    with pytest.raises(DivergenceError, match=r"end of the shell range"):
         cumulative_bound_check(idx, m, 1.0)
 
 
